@@ -231,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lie2alg",
         description="Exact computations with weak Lie 2-algebras.",
     )
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="N",
-        help="cap on worker parallelism (all checks are pure; execution is "
-             "sequential and never exceeds the cap)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the checker matching the document kind")
@@ -285,8 +280,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.fn(args)
     except (ParseError, xla.ShapeError, CompositionError, ChainMapError, defo.DegreeError) as exc:

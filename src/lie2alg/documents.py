@@ -5,10 +5,12 @@ Documents are JSON with three top-level keys::
     {"kind": "...", "metadata": {"name": ..., "description": ...}, "payload": {...}}
 
 Scalars are exact rationals serialized as bare integers or "p/q" strings;
-floats are rejected.  Arrays carry an explicit "shape" and a flat "entries"
-list in row-major (lexicographic) index order.  Serialization is canonical -
-sorted keys, two-space indent, trailing newline - so parse . serialize is the
-identity and serialize . parse is the identity on canonical text.
+floats are rejected, as are integer literals and string parts longer than
+``exactla.MAX_LITERAL_DIGITS`` digits.  Arrays carry an explicit "shape" and a
+flat "entries" list in row-major (lexicographic) index order.  Serialization
+is canonical - sorted keys, two-space indent, trailing newline - so
+parse . serialize is the identity and serialize . parse is the identity on
+canonical text.
 
 Parse errors report the JSON path of the offending value.  Structural axiom
 violations (a Lie algebra document failing the Jacobi identity, say) surface
@@ -371,11 +373,19 @@ def from_payload(kind: str, payload: Any, path: str = "$.payload") -> Any:
     raise ParseError(f"unknown kind {kind!r}", "$.kind")
 
 
+def _int_literal(text: str) -> Any:
+    """JSON integer hook: a literal longer than the digit cap stays text, which
+    the value holding it rejects with its JSON path."""
+    return int(text) if len(text.lstrip("-")) <= xla.MAX_LITERAL_DIGITS else text
+
+
 def parse(text: str) -> ParsedDocument:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_int_literal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "document must be a JSON object", "$")
     kind = doc.get("kind")
     _expect(isinstance(kind, str) and kind in KINDS, f"kind must be one of {KINDS}", "$.kind")

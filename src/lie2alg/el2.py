@@ -18,6 +18,14 @@ and that the four coherence diagrams commute, all by composing actual arrows.
 The two checkers agree identity by identity; the correspondence is recorded
 in ``EL2_TO_CATEGORICAL``.
 
+Both checkers, and those of :mod:`lie2alg.morph`, first run on an integer
+copy: ``transport`` along den**-2 on objects and den**-3 on arrow parts, with
+den a common denominator, is a strict isomorphism that clears every
+denominator, so the residuals are computed in Python ints instead of
+Fractions.  It multiplies each residual by a nonzero constant, so the copy
+fails at exactly the basis tuples where the input fails; a failing verdict is
+recomputed on the input itself, so reports are those of the Fraction input.
+
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
 Jacobiator arrow at (x, y, z) is ([x,[y,z]], -jac(x,y,z)), and the bracket of
 two arrow parts is the derived one, [a,b] = [da,b].
@@ -372,6 +380,10 @@ def check_el2(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport
     to be symmetric is reported as an informational note (it is never
     required).
     """
+    return _integer_first(_check_el2_body, e, _integer_copy(e), stop_after)
+
+
+def _check_el2_body(e: EL2Algebra, stop_after: Optional[int]) -> CheckReport:
     report = CheckReport()
     for name, fn in EL2_EQUATIONS + EL2_REDUNDANT_EQUATIONS:
         if collect_tensor_violations(report, name, fn(e), stop_after=stop_after):
@@ -577,6 +589,40 @@ def transport(e: EL2Algebra, phi0: np.ndarray, phi1: np.ndarray) -> EL2Algebra:
     )
 
 
+def _tensors(e: EL2Algebra) -> tuple[np.ndarray, ...]:
+    return (e.complex.d, e.b00, e.b01, e.b10, e.alt, e.jac)
+
+
+def _scaled_copy(e: EL2Algebra, den: int, p: int, q: int) -> EL2Algebra:
+    """``transport(e, den**-p * I, den**-q * I)``, built by scaling each tensor.
+
+    The tensors scale by den to the powers q - p, p, p, p, 2p - q and 3p - q;
+    with ``den`` a common denominator of every entry and each power positive,
+    the copy holds Python ints."""
+    n0, n1 = e.complex.n0, e.complex.n1
+    scale = xla.scaled_ints
+    return EL2Algebra(
+        TwoTermComplex(n0, n1, scale(e.complex.d, den ** (q - p))),
+        scale(e.b00, den ** p),
+        scale(e.b01, den ** p),
+        scale(e.b10, den ** p),
+        scale(e.alt, den ** (2 * p - q)),
+        scale(e.jac, den ** (3 * p - q)),
+    )
+
+
+def _integer_copy(e: EL2Algebra) -> EL2Algebra:
+    return _scaled_copy(e, xla.common_denominator(*_tensors(e)), 2, 3)
+
+
+def _integer_first(body: Callable, exact, scaled, stop_after: Optional[int]) -> CheckReport:
+    """Run a checker body on the integer-scaled copy; a strict isomorphism
+    moves no violation, so a passing verdict is final.  A failing one is
+    recomputed on the Fraction input, whose residuals the report shows."""
+    report = body(scaled, stop_after)
+    return report if report.passed else body(exact, stop_after)
+
+
 # ---------------------------------------------------------------------------
 # Categorical coherence: the independent checker
 # ---------------------------------------------------------------------------
@@ -648,20 +694,22 @@ class _GammaEvaluator:
         self.bracket = e.bracket
         self.n0 = e.complex.n0
         self.n1 = e.complex.n1
-        self.zero0 = xla.zeros(self.n0)
-        self.zero1 = xla.zeros(self.n1)
+        # plain ints: a Fraction constant would turn the integer-scaled run
+        # back into Fraction arithmetic
+        self.zero0 = xla.freeze(np.zeros(self.n0, dtype=object))
+        self.zero1 = xla.freeze(np.zeros(self.n1, dtype=object))
 
     def vec0(self, x) -> np.ndarray:
         if isinstance(x, int):
             out = self.zero0.copy()
-            out[x] = xla.ONE
+            out[x] = 1
             return out
         return x
 
     def vec1(self, a) -> np.ndarray:
         if isinstance(a, int):
             out = self.zero1.copy()
-            out[a] = xla.ONE
+            out[a] = 1
             return out
         return a
 
@@ -730,6 +778,10 @@ def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = No
     pure arrow parts; and the four coherence diagrams commute, comparing the
     arrow parts of both composite paths on every basis tuple of objects.
     """
+    return _integer_first(_categorical_body, e, _integer_copy(e), stop_after)
+
+
+def _categorical_body(e: EL2Algebra, stop_after: Optional[int]) -> CheckReport:
     ev = _GammaEvaluator(e)
     report = CheckReport()
     n0, n1 = ev.n0, ev.n1

@@ -15,10 +15,22 @@ pivot extension.  Arrays returned by this module are frozen (non-writeable).
 Zero-dimensional spaces are legal everywhere; contractions over an empty axis
 produce integer zeros, which compare equal to ``Fraction(0)`` and mix safely
 with exact arithmetic.
+
+Fraction arithmetic normalizes by a gcd on every operation, so the axiom
+checkers first evaluate their residuals on a copy scaled to Python ints
+(:func:`common_denominator`, :func:`scaled_ints`) along a scalar strict
+isomorphism.  Such an isomorphism multiplies each residual by a nonzero
+constant, so the verdict is unchanged; only a failing check is recomputed on
+the Fraction input, whose residuals its report shows.
+
+String scalars are ``-?digits`` or ``-?digits/digits`` with at most
+:data:`MAX_LITERAL_DIGITS` digits in each part.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -30,6 +42,11 @@ Scalar = Union[int, str, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Below Python's 4300-digit limit on int <-> str conversion, so every accepted
+# literal converts and renders.
+MAX_LITERAL_DIGITS = 1000
+_LITERAL = re.compile(rf"-?[0-9]{{1,{MAX_LITERAL_DIGITS}}}(/[0-9]{{1,{MAX_LITERAL_DIGITS}}})?")
 
 
 class ExactLinearAlgebraError(ValueError):
@@ -46,7 +63,7 @@ class SubspaceError(ExactLinearAlgebraError):
 
 def rat(value: Scalar) -> Fraction:
     """Coerce ``value`` to a reduced Fraction.  Accepts ints, Fractions and
-    strings like ``"3"`` or ``"-3/4"``."""
+    strings like ``"3"`` or ``"-3/4"`` (see :data:`MAX_LITERAL_DIGITS`)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -54,10 +71,16 @@ def rat(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ShapeError(f"invalid rational literal {value!r}: {exc}") from exc
+        if _LITERAL.fullmatch(value):
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                reason = "zero denominator"
+        else:
+            reason = (f"expected an integer or 'p/q' with at most {MAX_LITERAL_DIGITS} "
+                      "digits in each part")
+        shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+        raise ShapeError(f"invalid rational literal {shown}: {reason}")
     raise ShapeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -131,6 +154,26 @@ def as_exact(a: np.ndarray) -> np.ndarray:
     flat_out = out.reshape(-1)
     for i in range(flat_in.size):
         flat_out[i] = rat(flat_in[i])
+    return freeze(out)
+
+
+def common_denominator(*arrays: np.ndarray) -> int:
+    """Least common multiple of the denominators of every entry (1 for none);
+    entries are ints or Fractions."""
+    return math.lcm(*{x.denominator for a in arrays for x in np.asarray(a).flat})
+
+
+def scaled_ints(a: np.ndarray, factor: int) -> np.ndarray:
+    """``factor * a`` as a frozen object array of Python ints; ``factor`` must
+    be a multiple of every entry's denominator."""
+    arr = np.asarray(a)
+    out = np.empty(arr.shape, dtype=object)
+    flat = out.reshape(-1)
+    for i, x in enumerate(arr.flat):
+        den = int(x.denominator)
+        if factor % den:
+            raise ExactLinearAlgebraError(f"{factor} does not clear the denominator of {x}")
+        flat[i] = int(x.numerator) * (factor // den)
     return freeze(out)
 
 

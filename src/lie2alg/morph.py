@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dkcore, exactla as xla
 from .dkcore import CompositionError
-from .el2 import EL2Algebra
+from .el2 import EL2Algebra, _integer_first, _scaled_copy, _tensors
 from .exactla import ShapeError
 from .report import CheckReport, collect_tensor_violations
 
@@ -84,6 +84,30 @@ def check_morphism(m: ELMorphism, *, stop_after: Optional[int] = None) -> CheckR
     """All defining identities of a morphism on basis tuples: the chain-map
     condition, the three bracket-homotopy conditions, and compatibility with
     the alternators and Jacobiators of the endpoints."""
+    return _integer_first(_check_morphism_body, m, _integer_morphism(m), stop_after)
+
+
+def _scaled_morphism(m: ELMorphism, den: int) -> ELMorphism:
+    """``m`` moved along den**-(4, 6) on its source and den**-(2, 3) on its
+    target; the powers den**2, den**3, den**5 and den**1 that this puts on f0,
+    f1, f2 and theta are all positive."""
+    scale = xla.scaled_ints
+    return ELMorphism(
+        _scaled_copy(m.src, den, 4, 6),
+        _scaled_copy(m.dst, den, 2, 3),
+        scale(m.f0, den ** 2),
+        scale(m.f1, den ** 3),
+        scale(m.f2, den ** 5),
+    )
+
+
+def _integer_morphism(m: ELMorphism) -> ELMorphism:
+    return _scaled_morphism(
+        m, xla.common_denominator(*_tensors(m.src), *_tensors(m.dst), m.f0, m.f1, m.f2)
+    )
+
+
+def _check_morphism_body(m: ELMorphism, stop_after: Optional[int]) -> CheckReport:
     report = CheckReport()
     src, dst = m.src, m.dst
     d, dp = src.complex.d, dst.complex.d
@@ -193,6 +217,18 @@ def check_2morphism(t: ELTwoMorphism, *, stop_after: Optional[int] = None) -> Ch
                             - theta([x,y]) - [theta x, theta y]'
 
     with the last bracket the derived one, [d'theta x, theta y]'."""
+    return _integer_first(_check_2morphism_body, t, _integer_2morphism(t), stop_after)
+
+
+def _integer_2morphism(t: ELTwoMorphism) -> ELTwoMorphism:
+    f, g = t.src, t.dst
+    den = xla.common_denominator(
+        *_tensors(f.src), *_tensors(f.dst), f.f0, f.f1, f.f2, g.f0, g.f1, g.f2, t.theta
+    )
+    return ELTwoMorphism(_scaled_morphism(f, den), _scaled_morphism(g, den), xla.scaled_ints(t.theta, den))
+
+
+def _check_2morphism_body(t: ELTwoMorphism, stop_after: Optional[int]) -> CheckReport:
     report = CheckReport()
     f, g = t.src, t.dst
     theta = t.theta

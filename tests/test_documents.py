@@ -131,6 +131,31 @@ def test_cli_check_parse_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["7" * 5000, '"1e5000"', '"1/' + "3" * 1001 + '"'])
+def test_cli_oversized_scalar_is_input_error(tmp_path, capsys, sl2_quadratic, literal):
+    # a 5000-digit integer exceeds Python's int/str conversion limit, and an
+    # exponent string would expand to 5001 digits; both must stop at intake
+    text = documents.serialize(sl2_quadratic)
+    doc = json.loads(text)
+    doc["payload"]["alt"]["entries"][0] = "@"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: $.payload.alt.entries[0]: invalid rational literal" in err
+    assert f"at most {xla.MAX_LITERAL_DIGITS} digits" in err
+    # the cap itself is accepted
+    doc["payload"]["alt"]["entries"][0] = "9" * xla.MAX_LITERAL_DIGITS
+    assert documents.parse(json.dumps(doc)).obj.alt[0, 0, 0] == int("9" * xla.MAX_LITERAL_DIGITS)
+
+
+def test_cli_deeply_nested_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["check", str(path)]) == 2
+    assert "input error: $: invalid JSON" in capsys.readouterr().err
+
+
 def test_cli_check_lie_axiom_violation(tmp_path, capsys):
     path = tmp_path / "bad_lie.json"
     path.write_text(
@@ -259,10 +284,3 @@ def test_cli_maps_constructor_errors_to_exit_codes(tmp_path, capsys):
     assert cli.main(["inner-sym", str(path), "--n", "2"]) == 1
     assert "construction failed" in capsys.readouterr().out
 
-
-def test_cli_threads_flag(tmp_path, capsys, sl2_quadratic):
-    path = write(tmp_path, "quad.json", sl2_quadratic)
-    assert cli.main(["--threads", "4", "check", path]) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
-        cli.main(["--threads", "0", "check", path])
