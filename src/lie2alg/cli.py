@@ -122,7 +122,11 @@ def _representation_from(parsed: ParsedDocument) -> cohom.RepresentationFD:
 def cmd_cohomology(args) -> int:
     rep = _representation_from(_load(args.file))
     g = rep.algebra
-    space = cohom.hl3(g, rep)
+    if args.ce:
+        seq = cohom.exact_sequence_report(g, rep)
+        space = seq.space
+    else:
+        space = cohom.hl3(g, rep)
     print(f"dim ZL3 = {space.cocycles.dim}")
     print(f"dim BL3 = {space.coboundaries.dim}")
     print(f"dim HL3 = {space.dim}")
@@ -130,22 +134,19 @@ def cmd_cohomology(args) -> int:
         s_txt = ", ".join(xla.rat_str(x) for x in pair.s.reshape(-1))
         j_txt = ", ".join(xla.rat_str(x) for x in pair.j.reshape(-1))
         print(f"representative {k}: s = ({s_txt}) j = ({j_txt})")
-    if args.ce:
-        ce = cohom.ce_h3(g, rep)
-        print(f"dim H3 = {ce.dim}")
-        for k, phi in enumerate(ce.representatives):
-            txt = ", ".join(xla.rat_str(x) for x in phi.reshape(-1))
-            print(f"H3 representative {k}: ({txt})")
-        if space.dim:
-            print("ss map on HL3 representatives (columns) in H3 coordinates:")
-            for k, pair in enumerate(space.representatives):
-                coords = cohom.ce_class_coordinates(ce, cohom.ss_class(g, rep, pair), g, rep)
-                txt = ", ".join(xla.rat_str(x) for x in coords)
-                print(f"  ss[rep {k}] = ({txt})")
-        seq = cohom.exact_sequence_report(g, rep)
-        print(seq.render())
-        return PASS if seq.passed else VIOLATION
-    return PASS
+    if not args.ce:
+        return PASS
+    print(f"dim H3 = {seq.ce.dim}")
+    for k, phi in enumerate(seq.ce.representatives):
+        txt = ", ".join(xla.rat_str(x) for x in phi.reshape(-1))
+        print(f"H3 representative {k}: ({txt})")
+    if space.dim:
+        print("ss map on HL3 representatives (columns) in H3 coordinates:")
+        for k in range(space.dim):
+            txt = ", ".join(xla.rat_str(x) for x in seq.ss_matrix[:, k])
+            print(f"  ss[rep {k}] = ({txt})")
+    print(seq.render())
+    return PASS if seq.passed else VIOLATION
 
 
 def cmd_classify(args) -> int:
@@ -209,8 +210,9 @@ def cmd_inner_sym(args) -> int:
             algebra = defo.inner_symmetries_n2(graded, gamma)
             report = CheckReport()
         else:
-            report = defo.theorem_n3_report(graded, gamma)
-            algebra = defo.inner_symmetries_n3(graded, gamma).algebra
+            data = defo.inner_symmetries_n3(graded, gamma)
+            report = defo.crossed_module_identities_report(data)
+            algebra = data.algebra
     except (defo.MaurerCartanError, defo.DegreeError, el2.InvalidStructureError) as exc:
         print(f"construction failed: {exc}")
         return VIOLATION

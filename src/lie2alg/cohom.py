@@ -27,6 +27,7 @@ rather than returning anything unvalidated.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -119,20 +120,19 @@ def unflatten_pair(g: LieAlgebraFD, m: RepresentationFD, v: np.ndarray) -> Cocyc
 # Cocycle equations and coboundaries
 # ---------------------------------------------------------------------------
 
-def _act(m: RepresentationFD, t: np.ndarray, where: str) -> np.ndarray:
-    """Left module action on the output of a tensor: [x, t(...)], producing
-    an extra input axis for x at position 1 ('pre') or last ('post')."""
-    moved = np.tensordot(m.rho, t, axes=([2], [0]))  # (out, x, inputs...)
-    if where == "pre":
-        return moved
-    return np.moveaxis(moved, 1, t.ndim)
+_COCYCLE_EQUATIONS = ("cocycle.jacobiator", "cocycle.sym12", "cocycle.sym23", "cocycle.alternator")
 
 
-def cocycle_residuals(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> list[tuple[str, np.ndarray]]:
-    """The four cocycle equations as residual tensors.  The module is acted
-    on from the left; the right action is [a, z] = -[z, a]."""
-    c, s, j = g.c, p.s, p.j
-    n = g.dim
+def _act(rho: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Left module action on the output of a tensor: [x, t(...)], with an
+    extra input axis for x at position 1."""
+    return np.tensordot(rho, t, axes=([2], [0]))           # (out, x, inputs...)
+
+
+def _cocycle_equations(c: np.ndarray, rho: np.ndarray, s: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Residuals of the four cocycle equations (``_COCYCLE_EQUATIONS``) of
+    (s, j) for the bracket c and the action rho.  s and j may carry one
+    trailing batch axis, which every residual keeps."""
 
     def j_plug(slot: int) -> np.ndarray:
         """j with the bracket substituted into one slot, axes ordered as
@@ -143,7 +143,7 @@ def cocycle_residuals(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> l
     #  [x, j(y,z,w)] - [y, j(x,z,w)] + [z, j(x,y,w)] + [j(x,y,z), w]
     #  - j([x,y],z,w) - j(y,[x,z],w) - j(y,z,[x,w])
     #  + j(x,[y,z],w) + j(x,z,[y,w]) - j(x,y,[z,w]) = 0
-    a1 = _act(m, j, "pre")                                   # (out, x, y, z, w)
+    a1 = _act(rho, j)                                        # (out, x, y, z, w)
     a2 = a1.swapaxes(1, 2)                                   # [y, j(x,z,w)]
     a3 = np.moveaxis(a1, 1, 3)                               # [z, j(x,y,w)]
     a4 = -np.moveaxis(a1, 1, 4)                              # [j(x,y,z), w] = -[w, j(x,y,z)]
@@ -156,26 +156,26 @@ def cocycle_residuals(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> l
     eq1 = a1 - a2 + a3 + a4 - b1 - b2 - b3 + b4 + b5 - b6
 
     # equation 2: j(x,y,z) + j(y,x,z) - [z, s(x,y)] = 0
-    zs = np.moveaxis(_act(m, s, "pre"), 1, 3)                # [z, s(x,y)] as (out, x, y, z)
+    zs = np.moveaxis(_act(rho, s), 1, 3)                     # [z, s(x,y)] as (out, x, y, z)
     eq2 = j + j.swapaxes(1, 2) - zs
 
     # equation 3: j(x,y,z) + j(x,z,y) - [x, s(y,z)] + s([x,y], z) + s(y, [x,z]) = 0
-    xs = _act(m, s, "pre")                                   # [x, s(y,z)] as (out, x, y, z)
+    xs = _act(rho, s)                                        # [x, s(y,z)] as (out, x, y, z)
     s_b_first = xla.plug(s, 1, c)                            # s([x,y], z): (out, x, y, z)
     s_b_second = np.swapaxes(xla.plug(s, 2, c), 1, 2)        # s(y, [x,z]): plug axes (out,y,x,z)
     eq3 = j + j.swapaxes(2, 3) - xs + s_b_first + s_b_second
 
     # equation 4: s([x,y], z) - s(z, [x,y]) = 0
-    left = xla.plug(s, 1, c)                                 # (out, x, y, z)
     right = np.moveaxis(xla.plug(s, 2, c), 1, 3)             # s(z, [x,y]) -> (out, x, y, z)
-    eq4 = left - right
+    eq4 = s_b_first - right
 
-    return [
-        ("cocycle.jacobiator", eq1),
-        ("cocycle.sym12", eq2),
-        ("cocycle.sym23", eq3),
-        ("cocycle.alternator", eq4),
-    ]
+    return eq1, eq2, eq3, eq4
+
+
+def cocycle_residuals(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> list[tuple[str, np.ndarray]]:
+    """The four cocycle equations as residual tensors.  The module is acted
+    on from the left; the right action is [a, z] = -[z, a]."""
+    return list(zip(_COCYCLE_EQUATIONS, _cocycle_equations(g.c, m.rho, p.s, p.j)))
 
 
 def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bool, CheckReport]:
@@ -183,6 +183,18 @@ def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bo
     for name, residual in cocycle_residuals(g, m, p):
         collect_tensor_violations(report, name, residual)
     return report.passed, report
+
+
+def _coboundary_terms(c: np.ndarray, rho: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s_f, j_f) of :func:`coboundary`; f may carry one trailing batch axis."""
+    s_f = f + f.swapaxes(1, 2)
+    t1 = _act(rho, f)                                        # [x, f(y,z)]
+    t2 = t1.swapaxes(1, 2)                                   # [y, f(x,z)]
+    t3 = -np.moveaxis(t1, 1, 3)                              # [f(x,y), z] = -[z, f(x,y)]
+    t4 = xla.plug(f, 1, c)                                   # f([x,y], z)
+    t5 = np.swapaxes(xla.plug(f, 2, c), 1, 2)                # f(y, [x,z])
+    t6 = xla.plug(f, 2, c)                                   # f(x, [y,z])
+    return s_f, t1 - t2 - t3 - t4 - t5 + t6
 
 
 def coboundary(g: LieAlgebraFD, m: RepresentationFD, f: np.ndarray) -> CocyclePair:
@@ -196,48 +208,59 @@ def coboundary(g: LieAlgebraFD, m: RepresentationFD, f: np.ndarray) -> CocyclePa
     f = xla.as_exact(f)
     if f.shape != (m.dim, g.dim, g.dim):
         raise ShapeError(f"f has shape {f.shape}, expected {(m.dim, g.dim, g.dim)}")
-    c = g.c
-    s_f = f + f.swapaxes(1, 2)
-    t1 = _act(m, f, "pre")                                   # [x, f(y,z)]
-    t2 = t1.swapaxes(1, 2)                                   # [y, f(x,z)]
-    t3 = -np.moveaxis(t1, 1, 3)                              # [f(x,y), z] = -[z, f(x,y)]
-    t4 = xla.plug(f, 1, c)                                   # f([x,y], z)
-    t5 = np.swapaxes(xla.plug(f, 2, c), 1, 2)                # f(y, [x,z])
-    t6 = xla.plug(f, 2, c)                                   # f(x, [y,z])
-    j_f = t1 - t2 - t3 - t4 - t5 + t6
-    return CocyclePair(s_f, j_f)
+    return CocyclePair(*_coboundary_terms(g.c, m.rho, f))
+
+
+# The operators below are assembled in one evaluation of the formulas above
+# over the whole unit basis, held as a trailing batch axis, on Python ints:
+# c and rho are scaled by D, their common denominator.
+
+
+def _scaled_structure(g: LieAlgebraFD, m: RepresentationFD) -> tuple[int, np.ndarray, np.ndarray]:
+    den = xla.common_denominator(g.c, m.rho)
+    return den, xla.scaled_ints(g.c, den), xla.scaled_ints(m.rho, den)
+
+
+def _unit_batch(shape: tuple[int, ...]) -> np.ndarray:
+    """The unit basis of the given shape in Python ints: the batch axis k
+    (last) holds the k-th basis tensor in row-major order."""
+    size = math.prod(shape)
+    out = np.zeros((size, size), dtype=object)
+    np.fill_diagonal(out, 1)
+    return out.reshape(*shape, size)
+
+
+def _batch_rows(t: np.ndarray) -> np.ndarray:
+    """A batched tensor as a matrix: one row per entry, one column per batch."""
+    return t.reshape(math.prod(t.shape[:-1]), t.shape[-1])
 
 
 def coboundary_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
-    """Matrix of f -> flatten(coboundary(f)) in coordinates."""
+    """Matrix of f -> flatten(coboundary(f)) in coordinates.  The scaled
+    structure multiplies the j block by D, which is divided back out."""
     n, dm = g.dim, m.dim
-    cols = dm * n * n
-    out = np.empty((pair_ambient_dim(g, m), cols), dtype=object)
-    for idx in range(cols):
-        f = xla.zeros(dm, n, n).copy()
-        f.reshape(-1)[idx] = Fraction(1)
-        out[:, idx] = flatten_pair(coboundary(g, m, xla.freeze(f)))
+    den, c, rho = _scaled_structure(g, m)
+    s_f, j_f = _coboundary_terms(c, rho, _unit_batch((dm, n, n)))
+    s_rows, j_rows = _batch_rows(s_f), _batch_rows(j_f)
+    out = np.empty((s_rows.shape[0] + j_rows.shape[0], s_rows.shape[1]), dtype=object)
+    out[: s_rows.shape[0]] = [[Fraction(x) for x in row] for row in s_rows.tolist()]
+    out[s_rows.shape[0]:] = [[Fraction(x, den) for x in row] for row in j_rows.tolist()]
     return xla.freeze(out)
 
 
 def _cocycle_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
-    """Stacked matrix of the four cocycle equations acting on flattened
-    pairs."""
-    ambient = pair_ambient_dim(g, m)
-    zero = zero_pair(g, m)
-    zero_rows = np.concatenate(
-        [res.reshape(-1) for _, res in cocycle_residuals(g, m, zero)]
-    )
-    rows = zero_rows.shape[0]
-    out = np.empty((rows, ambient), dtype=object)
-    for idx in range(ambient):
-        v = xla.zeros(ambient).copy()
-        v[idx] = Fraction(1)
-        p = unflatten_pair(g, m, xla.freeze(v))
-        out[:, idx] = np.concatenate(
-            [res.reshape(-1) for _, res in cocycle_residuals(g, m, p)]
-        )
-    return xla.freeze(out)
+    """Stacked integer matrix of the four cocycle equations acting on
+    flattened pairs.  The Jacobiator probes are scaled by D as well, so the
+    rows of equation 1 come out multiplied by D**2 and the others by D: the
+    row space, and with it the kernel, is the exact operator's."""
+    n, dm = g.dim, m.dim
+    den, c, rho = _scaled_structure(g, m)
+    split, ambient = dm * n * n, pair_ambient_dim(g, m)
+    probes = _unit_batch((ambient,))
+    probes[split:] *= den
+    s = probes[:split].reshape(dm, n, n, ambient)
+    j = probes[split:].reshape(dm, n, n, n, ambient)
+    return xla.freeze(np.concatenate([_batch_rows(e) for e in _cocycle_equations(c, rho, s, j)]))
 
 
 @dataclass(frozen=True)
@@ -319,13 +342,14 @@ def ce_differential(g: LieAlgebraFD, m: RepresentationFD, k: int) -> np.ndarray:
     n, dm = g.dim, m.dim
     rows_idx = _wedge_indices(n, k + 1)
     cols_idx = _wedge_indices(n, k)
+    row_pos = {t: i for i, t in enumerate(rows_idx)}
     col_pos = {t: i for i, t in enumerate(cols_idx)}
     out = xla.zeros(dm * len(rows_idx), dm * len(cols_idx)).copy()
 
     def add(row_tuple, out_coord, col_tuple, col_coord, coeff):
         if coeff == 0:
             return
-        r = rows_idx.index(row_tuple) * dm + out_coord
+        r = row_pos[row_tuple] * dm + out_coord
         ccol = col_pos[col_tuple] * dm + col_coord
         out[r, ccol] += coeff
 
@@ -509,15 +533,24 @@ def iota_pairs(g: LieAlgebraFD, m: RepresentationFD) -> list[CocyclePair]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactSequenceReport:
-    hl3_dim: int
-    ce_dim: int
+    space: CohomologySpace
+    ce: CeH3
+    ss_matrix: np.ndarray  # ss on the HL3 representatives (columns), in H3 coordinates
     abelianization_dim: int
     hom_wedge2_dim: int
     dims_match: bool
     splitting_section: bool
     kernel_matches_iota: bool
+
+    @property
+    def hl3_dim(self) -> int:
+        return self.space.dim
+
+    @property
+    def ce_dim(self) -> int:
+        return self.ce.dim
 
     @property
     def passed(self) -> bool:
@@ -558,7 +591,8 @@ def ce_class_coordinates(ce: CeH3, phi: np.ndarray, g: LieAlgebraFD, m: Represen
 
 def exact_sequence_report(g: LieAlgebraFD, m: RepresentationFD) -> ExactSequenceReport:
     """Verify the short exact sequence
-    0 -> Hom(wedge^2 a, M) -> HL3 -> H3 -> 0 with a the abelianization."""
+    0 -> Hom(wedge^2 a, M) -> HL3 -> H3 -> 0 with a the abelianization.  The
+    report carries HL3, H3 and the ss map it computed on the way."""
     space = hl3(g, m)
     ce = ce_h3(g, m)
     dim_a, _, _ = abelianization(g)
@@ -577,13 +611,14 @@ def exact_sequence_report(g: LieAlgebraFD, m: RepresentationFD) -> ExactSequence
     h3_mat = np.empty((ce.dim, space.dim), dtype=object)
     for k, rep in enumerate(space.representatives):
         h3_mat[:, k] = ce_class_coordinates(ce, ss_class(g, m, rep), g, m)
+    h3_mat = xla.freeze(h3_mat)
     kernel = xla.kernel_basis(h3_mat)
     cols = []
     for pair in iota_pairs(g, m):
         ok, _ = is_cocycle(g, m, pair)
         if not ok:
             return ExactSequenceReport(
-                space.dim, ce.dim, dim_a, hom_dim, dims_match, splitting, False
+                space, ce, h3_mat, dim_a, hom_dim, dims_match, splitting, False
             )
         cols.append(class_coordinates(space, pair))
     if cols:
@@ -592,7 +627,7 @@ def exact_sequence_report(g: LieAlgebraFD, m: RepresentationFD) -> ExactSequence
         iota_space = xla.zero_space(space.dim)
     kernel_ok = xla.subspaces_equal(kernel, iota_space)
 
-    return ExactSequenceReport(space.dim, ce.dim, dim_a, hom_dim, dims_match, splitting, kernel_ok)
+    return ExactSequenceReport(space, ce, h3_mat, dim_a, hom_dim, dims_match, splitting, kernel_ok)
 
 
 # ---------------------------------------------------------------------------

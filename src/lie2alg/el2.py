@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import dkcore, exactla as xla
+from . import exactla as xla
 from .dkcore import BilinearBracket, TwoTermComplex
 from .exactla import ShapeError
 from .report import CheckReport, Violation, collect_tensor_violations
@@ -690,8 +690,6 @@ class _GammaEvaluator:
 
     def __init__(self, e: EL2Algebra):
         self.e = e
-        self.cat = dkcore.gamma(e.complex)
-        self.bracket = e.bracket
         self.n0 = e.complex.n0
         self.n1 = e.complex.n1
         # plain ints: a Fraction constant would turn the integer-scaled run

@@ -23,6 +23,12 @@ isomorphism.  Such an isomorphism multiplies each residual by a nonzero
 constant, so the verdict is unchanged; only a failing check is recomputed on
 the Fraction input, whose residuals its report shows.
 
+Row reduction is fraction-free for the same reason: :func:`rref` clears
+denominators row by row, eliminates on Python ints (Bareiss) and divides once
+at the end.  The reduced row-echelon form of a row space is unique, so the
+RREF, its pivots and every basis derived from them (kernel, image, solutions,
+quotient representatives) are the ones Fraction elimination gives.
+
 String scalars are ``-?digits`` or ``-?digits/digits`` with at most
 :data:`MAX_LITERAL_DIGITS` digits in each part.
 """
@@ -194,39 +200,65 @@ def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row-echelon form and pivot column indices.
+    """Reduced row-echelon form (Fraction entries) and pivot column indices.
 
     Deterministic: columns are scanned left to right and the first row with a
     nonzero entry at or below the current row is used as the pivot.
+
+    Fraction-free: each row is scaled to a primitive integer row (positive
+    leading entry, coprime entries), and Bareiss's integer-preserving
+    Gauss-Jordan step
+
+        row_i <- (p * row_i - row_i[col] * pivot_row) / p_prev
+
+    (an exact division; p the new pivot, p_prev the one before) clears the
+    pivot column above and below, so every pivot entry equals the last pivot;
+    one division by it at the end gives the RREF.  Zero and repeated rows are
+    dropped.  None of this changes the row space, whose RREF is unique, so the
+    result is the one Fraction elimination gives.
     """
     m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeError("rref expects a matrix")
     nrows, ncols = m.shape
-    r = np.array(m, dtype=object, copy=True)
+    primitive: dict[tuple[int, ...], None] = {}
+    for row in m.tolist():
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        content = math.gcd(*ints)
+        if content:
+            if next(x for x in ints if x) < 0:
+                content = -content
+            primitive[tuple(x // content for x in ints)] = None
+    work = [list(row) for row in primitive]
     pivots: list[int] = []
-    row = 0
+    prev = 1
     for col in range(ncols):
-        if row >= nrows:
-            break
-        pivot_row = None
-        for i in range(row, nrows):
-            if r[i, col] != 0:
-                pivot_row = i
-                break
+        top = len(pivots)
+        pivot_row = next((i for i in range(top, len(work)) if work[i][col]), None)
         if pivot_row is None:
             continue
-        if pivot_row != row:
-            r[[row, pivot_row], :] = r[[pivot_row, row], :]
-        inv = ONE / rat(r[row, col])
-        if inv != 1:
-            r[row, :] = r[row, :] * inv
-        for i in range(nrows):
-            if i != row and r[i, col] != 0:
-                r[i, :] = r[i, :] - r[i, col] * r[row, :]
+        work[top], work[pivot_row] = work[pivot_row], work[top]
+        prow = work[top]
+        p = prow[col]
+        kept = []
+        for i, w in enumerate(work):
+            if i != top:
+                a = w[col]
+                if a:
+                    w = [(p * x - a * y) // prev for x, y in zip(w, prow)]
+                elif p != prev:
+                    w = [x * p // prev for x in w]
+                if i > top and not any(w):
+                    continue
+            kept.append(w)
+        work = kept
         pivots.append(col)
-        row += 1
-    return freeze(r), tuple(pivots)
+        prev = p
+    out = np.full((nrows, ncols), ZERO, dtype=object)
+    for i in range(len(pivots)):
+        out[i, :] = [Fraction(x, prev) if x else ZERO for x in work[i]]
+    return freeze(out), tuple(pivots)
 
 
 def rank(m: np.ndarray) -> int:
@@ -366,24 +398,15 @@ def subspaces_equal(a: Subspace, b: Subspace) -> bool:
 
 def quotient(z: Subspace, b: Subspace) -> tuple[int, np.ndarray]:
     """Dimension of z/b and representative vectors completing a basis of b to
-    one of z, obtained by greedy pivot extension through z's basis columns."""
+    one of z, obtained by greedy pivot extension through z's basis columns:
+    the z columns that are pivots of one elimination of ``[b | z]``."""
     if z.ambient_dim != b.ambient_dim:
         raise ShapeError("quotient of subspaces in different ambient spaces")
     if not subspace_leq(b, z):
         raise SubspaceError("denominator subspace is not contained in the numerator")
-    current = np.array(b.basis, dtype=object, copy=True)
-    reps: list[np.ndarray] = []
-    for j in range(z.dim):
-        candidate = z.basis[:, j]
-        if solve(current, candidate) is None:
-            reps.append(candidate)
-            current = np.column_stack([current, candidate]) if current.size else candidate.reshape(-1, 1)
-            if current.ndim == 1:
-                current = current.reshape(-1, 1)
-    out = np.empty((z.ambient_dim, len(reps)), dtype=object)
-    for k, rep in enumerate(reps):
-        out[:, k] = rep
-    return len(reps), freeze(out)
+    _, pivots = rref(np.column_stack([b.basis, z.basis]))
+    picked = [j - b.dim for j in pivots if j >= b.dim]
+    return len(picked), freeze(np.array(z.basis[:, picked], dtype=object, copy=True))
 
 
 # ---------------------------------------------------------------------------

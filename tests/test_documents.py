@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +207,27 @@ def test_cli_cohomology_representation_document(tmp_path, capsys):
     path = write(tmp_path, "adj.json", catalog.adjoint_rep(g))
     assert cli.main(["cohomology", path]) == 0
     assert "dim HL3 = 0" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).with_name("golden")
+
+
+GOLDEN_COHOMOLOGY = {
+    "cohomology_ce_sl2_trivial": (catalog.sl2, ["--ce"]),
+    "cohomology_ce_abelian3_trivial": (lambda: catalog.abelian_lie(3), ["--ce"]),
+    "cohomology_sl2_adjoint": (lambda: catalog.adjoint_rep(catalog.sl2()), []),
+}
+
+
+@pytest.mark.parametrize("golden", GOLDEN_COHOMOLOGY)
+def test_cli_cohomology_golden(tmp_path, capsys, golden):
+    """The whole report, representatives and ss map included, is pinned:
+    bases come from the unique RREF, so any re-implementation must print
+    these bytes."""
+    document, flags = GOLDEN_COHOMOLOGY[golden]
+    path = write(tmp_path, "doc.json", document())
+    assert cli.main(["cohomology", path, *flags]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
 
 
 def test_cli_classify(tmp_path, capsys, sl2_quadratic):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +19,41 @@ def small_matrix(max_dim=5):
             ).map(lambda rows: xla.matrix(rows) if r else xla.zeros(0, c))
         )
     )
+
+
+def rref_reference(m):
+    """Plain Fraction Gauss-Jordan elimination with the same pivot rule as
+    ``xla.rref``: the reference the fraction-free elimination must match."""
+    m = np.asarray(m)
+    nrows, ncols = m.shape
+    r = np.array(m, dtype=object, copy=True)
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        pivot_row = next((i for i in range(row, nrows) if r[i, col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != row:
+            r[[row, pivot_row], :] = r[[pivot_row, row], :]
+        inv = F(1) / xla.rat(r[row, col])
+        if inv != 1:
+            r[row, :] = r[row, :] * inv
+        for i in range(nrows):
+            if i != row and r[i, col] != 0:
+                r[i, :] = r[i, :] - r[i, col] * r[row, :]
+        pivots.append(col)
+        row += 1
+    return r, tuple(pivots)
+
+
+def assert_rref_matches_reference(m):
+    r, pivots = xla.rref(m)
+    want, want_pivots = rref_reference(m)
+    assert pivots == want_pivots
+    assert r.shape == want.shape and xla.arrays_equal(r, want)
+    assert all(type(x) is F for x in r.flat)
 
 
 def test_rat_parsing():
@@ -52,6 +88,46 @@ def test_rref_empty():
     r, pivots = xla.rref(m)
     assert r.shape == (0, 0)
     assert pivots == ()
+
+
+def test_rref_matches_fraction_reference_on_edge_cases():
+    rng = random.Random(11)
+    low_rank = [[F(rng.randrange(-3, 4), rng.choice([1, 2, 3])) for _ in range(2)] for _ in range(5)]
+    right = [[F(rng.randrange(-3, 4), rng.choice([1, 5])) for _ in range(6)] for _ in range(2)]
+    cases = [
+        xla.zeros(0, 0), xla.zeros(0, 3), xla.zeros(3, 0),
+        xla.zeros(3, 4),
+        xla.matrix([[1, 2, 3], [2, 4, 6], [0, 0, 0], [-1, -2, -3]]),
+        np.dot(xla.matrix(low_rank), xla.matrix(right)),
+        xla.matrix([[0, 0, 5, 7], [0, 3, 1, 0], [0, 6, 2, 0], [9, 0, 0, 1]]),
+        xla.matrix([[F(1, 3), F(-2, 7)], [F(2, 9), F(5, 11)], [F(7, 2), 1]]),
+    ]
+    ints = np.empty((3, 3), dtype=object)
+    ints[...] = [[2, -4, 6], [1, 1, 1], [3, -3, 7]]
+    cases += [ints, np.array([[4, 8], [6, 12]], dtype=np.int64)]
+    for m in cases:
+        assert_rref_matches_reference(m)
+
+
+def test_quotient_matches_greedy_extension():
+    """One elimination of [b | z] picks the columns of z that per-column
+    solves against the growing basis would pick."""
+    rng = random.Random(5)
+    for _ in range(20):
+        zb = xla.matrix([[F(rng.randrange(-2, 3), rng.choice([1, 2])) for _ in range(5)]
+                         for _ in range(6)])
+        z = xla.image_basis(zb)
+        b = xla.image_basis(np.dot(z.basis, xla.matrix(
+            [[rng.randrange(-1, 2) for _ in range(2)] for _ in range(z.dim)])))
+        current = b.basis
+        reps = []
+        for j in range(z.dim):
+            if xla.solve(current, z.basis[:, j]) is None:
+                reps.append(j)
+                current = np.column_stack([current, z.basis[:, j]])
+        dim, got = xla.quotient(z, b)
+        assert dim == len(reps) == z.dim - b.dim
+        assert xla.arrays_equal(got, z.basis[:, reps])
 
 
 def test_kernel_identity_and_zero():
@@ -140,6 +216,7 @@ def test_plug_matches_pointwise_composition():
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_rref_idempotent_and_rank_nullity(m):
+    assert_rref_matches_reference(m)
     r, pivots = xla.rref(m)
     r2, pivots2 = xla.rref(r)
     assert xla.arrays_equal(r, r2) and pivots == pivots2
