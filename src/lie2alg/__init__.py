@@ -39,7 +39,6 @@ from .dkcore import (
     TwoTermComplex,
     compose_arrows,
     crossed_module_report,
-    functor_bracket_on_arrows,
     gamma,
     hodge_decompose,
     is_quasi_iso,

@@ -26,6 +26,7 @@ rather than returning anything unvalidated.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import dkcore, exactla as xla, morph as morph_mod
+from . import dkcore, exactla as xla, morph as morph_mod, skew
 from .el2 import (
     EL2Algebra,
     InvalidStructureError,
@@ -316,16 +317,13 @@ def coboundary_preimage(
 
 def class_coordinates(space: CohomologySpace, p: CocyclePair) -> np.ndarray:
     """Coordinates of [p] against the representative basis of the quotient."""
-    vec = flatten_pair(p)
-    b = space.coboundaries
     reps = np.empty((space.ambient_dim, space.dim), dtype=object)
     for k, rep in enumerate(space.representatives):
         reps[:, k] = flatten_pair(rep)
-    basis = np.column_stack([b.basis, reps]) if b.dim else reps
-    coords = xla.solve(basis, vec)
+    coords = xla.coset_coordinates(space.coboundaries, reps, flatten_pair(p))
     if coords is None:
         raise CocycleError("pair is not a cocycle (not in the span of Z)")
-    return xla.freeze(coords[b.dim:])
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -366,33 +364,17 @@ def ce_differential(g: LieAlgebraFD, m: RepresentationFD, k: int) -> np.ndarray:
                 xj = row_t[j_pos]
                 rest = tuple(v for t, v in enumerate(row_t) if t not in (i_pos, j_pos))
                 sign = Fraction((-1) ** (i_pos + j_pos))
-                # phi([x_i, x_j], rest): expand the bracket and resort
+                # phi([x_i, x_j], rest): expand the bracket and insert its
+                # index into rest, one sign flip per smaller entry passed
                 for b_out in range(n):
                     coeff = g.c[b_out, xi, xj]
-                    if coeff == 0:
+                    if coeff == 0 or b_out in rest:
                         continue
-                    merged = _merge_sorted((b_out,), rest)
-                    if merged is None:
-                        continue
-                    msign, mono = merged
+                    pos = bisect.bisect_left(rest, b_out)
+                    mono = rest[:pos] + (b_out,) + rest[pos:]
                     for out_c in range(dm):
-                        add(row_t, out_c, mono, out_c, sign * coeff * msign)
+                        add(row_t, out_c, mono, out_c, sign * coeff * (-1) ** pos)
     return xla.freeze(out)
-
-
-def _merge_sorted(left: tuple[int, ...], right: tuple[int, ...]):
-    arr = list(left) + list(right)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(arr)):
-        if arr[i - 1] == arr[i]:
-            return None
-    return sign, tuple(arr)
 
 
 @dataclass(frozen=True)
@@ -413,26 +395,13 @@ def alt3_to_coords(g: LieAlgebraFD, m: RepresentationFD, t: np.ndarray) -> np.nd
 
 
 def coords_to_alt3(g: LieAlgebraFD, m: RepresentationFD, v: np.ndarray) -> np.ndarray:
+    """The alternating tensor with the given values on increasing triples:
+    each value is placed at its triple, then the tensor is alternated."""
     n, dm = g.dim, m.dim
     t = xla.zeros(dm, n, n, n).copy()
-    triples = _wedge_indices(n, 3)
-    for pos, (a, b, c) in enumerate(triples):
-        for mc in range(dm):
-            val = v[pos * dm + mc]
-            for perm in itertools.permutations(range(3)):
-                sgn = Fraction(_perm_sign(perm))
-                idx = tuple((a, b, c)[p] for p in perm)
-                t[(mc,) + idx] = val * sgn
-    return xla.freeze(t)
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    for pos, (a, b, c) in enumerate(_wedge_indices(n, 3)):
+        t[:, a, b, c] = v[pos * dm:(pos + 1) * dm]
+    return xla.alternate(t, xla.ONE)
 
 
 def is_alternating3(t: np.ndarray) -> bool:
@@ -458,21 +427,13 @@ def ss_class(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> np.ndarray
 
         (x,y,z) -> 1/6 sum_perm sgn j(perm) - 1/12 sum_perm sgn s([.,.], .)
 
-    It is alternating and closed, coboundary pairs land on coboundaries, and
+    computed by the Jacobiator kernel of :func:`lie2alg.skew.skew_symmetrize`
+    on (j, s, c).  It is alternating and closed, coboundary pairs land on coboundaries, and
     pairs (0, phi) with phi alternating return phi itself."""
     ok, report = is_cocycle(g, m, p)
     if not ok:
         raise CocycleError("skew-symmetrization requires a cocycle", report)
-    sixth = Fraction(1, 6)
-    twelfth = Fraction(1, 12)
-    s_br = xla.plug(p.s, 1, g.c)  # s([x,y], z), axes (out, x, y, z)
-    out = xla.zeros(*p.j.shape).copy()
-    for perm in itertools.permutations(range(3)):
-        sgn = Fraction(_perm_sign(perm))
-        axes = (0,) + tuple(1 + perm.index(t) for t in range(3))
-        out += np.transpose(p.j, axes) * (sixth * sgn)
-        out -= np.transpose(s_br, axes) * (twelfth * sgn)
-    t = xla.freeze(out)
+    t = skew.skew_jacobiator(p.j, p.s, g.c)
     if not is_alternating3(t):
         raise AssertionError("skew-symmetrized cochain is not alternating")
     d3 = ce_differential(g, m, 3)
@@ -511,14 +472,8 @@ def iota_pairs(g: LieAlgebraFD, m: RepresentationFD) -> list[CocyclePair]:
     dim_a, reps, derived = abelianization(g)
     n = g.dim
     inv = invariants_basis(m)
-    # projection onto the representative coordinates
-    basis = np.column_stack([derived.basis, reps]) if derived.dim else reps
-    proj = np.empty((dim_a, n), dtype=object)
-    for jj in range(n):
-        e = xla.zeros(n).copy()
-        e[jj] = Fraction(1)
-        coords = xla.solve(basis, e)
-        proj[:, jj] = coords[derived.dim:]
+    # projection onto the representative coordinates along [g,g]
+    proj = xla.inverse(np.column_stack([derived.basis, reps]))[derived.dim:]
     out = []
     for mc in range(inv.dim):
         value = inv.basis[:, mc]
@@ -575,18 +530,13 @@ class ExactSequenceReport:
 def ce_class_coordinates(ce: CeH3, phi: np.ndarray, g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
     """Coordinates of the class of a closed alternating 3-cochain against the
     chosen H3 representatives."""
-    coords = alt3_to_coords(g, m, phi)
-    rep_cols = [alt3_to_coords(g, m, r) for r in ce.representatives]
-    if ce.coboundaries.dim and rep_cols:
-        basis = np.column_stack([ce.coboundaries.basis] + rep_cols)
-    elif rep_cols:
-        basis = np.column_stack(rep_cols)
-    else:
-        basis = ce.coboundaries.basis
-    sol = xla.solve(basis, coords)
-    if sol is None:
+    reps = np.empty((ce.coboundaries.ambient_dim, ce.dim), dtype=object)
+    for k, r in enumerate(ce.representatives):
+        reps[:, k] = alt3_to_coords(g, m, r)
+    coords = xla.coset_coordinates(ce.coboundaries, reps, alt3_to_coords(g, m, phi))
+    if coords is None:
         raise CocycleError("cochain is not closed")
-    return xla.freeze(sol[ce.coboundaries.dim:])
+    return coords
 
 
 def exact_sequence_report(g: LieAlgebraFD, m: RepresentationFD) -> ExactSequenceReport:

@@ -156,19 +156,6 @@ def structurally_equal(a: GradedL3Algebra, b: GradedL3Algebra) -> bool:
 # Koszul machinery and the relation checker
 # ---------------------------------------------------------------------------
 
-def _perm_signs(perm: tuple[int, ...], degrees: tuple[int, ...]) -> Fraction:
-    """sgn(perm) times the Koszul sign of permuting graded arguments with the
-    given degrees into the order ``perm`` (entries are original positions)."""
-    sign = 1
-    for r in range(len(perm)):
-        for s in range(r + 1, len(perm)):
-            if perm[r] > perm[s]:
-                sign = -sign
-                if degrees[perm[r]] % 2 and degrees[perm[s]] % 2:
-                    sign = -sign
-    return Fraction(sign)
-
-
 def _bracket_tensor(L: GradedL3Algebra, degs: tuple[int, ...]) -> Optional[np.ndarray]:
     """The stored k-ary bracket at the given input degrees, or None when it
     is the zero map (missing, or with a zero-dimensional target)."""
@@ -212,7 +199,7 @@ def _relation_residual(L: GradedL3Algebra, degs: tuple[int, ...]) -> Optional[np
             placed = sel + rest
             axes = (0,) + tuple(1 + placed.index(t) for t in range(n))
             composite = np.transpose(composite, axes)
-            coeff = coeff_ij * _perm_signs(placed, degs)
+            coeff = coeff_ij * xla.perm_sign(placed, degs)
             term = composite if coeff == 1 else composite * coeff
             total = term if total is None else total + term
     return total

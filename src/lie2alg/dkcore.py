@@ -281,8 +281,27 @@ class BilinearBracket:
         return Arrow(obj, part)
 
 
-def functor_bracket_on_arrows(bracket: BilinearBracket, f: Arrow, g: Arrow) -> Arrow:
-    return bracket.on_arrows(f, g)
+# The chain-map identities of a bracket, as residual tensors of any object
+# with ``complex``, ``b00``, ``b01`` and ``b10`` (a BilinearBracket or an
+# EL2Algebra); check_el2 lists them as chain.b01, chain.b10, chain.derived.
+
+def chain_b01(br) -> np.ndarray:
+    """d[x,b] - [x,db], axes (out, x, b)."""
+    return xla.postcompose(br.complex.d, br.b01) - xla.precompose(br.b00, 2, br.complex.d)
+
+
+def chain_b10(br) -> np.ndarray:
+    """d[a,y] - [da,y], axes (out, a, y)."""
+    lhs = xla.postcompose(br.complex.d, br.b10)
+    rhs = np.moveaxis(np.tensordot(br.b00, br.complex.d, axes=([1], [0])), 2, 1)
+    return lhs - rhs
+
+
+def chain_derived(br) -> np.ndarray:
+    """[da,b] - [a,db], axes (out, a, b)."""
+    da_b = np.moveaxis(np.tensordot(br.b01, br.complex.d, axes=([1], [0])), 2, 1)
+    a_db = np.tensordot(br.b10, br.complex.d, axes=([2], [0]))
+    return da_b - a_db
 
 
 def crossed_module_report(bracket: BilinearBracket, stop_after: Optional[int] = None) -> CheckReport:
@@ -291,30 +310,18 @@ def crossed_module_report(bracket: BilinearBracket, stop_after: Optional[int] = 
 
         d[x,b] = [x,db]   d[a,y] = [da,y]   [da,b] = [a,db]   d[a,b] = [da,db]
     """
-    c = bracket.complex
-    d, b00, b01, b10 = c.d, bracket.b00, bracket.b01, bracket.b10
+    r_b01 = chain_b01(bracket)
+    residuals = (
+        ("d[x,b]=[x,db]", r_b01),
+        ("d[a,y]=[da,y]", chain_b10(bracket)),
+        ("[da,b]=[a,db]", chain_derived(bracket)),
+        # the first identity at x = da: d[da,b] - [da,db]
+        ("d[a,b]=[da,db]", xla.precompose(r_b01, 1, bracket.complex.d)),
+    )
     report = CheckReport()
-
-    r = xla.postcompose(d, b01) - xla.precompose(b00, 2, d)
-    if collect_tensor_violations(report, "d[x,b]=[x,db]", r, stop_after=stop_after):
-        return report
-
-    lhs = xla.postcompose(d, b10)
-    rhs = np.moveaxis(np.tensordot(b00, d, axes=([1], [0])), 2, 1)
-    if collect_tensor_violations(report, "d[a,y]=[da,y]", lhs - rhs, stop_after=stop_after):
-        return report
-
-    da_b = np.moveaxis(np.tensordot(b01, d, axes=([1], [0])), 2, 1)
-    a_db = np.tensordot(b10, d, axes=([2], [0]))
-    if collect_tensor_violations(report, "[da,b]=[a,db]", da_b - a_db, stop_after=stop_after):
-        return report
-
-    lhs = xla.postcompose(d, xla.freeze(da_b))
-    # b00(da, db): contract both input slots of b00 with d; axes come out as
-    # (output, a, b) directly.
-    rhs = np.tensordot(np.tensordot(b00, d, axes=([1], [0])), d, axes=([1], [0]))
-    if collect_tensor_violations(report, "d[a,b]=[da,db]", lhs - rhs, stop_after=stop_after):
-        return report
+    for name, residual in residuals:
+        if collect_tensor_violations(report, name, residual, stop_after=stop_after):
+            break
     return report
 
 
@@ -358,14 +365,12 @@ def is_quasi_iso(f: ChainMap) -> bool:
         return False
     if dim_dst == 0:
         return True
-    basis = np.column_stack([im_dst.basis, reps_dst]) if im_dst.dim else reps_dst
     mat0 = np.empty((dim_dst, dim_src), dtype=object)
     for j in range(dim_src):
-        image = np.dot(f.f0, reps_src[:, j])
-        coords = xla.solve(basis, image)
+        coords = xla.coset_coordinates(im_dst, reps_dst, np.dot(f.f0, reps_src[:, j]))
         if coords is None:
             return False
-        mat0[:, j] = coords[im_dst.dim:]
+        mat0[:, j] = coords
     return xla.rank(mat0) == dim_dst
 
 
@@ -397,47 +402,19 @@ def hodge_decompose(c: TwoTermComplex) -> HodgeData:
         compl[j, k] = xla.ONE
 
     skeletal = TwoTermComplex(h0_dim, ker.dim, xla.zeros(h0_dim, ker.dim))
+    i0, i1 = h0_reps, ker.basis
 
-    i0 = h0_reps if h0_dim else xla.zeros(c.n0, 0)
-    i1 = ker.basis
-
-    # p0: coordinates along the splitting C^0 = im d + reps
-    basis0 = np.column_stack([im.basis, i0]) if (im.dim and h0_dim) else (i0 if h0_dim else im.basis)
-    p0 = np.empty((h0_dim, c.n0), dtype=object)
-    im_coords = np.empty((im.dim, c.n0), dtype=object)
-    for j in range(c.n0):
-        e = xla.zeros(c.n0).copy()
-        e[j] = xla.ONE
-        coords = xla.solve(basis0, e) if basis0.size or c.n0 == 0 else xla.zeros(0)
-        if coords is None:
-            raise AssertionError("splitting basis failed to span C^0")
-        im_coords[:, j] = coords[: im.dim]
-        p0[:, j] = coords[im.dim :]
-
-    # p1: coordinates along C^-1 = ker d + complement
-    basis1 = np.column_stack([i1, compl]) if (ker.dim and len(pivots)) else (i1 if ker.dim else compl)
-    p1 = np.empty((ker.dim, c.n1), dtype=object)
-    compl_coords = np.empty((len(pivots), c.n1), dtype=object)
-    for j in range(c.n1):
-        e = xla.zeros(c.n1).copy()
-        e[j] = xla.ONE
-        coords = xla.solve(basis1, e) if basis1.size or c.n1 == 0 else xla.zeros(0)
-        if coords is None:
-            raise AssertionError("splitting basis failed to span C^-1")
-        p1[:, j] = coords[: ker.dim]
-        compl_coords[:, j] = coords[ker.dim :]
+    # p0: coordinates along the splitting C^0 = im d + reps; p1: along
+    # C^-1 = ker d + complement.  Each inverse raises SubspaceError when its
+    # columns fail to form a basis.
+    split0 = xla.inverse(np.column_stack([im.basis, i0]))
+    im_coords, p0 = split0[: im.dim], split0[im.dim :]
+    p1 = xla.inverse(np.column_stack([i1, compl]))[: ker.dim]
 
     # h: invert d on the complement of ker d, applied to the im-d component.
-    # d restricted to the complement is an isomorphism onto im d, and the
-    # im-d component of e_j is im.basis @ im_coords[:, j].
-    d_on_compl = np.dot(c.d, compl)  # (n0 x r), columns a basis of im d
-    h = np.empty((c.n1, c.n0), dtype=object)
-    for j in range(c.n0):
-        target = np.dot(im.basis, im_coords[:, j]) if im.dim else xla.zeros(c.n0)
-        coords = xla.solve(d_on_compl, target)
-        if coords is None:
-            raise AssertionError("failed to invert d on the pivot complement")
-        h[:, j] = np.dot(compl, coords) if len(pivots) else xla.zeros(c.n1)
+    # d maps the complement's unit vectors onto d's pivot columns, which are
+    # the im-d basis itself, so h is the complement read in im-d coordinates.
+    h = np.dot(compl, im_coords) if pivots else xla.zeros(c.n1, c.n0)
 
     include = ChainMap(skeletal, c, i0, i1)
     project = ChainMap(c, skeletal, p0, p1)

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import exactla as xla
-from .dkcore import BilinearBracket, TwoTermComplex
+from .dkcore import BilinearBracket, TwoTermComplex, chain_b01, chain_b10, chain_derived
 from .exactla import ShapeError
 from .report import CheckReport, Violation, collect_tensor_violations
 
@@ -217,24 +217,6 @@ class RepresentationFD:
 # The axiom checker
 # ---------------------------------------------------------------------------
 
-def _residual_chain_b01(e: EL2Algebra) -> np.ndarray:
-    # d[x,b] - [x,db]
-    return xla.postcompose(e.complex.d, e.b01) - xla.precompose(e.b00, 2, e.complex.d)
-
-
-def _residual_chain_b10(e: EL2Algebra) -> np.ndarray:
-    lhs = xla.postcompose(e.complex.d, e.b10)
-    rhs = np.moveaxis(np.tensordot(e.b00, e.complex.d, axes=([1], [0])), 2, 1)
-    return lhs - rhs
-
-
-def _residual_chain_derived(e: EL2Algebra) -> np.ndarray:
-    # [da, b] - [a, db]
-    da_b = np.moveaxis(np.tensordot(e.b01, e.complex.d, axes=([1], [0])), 2, 1)
-    a_db = np.tensordot(e.b10, e.complex.d, axes=([2], [0]))
-    return da_b - a_db
-
-
 def _residual_skew00(e: EL2Algebra) -> np.ndarray:
     return e.b00 + e.b00.swapaxes(1, 2) - xla.postcompose(e.complex.d, e.alt)
 
@@ -347,9 +329,9 @@ def _residual_red_alt_exact(e: EL2Algebra) -> np.ndarray:
 
 
 EL2_EQUATIONS: tuple[tuple[str, Callable[[EL2Algebra], np.ndarray]], ...] = (
-    ("chain.b01", _residual_chain_b01),
-    ("chain.b10", _residual_chain_b10),
-    ("chain.derived", _residual_chain_derived),
+    ("chain.b01", chain_b01),
+    ("chain.b10", chain_b10),
+    ("chain.derived", chain_derived),
     ("skew.00", _residual_skew00),
     ("skew.10", _residual_skew10),
     ("skew.01", _residual_skew01),

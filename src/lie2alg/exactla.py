@@ -29,12 +29,21 @@ at the end.  The reduced row-echelon form of a row space is unique, so the
 RREF, its pivots and every basis derived from them (kernel, image, solutions,
 quotient representatives) are the ones Fraction elimination gives.
 
+Every convention and subspace question has one helper here: the sign of a
+permutation, with an optional Koszul sign (:func:`perm_sign`); the signed sum
+over the permutations of a tensor's input axes (:func:`alternate`), behind
+skew-symmetrization and alternating cochains; and coordinates modulo a
+subspace against chosen representatives (:func:`coset_coordinates`), one
+solve of ``[B | reps] x = v``.  Coordinates along a square change of basis
+are read off one :func:`inverse`.
+
 String scalars are ``-?digits`` or ``-?digits/digits`` with at most
 :data:`MAX_LITERAL_DIGITS` digits in each part.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -386,10 +395,11 @@ def contains(s: Subspace, v: np.ndarray) -> bool:
 
 
 def subspace_leq(a: Subspace, b: Subspace) -> bool:
-    """True when span(a) is contained in span(b)."""
+    """True when span(a) is contained in span(b): one elimination, a lies in
+    b exactly when appending its columns leaves the rank at b.dim."""
     if a.ambient_dim != b.ambient_dim:
         raise ShapeError("subspaces of different ambient spaces")
-    return all(contains(b, a.basis[:, j]) for j in range(a.dim))
+    return rank(np.column_stack([b.basis, a.basis])) == b.dim
 
 
 def subspaces_equal(a: Subspace, b: Subspace) -> bool:
@@ -399,14 +409,55 @@ def subspaces_equal(a: Subspace, b: Subspace) -> bool:
 def quotient(z: Subspace, b: Subspace) -> tuple[int, np.ndarray]:
     """Dimension of z/b and representative vectors completing a basis of b to
     one of z, obtained by greedy pivot extension through z's basis columns:
-    the z columns that are pivots of one elimination of ``[b | z]``."""
+    the z columns that are pivots of one elimination of ``[b | z]``.
+
+    The same elimination checks b <= z: its rank is dim(b + z), which equals
+    z.dim exactly when b lies in z."""
     if z.ambient_dim != b.ambient_dim:
         raise ShapeError("quotient of subspaces in different ambient spaces")
-    if not subspace_leq(b, z):
-        raise SubspaceError("denominator subspace is not contained in the numerator")
     _, pivots = rref(np.column_stack([b.basis, z.basis]))
     picked = [j - b.dim for j in pivots if j >= b.dim]
+    if b.dim + len(picked) != z.dim:
+        raise SubspaceError("denominator subspace is not contained in the numerator")
     return len(picked), freeze(np.array(z.basis[:, picked], dtype=object, copy=True))
+
+
+def coset_coordinates(b: Subspace, reps: np.ndarray, v: np.ndarray) -> Optional[np.ndarray]:
+    """Coordinates of v modulo span(b) against the columns of ``reps``: the
+    reps block of the solution of ``[b | reps] x = v``, or None when v lies
+    outside span(b) + span(reps)."""
+    x = solve(np.column_stack([b.basis, reps]), v)
+    return None if x is None else freeze(x[b.dim:])
+
+
+# ---------------------------------------------------------------------------
+# Permutation signs and alternation
+# ---------------------------------------------------------------------------
+
+def perm_sign(perm: Sequence[int], degrees: Optional[Sequence[int]] = None) -> int:
+    """Sign of ``perm`` (entries are original positions).  With ``degrees``,
+    times the Koszul sign of moving graded arguments of those degrees into
+    the order ``perm``: an inversion of two odd arguments does not flip."""
+    sign = 1
+    for r in range(len(perm)):
+        for s in range(r + 1, len(perm)):
+            if perm[r] > perm[s]:
+                both_odd = degrees is not None and degrees[perm[r]] % 2 and degrees[perm[s]] % 2
+                if not both_odd:
+                    sign = -sign
+    return sign
+
+
+def alternate(t: np.ndarray, coeff: Fraction) -> np.ndarray:
+    """``coeff * sum_perm sgn(perm) t(x_perm(1), ..., x_perm(k))`` over the
+    input axes (axis 0 is the output)."""
+    k = t.ndim - 1
+    out = None
+    for perm in itertools.permutations(range(k)):
+        axes = (0,) + tuple(1 + perm.index(i) for i in range(k))
+        term = np.transpose(t, axes) * (coeff * perm_sign(perm))
+        out = term if out is None else out + term
+    return freeze(out)
 
 
 # ---------------------------------------------------------------------------

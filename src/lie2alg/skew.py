@@ -17,7 +17,6 @@ counterexample, not get patched over.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -31,64 +30,37 @@ _TWELFTH = Fraction(1, 12)
 _HALF = Fraction(1, 2)
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def skew_jacobiator(jac: np.ndarray, alt: np.ndarray, b00: np.ndarray) -> np.ndarray:
+    """1/6 sum_perm sgn jac(perm) - 1/12 sum_perm sgn alt([perm_1, perm_2], perm_3),
+    axes (out, x, y, z).  On a skeletal structure this is the map from the
+    cocycle pair (alt, jac) to its Chevalley-Eilenberg 3-cochain."""
+    alt_br = xla.plug(alt, 1, b00)   # <[x,y], z> with axes (out, x, y, z)
+    return xla.freeze(xla.alternate(jac, _SIXTH) - xla.alternate(alt_br, _TWELFTH))
 
 
-def _alternate3(t: np.ndarray, coeff: Fraction) -> np.ndarray:
-    """coeff * sum over permutations of the three input axes with signs."""
-    out = None
-    for perm in itertools.permutations(range(3)):
-        sgn = Fraction(_perm_sign(perm))
-        axes = (0,) + tuple(1 + perm.index(k) for k in range(3))
-        term = np.transpose(t, axes) * (coeff * sgn)
-        out = term if out is None else out + term
-    return out
-
-
-def skew_symmetrize(e: EL2Algebra, *, validate: bool = True) -> EL2Algebra:
+def skew_symmetrize(e: EL2Algebra) -> EL2Algebra:
     """The semistrict structure with antisymmetrized brackets.
 
-    Validates the input by default (the construction is only meaningful on
+    Validates the input first (the construction is only meaningful on
     structures satisfying the axioms)."""
-    if validate:
-        verdict = check_el2(e)
-        if not verdict.passed:
-            raise InvalidStructureError("cannot skew-symmetrize an invalid structure", verdict)
+    verdict = check_el2(e)
+    if not verdict.passed:
+        raise InvalidStructureError("cannot skew-symmetrize an invalid structure", verdict)
     b00 = (e.b00 - e.b00.swapaxes(1, 2)) * _HALF
     # {x, a} = 1/2 ([x, a] - [a, x])  and  {a, x} = -{x, a}
     b01 = (e.b01 - np.moveaxis(e.b10, 1, 2)) * _HALF
     b10 = -np.moveaxis(b01, 1, 2)
-    jac_part = _alternate3(e.jac, _SIXTH)
-    alt_br = xla.plug(e.alt, 1, e.b00)   # <[x,y], z> with axes (out, x, y, z)
-    t_part = _alternate3(alt_br, _TWELFTH)
-    jac = jac_part - t_part
     n0, n1 = e.complex.n0, e.complex.n1
     return EL2Algebra(e.complex, xla.freeze(b00), xla.freeze(b01), xla.freeze(b10),
-                      xla.zeros(n1, n0, n0), xla.freeze(jac))
+                      xla.zeros(n1, n0, n0), skew_jacobiator(e.jac, e.alt, e.b00))
 
 
-def skew_symmetrize_morphism(m: ELMorphism, *, validate: bool = True) -> ELMorphism:
+def skew_symmetrize_morphism(m: ELMorphism) -> ELMorphism:
     """Antisymmetrize the bilinear homotopy; endpoints are skew-symmetrized."""
     f2 = (m.f2 - m.f2.swapaxes(1, 2)) * _HALF
-    return ELMorphism(
-        skew_symmetrize(m.src, validate=validate),
-        skew_symmetrize(m.dst, validate=validate),
-        m.f0,
-        m.f1,
-        xla.freeze(f2),
-    )
+    return ELMorphism(skew_symmetrize(m.src), skew_symmetrize(m.dst), m.f0, m.f1, xla.freeze(f2))
 
 
-def skew_symmetrize_2morphism(t: ELTwoMorphism, *, validate: bool = True) -> ELTwoMorphism:
+def skew_symmetrize_2morphism(t: ELTwoMorphism) -> ELTwoMorphism:
     """The arrow part carries over verbatim."""
-    return ELTwoMorphism(
-        skew_symmetrize_morphism(t.src, validate=validate),
-        skew_symmetrize_morphism(t.dst, validate=validate),
-        t.theta,
-    )
+    return ELTwoMorphism(skew_symmetrize_morphism(t.src), skew_symmetrize_morphism(t.dst), t.theta)

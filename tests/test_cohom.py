@@ -75,6 +75,31 @@ def test_hl3_dimensions(hl3_spaces):
         assert xla.subspace_leq(space.coboundaries, space.cocycles)
 
 
+def _coords_to_alt3_reference(g, m, v):
+    """The triple-and-permutation loop coords_to_alt3 replaced: each value
+    written at every permutation of its increasing triple, with the sign."""
+    n, dm = g.dim, m.dim
+    t = xla.zeros(dm, n, n, n).copy()
+    for pos, (a, b, c) in enumerate(itertools.combinations(range(n), 3)):
+        for mc in range(dm):
+            for perm in itertools.permutations(range(3)):
+                inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+                t[(mc,) + tuple((a, b, c)[p] for p in perm)] = v[pos * dm + mc] * (-1) ** inversions
+    return t
+
+
+def test_coords_to_alt3_matches_reference(gm_corpus):
+    rng = random.Random(11)
+    ab5 = catalog.abelian_lie(5)
+    for name, g, m in gm_corpus + [("abelian5/trivial", ab5, catalog.trivial_rep(ab5))]:
+        size = m.dim * len(list(itertools.combinations(range(g.dim), 3)))
+        v = xla.vector([F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(size)])
+        got = cohom.coords_to_alt3(g, m, v)
+        assert xla.arrays_equal(got, _coords_to_alt3_reference(g, m, v)), name
+        assert all(isinstance(x, F) for x in got.flat), name
+        assert cohom.is_alternating3(got) and xla.arrays_equal(cohom.alt3_to_coords(g, m, got), v), name
+
+
 def test_ce_h3_dimensions(gm_corpus):
     expected = {
         "sl2/trivial": 1,

@@ -230,6 +230,37 @@ def test_cli_cohomology_golden(tmp_path, capsys, golden):
     assert capsys.readouterr().out == (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
 
 
+def _moved_sl2_quadratic():
+    import random
+
+    from conftest import twisted_nonskeletal
+
+    g = catalog.sl2()
+    moved, _, _ = twisted_nonskeletal(random.Random(6), el2.from_quadratic_lie(g, catalog.killing_form(g)), 2)
+    return moved
+
+
+# name -> (document, subcommand and flags); "-o" writes the <name>.json document
+GOLDEN_CLI = {
+    "classify_moved_sl2": (_moved_sl2_quadratic, ["classify"]),
+    "inner_sym_n3_skew": (lambda: documents.MCProblem(*catalog.nilpotent_cdga_dgla()), ["inner-sym", "--skew"]),
+    "inner_sym_n2": (lambda: documents.MCProblem(*catalog.nilpotent_cdga_dgla_n2()), ["inner-sym", "--n", "2"]),
+}
+
+
+@pytest.mark.parametrize("golden", GOLDEN_CLI)
+def test_cli_output_golden(tmp_path, capsys, golden):
+    """Stdout and the written document of classify (through the Hodge
+    splitting and transfer) and inner-sym (through the skew-symmetrization
+    kernel and the n = 2 truncation) are pinned byte for byte."""
+    document, argv = GOLDEN_CLI[golden]
+    path = write(tmp_path, "doc.json", document())
+    out_path = tmp_path / "out.json"
+    assert cli.main([argv[0], path, *argv[1:], "-o", str(out_path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
+    assert out_path.read_text(encoding="utf-8") == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
+
+
 def test_cli_classify(tmp_path, capsys, sl2_quadratic):
     import random
 

@@ -177,6 +177,17 @@ def test_quotient():
     assert xla.arrays_equal(reps, z.basis)
     with pytest.raises(xla.SubspaceError):
         xla.quotient(b, z)
+    # b of the same dimension as z but meeting it only in 0, and b only
+    # partly inside z: the [b | z] elimination rejects both
+    z2 = xla.Subspace(4, xla.matrix([[1, 0], [0, 1], [0, 0], [0, 0]]))
+    disjoint = xla.Subspace(4, xla.matrix([[0, 0], [0, 0], [1, 0], [1, 1]]))
+    partial = xla.Subspace(4, xla.matrix([[1, 1], [2, 0], [0, 1], [0, 0]]))
+    for b2 in (disjoint, partial):
+        assert not xla.subspace_leq(b2, z2)
+        with pytest.raises(xla.SubspaceError):
+            xla.quotient(z2, b2)
+    inside = xla.Subspace(4, xla.matrix([[1], [2], [0], [0]]))
+    assert xla.subspace_leq(inside, z2) and xla.quotient(z2, inside)[0] == 1
 
 
 def test_contract():
@@ -239,6 +250,26 @@ def test_image_membership(m, coeffs):
 @given(rationals, rationals)
 def test_exact_addition_roundtrip(a, b):
     assert (a + b) - b == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+def test_perm_sign_matches_brute_force(case):
+    """perm_sign against sorting perm by adjacent swaps: every swap is one
+    inversion and flips the sign, and swapping arguments of degrees p and q
+    contributes the Koszul sign (-1)**(p q) as well."""
+    perm, degrees = case
+    work, plain, koszul = list(perm), 1, 1
+    for end in range(len(work) - 1, 0, -1):
+        for i in range(end):
+            if work[i] > work[i + 1]:
+                work[i], work[i + 1] = work[i + 1], work[i]
+                plain = -plain
+                koszul *= -((-1) ** (degrees[work[i]] * degrees[work[i + 1]] % 2))
+    assert xla.perm_sign(perm) == plain
+    assert xla.perm_sign(perm, degrees) == koszul
+    assert xla.perm_sign(perm, [0] * len(perm)) == plain
 
 
 def test_inverse():
