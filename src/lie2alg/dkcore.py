@@ -348,14 +348,9 @@ def is_quasi_iso(f: ChainMap) -> bool:
     ker_dst = h_minus1_basis(f.dst)
     if ker_src.dim != ker_dst.dim:
         return False
-    mat1 = np.empty((ker_dst.dim, ker_src.dim), dtype=object)
-    for j in range(ker_src.dim):
-        image = np.dot(f.f1, ker_src.basis[:, j])
-        coords = xla.membership(ker_dst, image)
-        if coords is None:  # not a chain map image; cannot happen for valid maps
-            return False
-        mat1[:, j] = coords
-    if xla.rank(mat1) != ker_dst.dim:
+    mat1 = xla.membership(ker_dst, np.dot(f.f1, ker_src.basis))
+    # None: not a chain map image; cannot happen for valid maps
+    if mat1 is None or xla.rank(mat1) != ker_dst.dim:
         return False
 
     # induced map on H^0 = C^0 / im d
@@ -365,13 +360,8 @@ def is_quasi_iso(f: ChainMap) -> bool:
         return False
     if dim_dst == 0:
         return True
-    mat0 = np.empty((dim_dst, dim_src), dtype=object)
-    for j in range(dim_src):
-        coords = xla.coset_coordinates(im_dst, reps_dst, np.dot(f.f0, reps_src[:, j]))
-        if coords is None:
-            return False
-        mat0[:, j] = coords
-    return xla.rank(mat0) == dim_dst
+    mat0 = xla.coset_coordinates(im_dst, reps_dst, np.dot(f.f0, reps_src))
+    return mat0 is not None and xla.rank(mat0) == dim_dst
 
 
 @dataclass(frozen=True)

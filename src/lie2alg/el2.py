@@ -34,6 +34,7 @@ two arrow parts is the derived one, [a,b] = [da,b].
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -405,28 +406,20 @@ def from_leibniz(g: LeibnizAlgebraFD) -> EL2Algebra:
     m = ann.dim
     d = ann.basis  # inclusion of the squared-bracket span
 
-    def coords_of(vec: np.ndarray) -> np.ndarray:
-        out = xla.membership(ann, vec)
+    def coords_of(t: np.ndarray) -> np.ndarray:
+        """Coordinates in the span of every vector t[:, ...], from one
+        elimination."""
+        out = xla.membership(ann, t.reshape(n, math.prod(t.shape[1:])))
         if out is None:
             raise InvalidStructureError(
                 "bracket does not preserve the squared-bracket span"
             )
-        return out
+        return xla.freeze(out.reshape((m,) + t.shape[1:]))
 
-    b01 = np.empty((m, n, m), dtype=object)
-    b10 = np.empty((m, m, n), dtype=object)
-    for i in range(n):
-        for a in range(m):
-            b01[:, i, a] = coords_of(np.dot(g.c[:, i, :], d[:, a]))
-            b10[:, a, i] = coords_of(np.dot(g.c[:, :, i], d[:, a]))
-    alt = np.empty((m, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            alt[:, i, j] = coords_of(sym[:, i, j])
-    return EL2Algebra(
-        TwoTermComplex(n, m, d), g.c, xla.freeze(b01), xla.freeze(b10), xla.freeze(alt),
-        xla.zeros(m, n, n, n),
-    )
+    b01 = coords_of(xla.precompose(g.c, 2, d))   # [e_i, d e_a]: (m, n, m)
+    b10 = coords_of(xla.precompose(g.c, 1, d))   # [d e_a, e_i]: (m, m, n)
+    alt = coords_of(sym)
+    return EL2Algebra(TwoTermComplex(n, m, d), g.c, b01, b10, alt, xla.zeros(m, n, n, n))
 
 
 def _check_pairing(g: LieAlgebraFD, pairing: np.ndarray) -> np.ndarray:

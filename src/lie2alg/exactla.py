@@ -37,6 +37,10 @@ subspace against chosen representatives (:func:`coset_coordinates`), one
 solve of ``[B | reps] x = v``.  Coordinates along a square change of basis
 are read off one :func:`inverse`.
 
+:func:`solve` takes a vector or a matrix of right-hand sides, and so do
+:func:`membership` and :func:`coset_coordinates`: each subspace question is
+one elimination, however many vectors it asks about.
+
 String scalars are ``-?digits`` or ``-?digits/digits`` with at most
 :data:`MAX_LITERAL_DIGITS` digits in each part.
 """
@@ -344,24 +348,28 @@ def image_basis(m: np.ndarray) -> Subspace:
 def solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """One exact solution of ``a x = b``, or None when inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    ``b`` is a vector or a matrix of right-hand-side columns; either way one
+    elimination of ``[a | b]`` answers it.  A matrix gets the solution matrix
+    (one column per column of b), or None when any column is inconsistent:
+    exactly when the elimination puts a pivot in the b block.  Free variables
+    are set to zero, so the answer is deterministic.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
+    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[0] != b.shape[0]:
         raise ShapeError(f"cannot solve shapes {a.shape} x = {b.shape}")
     nrows, ncols = a.shape
-    aug = np.empty((nrows, ncols + 1), dtype=object)
+    rhs = b.reshape(nrows, 1) if b.ndim == 1 else b
+    aug = np.empty((nrows, ncols + rhs.shape[1]), dtype=object)
     aug[:, :ncols] = a
-    aug[:, ncols] = b
+    aug[:, ncols:] = rhs
     r, pivots = rref(aug)
-    if ncols in pivots:
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = np.empty(ncols, dtype=object)
-    x[...] = ZERO
+    x = np.full((ncols, rhs.shape[1]), ZERO, dtype=object)
     for i, pc in enumerate(pivots):
-        x[pc] = rat(r[i, ncols])
-    return freeze(x)
+        x[pc] = r[i, ncols:]
+    return freeze(x[:, 0] if b.ndim == 1 else x)
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
@@ -381,9 +389,10 @@ def inverse(m: np.ndarray) -> np.ndarray:
 
 def membership(s: Subspace, v: np.ndarray) -> Optional[np.ndarray]:
     """Coordinates of ``v`` in the basis of ``s`` when v lies in the span,
-    otherwise None."""
+    otherwise None.  ``v`` is a vector or a matrix of columns, all of which
+    must lie in the span."""
     v = np.asarray(v)
-    if v.shape != (s.ambient_dim,):
+    if v.shape[:1] != (s.ambient_dim,):
         raise ShapeError(
             f"vector of length {v.shape} against ambient dimension {s.ambient_dim}"
         )
@@ -423,9 +432,9 @@ def quotient(z: Subspace, b: Subspace) -> tuple[int, np.ndarray]:
 
 
 def coset_coordinates(b: Subspace, reps: np.ndarray, v: np.ndarray) -> Optional[np.ndarray]:
-    """Coordinates of v modulo span(b) against the columns of ``reps``: the
-    reps block of the solution of ``[b | reps] x = v``, or None when v lies
-    outside span(b) + span(reps)."""
+    """Coordinates of v (a vector or a matrix of columns) modulo span(b)
+    against the columns of ``reps``: the reps block of the solution of
+    ``[b | reps] x = v``, or None when v lies outside span(b) + span(reps)."""
     x = solve(np.column_stack([b.basis, reps]), v)
     return None if x is None else freeze(x[b.dim:])
 

@@ -202,6 +202,10 @@ def test_inner_symmetries_n2_families():
     out = defo.inner_symmetries_n2(L, xla.zeros(0))
     assert el2.is_semistrict(out) and not el2.is_hemistrict(out)
     assert el2.check_el2(out).passed
+    # a 0-dimensional stabilizer: nothing in degree 0
+    out = defo.inner_symmetries_n2(defo.GradedL3Algebra(dims={-1: 1}), xla.zeros(0))
+    assert (out.complex.n0, out.complex.n1) == (0, 1) and out.complex.d.shape == (0, 1)
+    assert el2.check_el2(out).passed
 
 
 def test_inner_symmetries_n2_degree_guard():

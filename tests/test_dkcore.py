@@ -175,6 +175,7 @@ def test_is_quasi_iso_basics():
     c2 = dkcore.TwoTermComplex(1, 0, xla.zeros(1, 0))
     zero = dkcore.ChainMap(c2, c2, xla.zeros(1, 1), xla.zeros(0, 0))
     assert not dkcore.is_quasi_iso(zero)
+    assert dkcore.is_quasi_iso(dkcore.identity_chain_map(dkcore.zero_complex()))
 
 
 def test_hodge_skeletal_input():

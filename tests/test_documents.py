@@ -1,9 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from lie2alg import catalog, cli, cohom, defo, documents, el2, exactla as xla, morph
+from lie2alg import catalog, cli, cohom, defo, dkcore, documents, el2, exactla as xla, morph
 
 
 @pytest.fixture()
@@ -259,6 +260,36 @@ def test_cli_output_golden(tmp_path, capsys, golden):
     assert cli.main([argv[0], path, *argv[1:], "-o", str(out_path)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
     assert out_path.read_text(encoding="utf-8") == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
+
+
+def _count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` through every lie2alg module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lie2alg" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_cli_verdicts_are_computed_once(tmp_path, capsys, monkeypatch):
+    """transfer_to_skeletal certifies the classify inclusion, and
+    inner_symmetries_n3 validates the structure it builds; neither verdict
+    is computed a second time."""
+    path = write(tmp_path, "moved.json", _moved_sl2_quadratic())
+    morphism_calls = _count_calls(monkeypatch, morph.check_morphism)
+    quasi_iso_calls = _count_calls(monkeypatch, dkcore.is_quasi_iso)
+    assert cli.main(["classify", path]) == 0
+    assert (len(morphism_calls), len(quasi_iso_calls)) == (1, 1)
+    path = write(tmp_path, "mc.json", documents.MCProblem(*catalog.nilpotent_cdga_dgla()))
+    el2_calls = _count_calls(monkeypatch, el2.check_el2)
+    assert cli.main(["inner-sym", path]) == 0
+    assert len(el2_calls) == 1
+    capsys.readouterr()
 
 
 def test_cli_classify(tmp_path, capsys, sl2_quadratic):

@@ -50,6 +50,38 @@ def test_from_leibniz_on_lie_algebra_is_strict():
 def test_from_leibniz_abelian():
     e = el2.from_leibniz(catalog.lie_as_leibniz(catalog.abelian_lie(3)))
     assert e.complex.n1 == 0 and el2.is_strict(e)
+    # the 0-dimensional Leibniz algebra gives the 0 x 0 structure
+    e = el2.from_leibniz(el2.LeibnizAlgebraFD(0, xla.zeros(0, 0, 0)))
+    assert (e.complex.n0, e.complex.n1) == (0, 0)
+    assert [t.shape for t in (e.b00, e.b01, e.b10, e.alt, e.jac)] == [
+        (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0, 0)]
+    assert el2.check_el2(e).passed
+
+
+def _from_leibniz_per_vector(g, d):
+    """Reference: b01, b10 and alt read off one membership solve per vector
+    against the squared-bracket span with basis d."""
+    n, m = d.shape
+    span = xla.Subspace(n, d)
+    b01 = np.empty((m, n, m), dtype=object)
+    b10 = np.empty((m, m, n), dtype=object)
+    for i in range(n):
+        for a in range(m):
+            b01[:, i, a] = xla.membership(span, np.dot(g.c[:, i, :], d[:, a]))
+            b10[:, a, i] = xla.membership(span, np.dot(g.c[:, :, i], d[:, a]))
+    alt = np.empty((m, n, n), dtype=object)
+    sym = g.c + g.c.swapaxes(1, 2)
+    for i in range(n):
+        for j in range(n):
+            alt[:, i, j] = xla.membership(span, sym[:, i, j])
+    return b01, b10, alt
+
+
+def test_from_leibniz_matches_per_vector_coordinates():
+    for name, g in catalog.standard_leibniz_corpus():
+        e = el2.from_leibniz(g)
+        for got, want in zip((e.b01, e.b10, e.alt), _from_leibniz_per_vector(g, e.complex.d)):
+            assert got.shape == want.shape and xla.arrays_equal(got, want), name
 
 
 def test_hemistrict_extra_identities(el2_corpus):

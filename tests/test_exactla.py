@@ -162,6 +162,69 @@ def test_membership():
     assert xla.membership(s, xla.vector([1, 0])) is None
     with pytest.raises(xla.ShapeError):
         xla.membership(s, xla.vector([1, 0, 0]))
+    # a matrix of columns: all of them in the span, or None
+    assert xla.arrays_equal(xla.membership(s, xla.matrix([[2, 0, -1], [4, 0, -2]])),
+                            xla.matrix([[2, 0, -1]]))
+    assert xla.membership(s, xla.matrix([[1, 2], [0, 4]])) is None
+    assert xla.membership(s, xla.zeros(2, 0)).shape == (1, 0)
+    b = xla.Subspace(2, xla.matrix([[1], [0]]))
+    reps = xla.matrix([[0], [1]])
+    assert xla.arrays_equal(xla.coset_coordinates(b, reps, xla.matrix([[5, 1], [3, -1]])),
+                            xla.matrix([[3, -1]]))
+    with pytest.raises(xla.ShapeError):
+        xla.membership(s, xla.zeros(3, 2))
+    with pytest.raises(xla.ShapeError):
+        xla.membership(s, xla.zeros(2, 1, 1))
+
+
+def assert_solve_matches_per_column(a, b):
+    """``solve(a, b)`` for a matrix b is None exactly when some column is
+    inconsistent, and otherwise equals the per-column solutions."""
+    per_column = [xla.solve(a, b[:, k]) for k in range(b.shape[1])]
+    got = xla.solve(a, b)
+    if any(x is None for x in per_column):
+        assert got is None
+    else:
+        assert got.shape == (a.shape[1], b.shape[1])
+        for k, x in enumerate(per_column):
+            assert xla.arrays_equal(got[:, k], x)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrix(4), st.data())
+def test_solve_matrix_rhs_matches_per_column(a, data):
+    # each column is either a combination of a's columns (consistent) or
+    # arbitrary (usually inconsistent when a has deficient row rank)
+    nrows, ncols = a.shape
+    b = np.empty((nrows, data.draw(st.integers(0, 4))), dtype=object)
+    for k in range(b.shape[1]):
+        if data.draw(st.booleans()):
+            coeffs = xla.vector(data.draw(st.lists(rationals, min_size=ncols, max_size=ncols)))
+            b[:, k] = np.dot(a, coeffs) if ncols else xla.zeros(nrows)
+        else:
+            b[:, k] = data.draw(st.lists(rationals, min_size=nrows, max_size=nrows))
+    assert_solve_matches_per_column(a, xla.freeze(b))
+
+
+def test_solve_matrix_rhs_edge_cases():
+    a = xla.matrix([[1, 2], [0, 0]])
+    # an inconsistent column before a consistent one: all or nothing
+    assert assert_solve_matches_per_column(a, xla.matrix([[0, 3], [1, 0]])) is None
+    got = assert_solve_matches_per_column(a, xla.matrix([[3, 0], [0, 0]]))
+    assert xla.arrays_equal(got, xla.matrix([[3, 0], [0, 0]]))
+    # zero rows: every column is consistent, and free variables are zero
+    assert xla.arrays_equal(assert_solve_matches_per_column(xla.zeros(0, 3), xla.zeros(0, 2)),
+                            xla.zeros(3, 2))
+    # zero columns in a: only zero columns are consistent
+    assert assert_solve_matches_per_column(xla.zeros(2, 0), xla.zeros(2, 3)).shape == (0, 3)
+    assert assert_solve_matches_per_column(xla.zeros(2, 0), xla.matrix([[0, 1], [0, 0]])) is None
+    # zero columns in b
+    assert assert_solve_matches_per_column(a, xla.zeros(2, 0)).shape == (2, 0)
+    assert assert_solve_matches_per_column(xla.zeros(0, 0), xla.zeros(0, 0)).shape == (0, 0)
+    for bad in (xla.zeros(3, 1), xla.zeros(2, 1, 1)):
+        with pytest.raises(xla.ShapeError):
+            xla.solve(a, bad)
 
 
 def test_quotient():
