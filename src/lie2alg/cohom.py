@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -174,15 +174,27 @@ def _cocycle_equations(c: np.ndarray, rho: np.ndarray, s: np.ndarray, j: np.ndar
 
 
 def cocycle_residuals(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> list[tuple[str, np.ndarray]]:
-    """The four cocycle equations as residual tensors.  The module is acted
-    on from the left; the right action is [a, z] = -[z, a]."""
+    """The four cocycle equations as residual tensors, on Fractions.  The
+    module is acted on from the left; the right action is [a, z] = -[z, a]."""
     return list(zip(_COCYCLE_EQUATIONS, _cocycle_equations(g.c, m.rho, p.s, p.j)))
 
 
 def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bool, CheckReport]:
+    """The verdict and report of :func:`cocycle_residuals`, computed on
+    Python ints: with D the common denominator of (c, rho, s, j), the
+    equations run on (c, rho, s) * D and j * D**2, so equation 1 comes out
+    times D**3 and equations 2-4 times D**2.  A zero residual is final; a
+    violating one is divided back by its equation's scale, so the report is
+    the Fraction one."""
+    den = xla.common_denominator(g.c, m.rho, p.s, p.j)
+    residuals = _cocycle_equations(
+        xla.scaled_ints(g.c, den), xla.scaled_ints(m.rho, den),
+        xla.scaled_ints(p.s, den), xla.scaled_ints(p.j, den**2),
+    )
     report = CheckReport()
-    for name, residual in cocycle_residuals(g, m, p):
-        collect_tensor_violations(report, name, residual)
+    for name, residual, scale in zip(_COCYCLE_EQUATIONS, residuals, (den**3, den**2, den**2, den**2)):
+        if not xla.is_zero(residual):
+            collect_tensor_violations(report, name, xla.unscaled(residual, scale))
     return report.passed, report
 
 
@@ -205,11 +217,17 @@ def coboundary(g: LieAlgebraFD, m: RepresentationFD, f: np.ndarray) -> CocyclePa
         j_f(x,y,z) = [x,f(y,z)] - [y,f(x,z)] - [f(x,y),z]
                      - f([x,y],z) - f(y,[x,z]) + f(x,[y,z])
 
-    Always a cocycle; the test suite checks this exhaustively."""
+    Always a cocycle; the test suite checks this exhaustively.  Computed on
+    Python ints: with (c, rho) scaled by their common denominator D and f by
+    its own, E, the s block comes out times E and the j block times D * E,
+    and each is divided back once."""
     f = xla.as_exact(f)
     if f.shape != (m.dim, g.dim, g.dim):
         raise ShapeError(f"f has shape {f.shape}, expected {(m.dim, g.dim, g.dim)}")
-    return CocyclePair(*_coboundary_terms(g.c, m.rho, f))
+    den_f = xla.common_denominator(f)
+    den, c, rho = _scaled_structure(g, m)
+    s_f, j_f = _coboundary_terms(c, rho, xla.scaled_ints(f, den_f))
+    return CocyclePair(xla.unscaled(s_f, den_f), xla.unscaled(j_f, den * den_f))
 
 
 # The operators below are assembled in one evaluation of the formulas above
@@ -242,11 +260,8 @@ def coboundary_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
     n, dm = g.dim, m.dim
     den, c, rho = _scaled_structure(g, m)
     s_f, j_f = _coboundary_terms(c, rho, _unit_batch((dm, n, n)))
-    s_rows, j_rows = _batch_rows(s_f), _batch_rows(j_f)
-    out = np.empty((s_rows.shape[0] + j_rows.shape[0], s_rows.shape[1]), dtype=object)
-    out[: s_rows.shape[0]] = [[Fraction(x) for x in row] for row in s_rows.tolist()]
-    out[s_rows.shape[0]:] = [[Fraction(x, den) for x in row] for row in j_rows.tolist()]
-    return xla.freeze(out)
+    return xla.freeze(np.concatenate([xla.unscaled(_batch_rows(s_f), 1),
+                                      xla.unscaled(_batch_rows(j_f), den)]))
 
 
 def _cocycle_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
@@ -315,12 +330,18 @@ def coboundary_preimage(
     return xla.freeze(sol.reshape(m.dim, g.dim, g.dim))
 
 
-def class_coordinates(space: CohomologySpace, p: CocyclePair) -> np.ndarray:
-    """Coordinates of [p] against the representative basis of the quotient."""
+def class_coordinates(space: CohomologySpace, p: CocyclePair | Sequence[CocyclePair]) -> np.ndarray:
+    """Coordinates of [p] against the representative basis of the quotient.
+    ``p`` is one pair (a coordinate vector) or a sequence of pairs (one
+    column each), answered by one elimination."""
     reps = np.empty((space.ambient_dim, space.dim), dtype=object)
     for k, rep in enumerate(space.representatives):
         reps[:, k] = flatten_pair(rep)
-    coords = xla.coset_coordinates(space.coboundaries, reps, flatten_pair(p))
+    if isinstance(p, CocyclePair):
+        v = flatten_pair(p)
+    else:
+        v = np.column_stack([flatten_pair(q) for q in p])
+    coords = xla.coset_coordinates(space.coboundaries, reps, v)
     if coords is None:
         raise CocycleError("pair is not a cocycle (not in the span of Z)")
     return coords
@@ -527,13 +548,21 @@ class ExactSequenceReport:
         return "\n".join(lines)
 
 
-def ce_class_coordinates(ce: CeH3, phi: np.ndarray, g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
+def ce_class_coordinates(
+    ce: CeH3, phi: np.ndarray | Sequence[np.ndarray], g: LieAlgebraFD, m: RepresentationFD
+) -> np.ndarray:
     """Coordinates of the class of a closed alternating 3-cochain against the
-    chosen H3 representatives."""
+    chosen H3 representatives.  ``phi`` is one cochain (a coordinate vector)
+    or a sequence of cochains (one column each), answered by one
+    elimination."""
     reps = np.empty((ce.coboundaries.ambient_dim, ce.dim), dtype=object)
     for k, r in enumerate(ce.representatives):
         reps[:, k] = alt3_to_coords(g, m, r)
-    coords = xla.coset_coordinates(ce.coboundaries, reps, alt3_to_coords(g, m, phi))
+    if isinstance(phi, np.ndarray):
+        v = alt3_to_coords(g, m, phi)
+    else:
+        v = np.column_stack([alt3_to_coords(g, m, t) for t in phi])
+    coords = xla.coset_coordinates(ce.coboundaries, reps, v)
     if coords is None:
         raise CocycleError("cochain is not closed")
     return coords
@@ -561,21 +590,21 @@ def exact_sequence_report(g: LieAlgebraFD, m: RepresentationFD) -> ExactSequence
             splitting = False
 
     # kernel of ss on classes equals the image of iota
-    h3_mat = np.empty((ce.dim, space.dim), dtype=object)
-    for k, rep in enumerate(space.representatives):
-        h3_mat[:, k] = ce_class_coordinates(ce, ss_class(g, m, rep), g, m)
-    h3_mat = xla.freeze(h3_mat)
+    if space.dim:
+        ss = [ss_class(g, m, rep) for rep in space.representatives]
+        h3_mat = ce_class_coordinates(ce, ss, g, m)
+    else:
+        h3_mat = xla.zeros(ce.dim, 0)
     kernel = xla.kernel_basis(h3_mat)
-    cols = []
-    for pair in iota_pairs(g, m):
+    pairs = iota_pairs(g, m)
+    for pair in pairs:
         ok, _ = is_cocycle(g, m, pair)
         if not ok:
             return ExactSequenceReport(
                 space, ce, h3_mat, dim_a, hom_dim, dims_match, splitting, False
             )
-        cols.append(class_coordinates(space, pair))
-    if cols:
-        iota_space = xla.image_basis(np.column_stack(cols))
+    if pairs:
+        iota_space = xla.image_basis(class_coordinates(space, pairs))
     else:
         iota_space = xla.zero_space(space.dim)
     kernel_ok = xla.subspaces_equal(kernel, iota_space)

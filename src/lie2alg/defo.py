@@ -468,51 +468,50 @@ def crossed_module_identities_report(data: InnerSymmetriesN3) -> CheckReport:
     derivations compatibly with d, and the two crossed-module identities
     (on objects and on arrow parts).  The structure axioms and
     hemistrictness of ``data.algebra`` are not rechecked: they are enforced
-    by :func:`inner_symmetries_n3`, which built it."""
+    by :func:`inner_symmetries_n3`, which built it.
+
+    The identities after the boundary axioms are computed on Python ints.
+    With D the common denominator of every tensor they read, d, the two
+    actions, f0 and the target bracket are scaled by D, and b00, b01 and the
+    alternator by D**2; each identity is then D**2 or D**3 times its
+    Fraction residual.  A zero residual is final; a violating one is
+    divided back, so the report is the Fraction one."""
     report = CheckReport()
     e = data.algebra
-    d = e.complex.d
-    on0, on1 = data.action.on_c0, data.action.on_c1
-    f0 = data.boundary.f0
-    tgt = data.boundary.dst
-
     sub = morph_mod.check_morphism(data.boundary)
     for v in sub.violations:
         report.violations.append(Violation(f"n3.boundary/{v.equation}", v.at, v.residual))
 
-    # action commutes with d: d . rho1(T) = rho0(T) . d
-    lhs = np.tensordot(d, on1, axes=([1], [0]))            # (n0, t, b)
-    rhs = np.tensordot(on0, d, axes=([2], [0]))            # (n0, t, b)
-    collect_tensor_violations(report, "action.chain", lhs - rhs)
+    once = (e.complex.d, data.action.on_c0, data.action.on_c1, data.boundary.f0, data.boundary.dst.b00)
+    twice = (e.b00, e.b01, e.alt)
+    den = xla.common_denominator(*once, *twice)
+    d, on0, on1, f0, tgt_b00 = (xla.scaled_ints(t, den) for t in once)
+    b00, b01, alt = (xla.scaled_ints(t, den**2) for t in twice)
 
-    # derivation of the bracket on objects; all residuals in (out, t, x, y)
-    lhs = np.tensordot(on0, e.b00, axes=([2], [0]))
-    r1 = np.moveaxis(np.tensordot(e.b00, on0, axes=([1], [0])), (2, 3), (1, 2))
-    # r1 axes: b00[out, m, y] on0[m, t, x] -> (out, y, t, x) -> (out, t, x, y)
-    r2 = np.swapaxes(np.tensordot(e.b00, on0, axes=([2], [0])), 1, 2)
-    # r2 axes: b00[out, x, m] on0[m, t, y] -> (out, x, t, y) -> (out, t, x, y)
-    collect_tensor_violations(report, "action.derivation.b00", lhs - r1 - r2)
+    def derivation(on_out: np.ndarray, t: np.ndarray, on_x: np.ndarray, on_y: np.ndarray) -> np.ndarray:
+        """T.t(x, y) - t(T.x, y) - t(x, T.y), axes (out, T, x, y)."""
+        lhs = np.tensordot(on_out, t, axes=([2], [0]))
+        r1 = np.moveaxis(np.tensordot(t, on_x, axes=([1], [0])), (2, 3), (1, 2))
+        # r1 axes: t[out, m, y] on_x[m, T, x] -> (out, y, T, x) -> (out, T, x, y)
+        r2 = np.swapaxes(np.tensordot(t, on_y, axes=([2], [0])), 1, 2)
+        # r2 axes: t[out, x, m] on_y[m, T, y] -> (out, x, T, y) -> (out, T, x, y)
+        return lhs - r1 - r2
 
-    # derivation of the mixed bracket
-    lhs = np.tensordot(on1, e.b01, axes=([2], [0]))        # (out, t, x, a)
-    r1 = np.moveaxis(np.tensordot(e.b01, on0, axes=([1], [0])), (2, 3), (1, 2))
-    r2 = np.swapaxes(np.tensordot(e.b01, on1, axes=([2], [0])), 1, 2)
-    collect_tensor_violations(report, "action.derivation.b01", lhs - r1 - r2)
-
-    # derivation of the alternator
-    lhs = np.tensordot(on1, e.alt, axes=([2], [0]))        # (out, t, x, y)
-    r1 = np.moveaxis(np.tensordot(e.alt, on0, axes=([1], [0])), (2, 3), (1, 2))
-    r2 = np.swapaxes(np.tensordot(e.alt, on0, axes=([2], [0])), 1, 2)
-    collect_tensor_violations(report, "action.derivation.alt", lhs - r1 - r2)
-
-    # boundary intertwines the action with the stabilizer bracket
-    lhs = np.tensordot(f0, on0, axes=([1], [0]))           # (k, t, x)
-    rhs = np.tensordot(tgt.b00, f0, axes=([2], [0]))       # (k, t, x)
-    collect_tensor_violations(report, "crossed.boundary-action", lhs - rhs)
-
-    # the action of a boundary equals the bracket: objects and arrow parts
-    lhs = np.moveaxis(np.tensordot(on0, f0, axes=([1], [0])), 2, 1)  # (out, i, y)
-    collect_tensor_violations(report, "crossed.derived.objects", lhs - e.b00)
-    lhs = np.moveaxis(np.tensordot(on1, f0, axes=([1], [0])), 2, 1)  # (out, i, b)
-    collect_tensor_violations(report, "crossed.derived.parts", lhs - e.b01)
+    identities = (
+        # action commutes with d: d . rho1(T) = rho0(T) . d, axes (n0, T, b)
+        ("action.chain", np.tensordot(d, on1, axes=([1], [0])) - np.tensordot(on0, d, axes=([2], [0])), 2),
+        # derivations of the bracket on objects, the mixed bracket and the alternator
+        ("action.derivation.b00", derivation(on0, b00, on0, on0), 3),
+        ("action.derivation.b01", derivation(on1, b01, on0, on1), 3),
+        ("action.derivation.alt", derivation(on1, alt, on0, on0), 3),
+        # boundary intertwines the action with the stabilizer bracket, axes (k, T, x)
+        ("crossed.boundary-action",
+         np.tensordot(f0, on0, axes=([1], [0])) - np.tensordot(tgt_b00, f0, axes=([2], [0])), 2),
+        # the action of a boundary equals the bracket: objects and arrow parts
+        ("crossed.derived.objects", np.moveaxis(np.tensordot(on0, f0, axes=([1], [0])), 2, 1) - b00, 2),
+        ("crossed.derived.parts", np.moveaxis(np.tensordot(on1, f0, axes=([1], [0])), 2, 1) - b01, 2),
+    )
+    for name, residual, power in identities:
+        if not xla.is_zero(residual):
+            collect_tensor_violations(report, name, xla.unscaled(residual, den**power))
     return report

@@ -541,26 +541,40 @@ def direct_sum(a: EL2Algebra, b: EL2Algebra) -> EL2Algebra:
 def transport(e: EL2Algebra, phi0: np.ndarray, phi1: np.ndarray) -> EL2Algebra:
     """Push the structure forward along an invertible change of coordinates
     (phi0 on objects, phi1 on arrow parts); strict isomorphisms preserve
-    every identity."""
+    every identity.
+
+    Computed on Python ints: each map, inverse and tensor is scaled by its
+    own common denominator, the scaled tensors are contracted with the
+    scaled maps, and each result is divided once by the product of those
+    denominators.  The tensors are the ones Fraction evaluation gives."""
+
+    def scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
+        den = xla.common_denominator(t)
+        return xla.scaled_ints(t, den), den
+
     phi0 = xla.as_exact(phi0)
     phi1 = xla.as_exact(phi1)
-    inv0 = xla.inverse(phi0)
-    inv1 = xla.inverse(phi1)
-    d = np.dot(phi0, np.dot(e.complex.d, inv1))
+    map0, map1 = scaled(phi0), scaled(phi1)
+    inv0, inv1 = scaled(xla.inverse(phi0)), scaled(xla.inverse(phi1))
 
-    def push(t: np.ndarray, out_map: np.ndarray, in_maps: tuple[np.ndarray, ...]) -> np.ndarray:
-        out = xla.postcompose(out_map, t)
-        for slot, m in enumerate(in_maps, start=1):
+    def push(t: np.ndarray, out_map, in_maps) -> np.ndarray:
+        out, den = scaled(t)
+        out = xla.postcompose(out_map[0], out)
+        den *= out_map[1]
+        for slot, (m, m_den) in enumerate(in_maps, start=1):
             out = xla.precompose(out, slot, m)
-        return out
+            den *= m_den
+        return xla.unscaled(out, den)
 
+    d, d_den = scaled(e.complex.d)
+    d = xla.unscaled(np.dot(map0[0], np.dot(d, inv1[0])), d_den * map0[1] * inv1[1])
     return EL2Algebra(
-        TwoTermComplex(e.complex.n0, e.complex.n1, xla.freeze(d)),
-        push(e.b00, phi0, (inv0, inv0)),
-        push(e.b01, phi1, (inv0, inv1)),
-        push(e.b10, phi1, (inv1, inv0)),
-        push(e.alt, phi1, (inv0, inv0)),
-        push(e.jac, phi1, (inv0, inv0, inv0)),
+        TwoTermComplex(e.complex.n0, e.complex.n1, d),
+        push(e.b00, map0, (inv0, inv0)),
+        push(e.b01, map1, (inv0, inv1)),
+        push(e.b10, map1, (inv1, inv0)),
+        push(e.alt, map1, (inv0, inv0)),
+        push(e.jac, map1, (inv0, inv0, inv0)),
     )
 
 

@@ -16,18 +16,27 @@ Zero-dimensional spaces are legal everywhere; contractions over an empty axis
 produce integer zeros, which compare equal to ``Fraction(0)`` and mix safely
 with exact arithmetic.
 
-Fraction arithmetic normalizes by a gcd on every operation, so the axiom
-checkers first evaluate their residuals on a copy scaled to Python ints
-(:func:`common_denominator`, :func:`scaled_ints`) along a scalar strict
-isomorphism.  Such an isomorphism multiplies each residual by a nonzero
-constant, so the verdict is unchanged; only a failing check is recomputed on
-the Fraction input, whose residuals its report shows.
+Fraction arithmetic normalizes by a gcd on every operation, so the hot
+paths clear denominators once (:func:`common_denominator`,
+:func:`scaled_ints`), evaluate on Python ints and divide once at the end
+(:func:`unscaled`).  The axiom checkers run on a copy moved along a scalar
+strict isomorphism, which multiplies each residual by a nonzero constant:
+a passing verdict is final, and only a failing check is recomputed on the
+Fraction input, whose residuals its report shows.  The constructions
+``el2.transport``, ``cohom.coboundary`` and ``skew.skew_jacobiator`` and the
+residual checks ``cohom.is_cocycle`` and
+``defo.crossed_module_identities_report`` scale their inputs so that each
+output tensor, or each identity, carries one known scale; they divide a
+result, or a violating residual, by it.  Verdicts, values, residuals and
+entry types are the ones Fraction evaluation gives.
 
 Row reduction is fraction-free for the same reason: :func:`rref` clears
 denominators row by row, eliminates on Python ints (Bareiss) and divides once
 at the end.  The reduced row-echelon form of a row space is unique, so the
 RREF, its pivots and every basis derived from them (kernel, image, solutions,
-quotient representatives) are the ones Fraction elimination gives.
+quotient representatives) are the ones Fraction elimination gives.  Bases
+independent by construction (the identity, kernel and image bases) skip the
+rank check the public :class:`Subspace` constructor makes.
 
 Every convention and subspace question has one helper here: the sign of a
 permutation, with an optional Koszul sign (:func:`perm_sign`); the signed sum
@@ -196,6 +205,15 @@ def scaled_ints(a: np.ndarray, factor: int) -> np.ndarray:
     return freeze(out)
 
 
+def unscaled(a: np.ndarray, den: int) -> np.ndarray:
+    """``a / den`` as a frozen object array of Fractions, for an array ``a``
+    of Python ints: the inverse of :func:`scaled_ints`."""
+    arr = np.asarray(a)
+    out = np.empty(arr.shape, dtype=object)
+    out.reshape(-1)[:] = [Fraction(x, den) for x in arr.flat]
+    return freeze(out)
+
+
 def is_zero(a: np.ndarray) -> bool:
     return all(x == 0 for x in np.asarray(a).reshape(-1))
 
@@ -280,7 +298,8 @@ def rank(m: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^ambient_dim given by independent basis columns."""
+    """A linear subspace of Q^ambient_dim given by independent basis columns;
+    the constructor checks their independence."""
 
     ambient_dim: int
     basis: np.ndarray  # shape (ambient_dim, dim)
@@ -294,6 +313,16 @@ class Subspace:
         if rank(b) != b.shape[1]:
             raise SubspaceError("basis columns are linearly dependent")
         object.__setattr__(self, "basis", freeze(np.array(b, dtype=object, copy=True)))
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """A subspace on a fresh basis array whose columns are independent by
+        construction (the identity, a kernel or image basis): the rank check
+        of the public constructor is skipped and the array is not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ambient_dim", ambient_dim)
+        object.__setattr__(out, "basis", freeze(basis))
+        return out
 
     @property
     def dim(self) -> int:
@@ -312,11 +341,11 @@ class Subspace:
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(n, identity(n))
+    return Subspace._trusted(n, identity(n))
 
 
 def zero_space(n: int) -> Subspace:
-    return Subspace(n, zeros(n, 0))
+    return Subspace._trusted(n, zeros(n, 0))
 
 
 def kernel_basis(m: np.ndarray) -> Subspace:
@@ -332,7 +361,7 @@ def kernel_basis(m: np.ndarray) -> Subspace:
         basis[j, col_idx] = ONE
         for i, pc in enumerate(pivots):
             basis[pc, col_idx] = -rat(r[i, j])
-    return Subspace(ncols, basis)
+    return Subspace._trusted(ncols, basis)
 
 
 def image_basis(m: np.ndarray) -> Subspace:
@@ -342,7 +371,7 @@ def image_basis(m: np.ndarray) -> Subspace:
     basis = np.empty((m.shape[0], len(pivots)), dtype=object)
     for k, j in enumerate(pivots):
         basis[:, k] = m[:, j]
-    return Subspace(m.shape[0], basis)
+    return Subspace._trusted(m.shape[0], basis)
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -457,7 +486,7 @@ def perm_sign(perm: Sequence[int], degrees: Optional[Sequence[int]] = None) -> i
     return sign
 
 
-def alternate(t: np.ndarray, coeff: Fraction) -> np.ndarray:
+def alternate(t: np.ndarray, coeff: Union[int, Fraction]) -> np.ndarray:
     """``coeff * sum_perm sgn(perm) t(x_perm(1), ..., x_perm(k))`` over the
     input axes (axis 0 is the output)."""
     k = t.ndim - 1

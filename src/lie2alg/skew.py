@@ -25,17 +25,21 @@ from . import exactla as xla
 from .el2 import EL2Algebra, InvalidStructureError, check_el2
 from .morph import ELMorphism, ELTwoMorphism
 
-_SIXTH = Fraction(1, 6)
-_TWELFTH = Fraction(1, 12)
 _HALF = Fraction(1, 2)
 
 
 def skew_jacobiator(jac: np.ndarray, alt: np.ndarray, b00: np.ndarray) -> np.ndarray:
     """1/6 sum_perm sgn jac(perm) - 1/12 sum_perm sgn alt([perm_1, perm_2], perm_3),
     axes (out, x, y, z).  On a skeletal structure this is the map from the
-    cocycle pair (alt, jac) to its Chevalley-Eilenberg 3-cochain."""
-    alt_br = xla.plug(alt, 1, b00)   # <[x,y], z> with axes (out, x, y, z)
-    return xla.freeze(xla.alternate(jac, _SIXTH) - xla.alternate(alt_br, _TWELFTH))
+    cocycle pair (alt, jac) to its Chevalley-Eilenberg 3-cochain.
+
+    Computed on Python ints as (2 A(jac D**2) - A(<[.,.],.> on alt D and
+    b00 D)) / (12 D**2), with A the alternating sum and D the common
+    denominator of the three tensors; the value is the Fraction one."""
+    den = xla.common_denominator(jac, alt, b00)
+    alt_br = xla.plug(xla.scaled_ints(alt, den), 1, xla.scaled_ints(b00, den))   # <[x,y], z>
+    total = xla.alternate(xla.scaled_ints(jac, den**2), 2) - xla.alternate(alt_br, 1)
+    return xla.unscaled(total, 12 * den**2)
 
 
 def skew_symmetrize(e: EL2Algebra) -> EL2Algebra:

@@ -58,6 +58,31 @@ def twisted_nonskeletal(rng, skeletal, acyclic_dim):
     return el2.transport(big, phi0, phi1), phi0, phi1
 
 
+def coboundary_reference(g, m, f):
+    """The coboundary formula of ``cohom.coboundary`` evaluated on
+    Fractions, with no scaling."""
+    return cohom.CocyclePair(*cohom._coboundary_terms(g.c, m.rho, xla.as_exact(f)))
+
+
+def rational_basis(g, p):
+    """g in the basis given by the columns of the invertible matrix p."""
+    c = np.tensordot(xla.inverse(p), g.c, axes=([1], [0]))
+    c = np.tensordot(c, p, axes=([1], [0])).swapaxes(1, 2)
+    c = np.tensordot(c, p, axes=([2], [0]))
+    return el2.LieAlgebraFD(g.dim, xla.freeze(c))
+
+
+def rational_cases():
+    """(name, algebra, module) pairs whose structure constants have
+    denominators."""
+    sl2 = rational_basis(catalog.sl2(), xla.matrix([[F(1, 2), 1, 0], [0, 3, F(2, 5)], [1, 0, F(1, 7)]]))
+    aff = rational_basis(catalog.affine_line(), xla.matrix([[F(2, 3), 1], [0, F(5, 4)]]))
+    return [
+        ("sl2-rational/trivial", sl2, catalog.trivial_rep(sl2)),
+        ("affine-rational/adjoint", aff, catalog.adjoint_rep(aff)),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the corpus
 # ---------------------------------------------------------------------------

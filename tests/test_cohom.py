@@ -323,3 +323,43 @@ def test_class_coordinates(hl3_spaces):
         expected = xla.zeros(space.dim).copy()
         expected[k] = F(1)
         assert xla.arrays_equal(coords, expected)
+    # several pairs at once: one column each, as the one-pair calls give
+    rng = random.Random(5)
+    pairs = list(space.representatives) + [
+        space.representatives[0].scale(3) + cohom.coboundary(g, m, rand_tensor(rng, 1, 3, 3)),
+        cohom.zero_pair(g, m),
+    ]
+    batch = cohom.class_coordinates(space, pairs)
+    assert batch.shape == (space.dim, len(pairs))
+    for k, pair in enumerate(pairs):
+        assert xla.arrays_equal(batch[:, k], cohom.class_coordinates(space, pair))
+    bad = cohom.CocyclePair(xla.zeros(1, 3, 3), rand_tensor(rng, 1, 3, 3, 3))
+    with pytest.raises(cohom.CocycleError):
+        cohom.class_coordinates(space, [pairs[0], bad])
+
+
+def test_ce_class_coordinates_batch(gm_corpus):
+    for name, g, m in gm_corpus:
+        ce = cohom.ce_h3(g, m)
+        cochains = list(ce.representatives) + [cohom.coords_to_alt3(g, m, v) for v in ce.coboundaries.basis.T]
+        if not cochains:
+            continue
+        batch = cohom.ce_class_coordinates(ce, cochains, g, m)
+        assert batch.shape == (ce.dim, len(cochains)), name
+        for k, phi in enumerate(cochains):
+            assert xla.arrays_equal(batch[:, k], cohom.ce_class_coordinates(ce, phi, g, m)), name
+
+
+def test_exact_sequence_report_one_elimination_per_question(monkeypatch):
+    calls = []
+    real = xla.coset_coordinates
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(xla, "coset_coordinates", counted)
+    for g, want in ((catalog.abelian_lie(3), 2), (catalog.sl2(), 1)):
+        calls.clear()
+        assert cohom.exact_sequence_report(g, catalog.trivial_rep(g)).passed
+        assert len(calls) == want

@@ -13,7 +13,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lie2alg import catalog, cohom, el2, exactla as xla
+from conftest import coboundary_reference, rational_cases
+from lie2alg import cohom, exactla as xla
 
 
 def cocycle_matrix_reference(g, m):
@@ -39,25 +40,8 @@ def coboundary_matrix_reference(g, m):
     for idx in range(cols):
         f = xla.zeros(dm, n, n).copy()
         f.reshape(-1)[idx] = F(1)
-        out[:, idx] = cohom.flatten_pair(cohom.coboundary(g, m, xla.freeze(f)))
+        out[:, idx] = cohom.flatten_pair(coboundary_reference(g, m, f))
     return out
-
-
-def rational_basis(g, p):
-    """g in the basis given by the columns of the invertible matrix p."""
-    c = np.tensordot(xla.inverse(p), g.c, axes=([1], [0]))
-    c = np.tensordot(c, p, axes=([1], [0])).swapaxes(1, 2)
-    c = np.tensordot(c, p, axes=([2], [0]))
-    return el2.LieAlgebraFD(g.dim, xla.freeze(c))
-
-
-def rational_cases():
-    sl2 = rational_basis(catalog.sl2(), xla.matrix([[F(1, 2), 1, 0], [0, 3, F(2, 5)], [1, 0, F(1, 7)]]))
-    aff = rational_basis(catalog.affine_line(), xla.matrix([[F(2, 3), 1], [0, F(5, 4)]]))
-    return [
-        ("sl2-rational/trivial", sl2, catalog.trivial_rep(sl2)),
-        ("affine-rational/adjoint", aff, catalog.adjoint_rep(aff)),
-    ]
 
 
 @pytest.fixture(scope="module")

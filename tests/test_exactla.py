@@ -253,6 +253,22 @@ def test_quotient():
     assert xla.subspace_leq(inside, z2) and xla.quotient(z2, inside)[0] == 1
 
 
+def test_subspace_rank_check_and_trusted_constructors():
+    # the public constructor still rejects a dependent basis
+    for dependent in (xla.matrix([[1, 2], [2, 4]]), xla.matrix([[1, 0, 1], [0, 1, 1], [0, 0, 0]]),
+                      xla.matrix([[0], [0]])):
+        with pytest.raises(xla.SubspaceError):
+            xla.Subspace(dependent.shape[0], dependent)
+    with pytest.raises(xla.ShapeError):
+        xla.Subspace(3, xla.identity(2))
+    # the constructors that skip it give what the checked path gives
+    m = xla.matrix([[1, 2, 0, 1], [2, 4, 1, 0], [3, 6, 1, 1]])
+    for s in (xla.kernel_basis(m), xla.image_basis(m), xla.full_space(3), xla.zero_space(2)):
+        checked = xla.Subspace(s.ambient_dim, s.basis)
+        assert s == checked and s.dim == checked.dim
+        assert not s.basis.flags.writeable
+
+
 def test_contract():
     eye = xla.identity(2)
     e1 = xla.vector([1, 0])

@@ -1,12 +1,19 @@
-"""The axiom checkers run their bodies on an integer-scaled copy first.
+"""The integer paths against plain Fraction evaluation.
 
-These tests hold that path to the plain Fraction evaluation of the same
-bodies: the public checker must return the Fraction body's report exactly,
-and the integer run must fail at the same (identity, basis tuple) places,
-every residual a fixed positive multiple, per identity, of the Fraction one
-and computed in Python ints throughout.
+The axiom checkers run their bodies on an integer-scaled copy first.  The
+public checker must return the Fraction body's report exactly, and the
+integer run must fail at the same (identity, basis tuple) places, every
+residual a fixed positive multiple, per identity, of the Fraction one and
+computed in Python ints throughout.
+
+The constructions ``el2.transport``, ``cohom.coboundary`` and
+``skew.skew_jacobiator`` and the residual checks ``cohom.is_cocycle`` and
+``defo.crossed_module_identities_report`` clear denominators and divide
+once.  They must return the values, entry types and reports of the Fraction
+references kept here.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -14,8 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_tensor, twisted_nonskeletal
-from lie2alg import catalog, cohom, dkcore, el2, exactla as xla, morph
+from conftest import coboundary_reference, rand_tensor, rational_cases, twisted_nonskeletal
+from lie2alg import catalog, cohom, defo, dkcore, el2, exactla as xla, morph, skew
+from lie2alg.report import CheckReport, Violation, collect_tensor_violations
 
 EL2_CHECKERS = (
     (el2.check_el2, el2._check_el2_body),
@@ -47,13 +55,106 @@ def assert_integer_path_agrees(public, body, exact, scaled):
     return full
 
 
+# ---------------------------------------------------------------------------
+# Fraction references
+# ---------------------------------------------------------------------------
+
+def transport_reference(e, phi0, phi1):
+    """``el2.transport`` evaluated on Fractions."""
+    phi0, phi1 = xla.as_exact(phi0), xla.as_exact(phi1)
+    inv0, inv1 = xla.inverse(phi0), xla.inverse(phi1)
+
+    def push(t, out_map, in_maps):
+        out = xla.postcompose(out_map, t)
+        for slot, m in enumerate(in_maps, start=1):
+            out = xla.precompose(out, slot, m)
+        return out
+
+    d = xla.freeze(np.dot(phi0, np.dot(e.complex.d, inv1)))
+    return el2.EL2Algebra(
+        dkcore.TwoTermComplex(e.complex.n0, e.complex.n1, d),
+        push(e.b00, phi0, (inv0, inv0)),
+        push(e.b01, phi1, (inv0, inv1)),
+        push(e.b10, phi1, (inv1, inv0)),
+        push(e.alt, phi1, (inv0, inv0)),
+        push(e.jac, phi1, (inv0, inv0, inv0)),
+    )
+
+
+def skew_jacobiator_reference(jac, alt, b00):
+    """``skew.skew_jacobiator`` evaluated on Fractions."""
+    return xla.alternate(jac, F(1, 6)) - xla.alternate(xla.plug(alt, 1, b00), F(1, 12))
+
+
+def is_cocycle_reference(g, m, p):
+    """The report of ``cohom.is_cocycle`` from the Fraction residuals."""
+    report = CheckReport()
+    for name, residual in cohom.cocycle_residuals(g, m, p):
+        collect_tensor_violations(report, name, residual)
+    return report
+
+
+def crossed_module_reference(data):
+    """``defo.crossed_module_identities_report`` evaluated on Fractions."""
+    report = CheckReport()
+    e = data.algebra
+    d = e.complex.d
+    on0, on1 = data.action.on_c0, data.action.on_c1
+    f0 = data.boundary.f0
+    tgt = data.boundary.dst
+    for v in morph.check_morphism(data.boundary).violations:
+        report.violations.append(Violation(f"n3.boundary/{v.equation}", v.at, v.residual))
+    lhs = np.tensordot(d, on1, axes=([1], [0]))
+    rhs = np.tensordot(on0, d, axes=([2], [0]))
+    collect_tensor_violations(report, "action.chain", lhs - rhs)
+    for name, on_out, t, on_x, on_y in (
+        ("action.derivation.b00", on0, e.b00, on0, on0),
+        ("action.derivation.b01", on1, e.b01, on0, on1),
+        ("action.derivation.alt", on1, e.alt, on0, on0),
+    ):
+        lhs = np.tensordot(on_out, t, axes=([2], [0]))
+        r1 = np.moveaxis(np.tensordot(t, on_x, axes=([1], [0])), (2, 3), (1, 2))
+        r2 = np.swapaxes(np.tensordot(t, on_y, axes=([2], [0])), 1, 2)
+        collect_tensor_violations(report, name, lhs - r1 - r2)
+    lhs = np.tensordot(f0, on0, axes=([1], [0]))
+    rhs = np.tensordot(tgt.b00, f0, axes=([2], [0]))
+    collect_tensor_violations(report, "crossed.boundary-action", lhs - rhs)
+    lhs = np.moveaxis(np.tensordot(on0, f0, axes=([1], [0])), 2, 1)
+    collect_tensor_violations(report, "crossed.derived.objects", lhs - e.b00)
+    lhs = np.moveaxis(np.tensordot(on1, f0, axes=([1], [0])), 2, 1)
+    collect_tensor_violations(report, "crossed.derived.parts", lhs - e.b01)
+    return report
+
+
+def entry_types(*arrays):
+    return [type(x) for a in arrays for x in np.asarray(a).flat]
+
+
+def assert_same_arrays(got, want):
+    assert xla.arrays_equal(got, want)
+    assert entry_types(got) == entry_types(want)
+
+
+def assert_same_structure(got, want):
+    for a, b in zip(el2._tensors(got), el2._tensors(want)):
+        assert_same_arrays(a, b)
+
+
+def assert_same_report(got, want):
+    assert got.violations == want.violations
+    assert [type(x) for v in got.violations for x in v.residual] == [
+        type(x) for v in want.violations for x in v.residual
+    ]
+    assert got.render() == want.render()
+
+
 def scalar(n, den, power):
     return xla.identity(n) * F(den) ** power
 
 
 def assert_scaled_copy_is_transport(e, scaled, den, p=2, q=3):
     n0, n1 = e.complex.n0, e.complex.n1
-    moved = el2.transport(e, scalar(n0, den, -p), scalar(n1, den, -q))
+    moved = transport_reference(e, scalar(n0, den, -p), scalar(n1, den, -q))
     assert scaled == moved
     assert all(type(x) is int for a in el2._tensors(scaled) for x in a.flat)
 
@@ -75,8 +176,8 @@ def transported_morphism(m, den, src_powers=(4, 6), dst_powers=(2, 3)):
     f2 = xla.postcompose(scalar(t1, den, -qp), m.f2)
     f2 = xla.precompose(xla.precompose(f2, 1, inv0), 2, inv0)
     return morph.ELMorphism(
-        el2.transport(m.src, scalar(s0, den, -p), scalar(s1, den, -q)),
-        el2.transport(m.dst, scalar(t0, den, -pp), scalar(t1, den, -qp)),
+        transport_reference(m.src, scalar(s0, den, -p), scalar(s1, den, -q)),
+        transport_reference(m.dst, scalar(t0, den, -pp), scalar(t1, den, -qp)),
         np.dot(scalar(t0, den, -pp), np.dot(m.f0, inv0)),
         np.dot(scalar(t1, den, -qp), np.dot(m.f1, scalar(s1, den, q))),
         f2,
@@ -104,8 +205,9 @@ def check_2morphism_both(t):
 
 
 def with_entry(a, flat_idx, delta):
-    """Copy of an array with one entry shifted by delta."""
-    out = np.array(a, dtype=object, copy=True)
+    """Copy of an array with one entry shifted by delta (a C-ordered copy,
+    so that the flat view writes through for any input layout)."""
+    out = np.array(a, dtype=object, copy=True, order="C")
     out.reshape(-1)[flat_idx % out.size] += delta
     return out
 
@@ -122,6 +224,7 @@ def transport_iso(e, phi0, phi1):
     """The strict isomorphism e -> transport(e, phi0, phi1) and its identity
     2-morphism."""
     moved = el2.transport(e, phi0, phi1)
+    assert_same_structure(moved, transport_reference(e, phi0, phi1))
     iso = morph.ELMorphism(e, moved, phi0, phi1, xla.zeros(e.complex.n1, e.complex.n0, e.complex.n0))
     return iso, morph.identity_2morphism(iso)
 
@@ -141,6 +244,10 @@ def test_common_denominator_and_scaled_ints():
     assert not out.flags.writeable
     with pytest.raises(xla.ExactLinearAlgebraError):
         xla.scaled_ints(a, 30)
+    back = xla.unscaled(out, 120)
+    assert_same_arrays(back, a)
+    assert entry_types(back) == [F] * 3 and not back.flags.writeable
+    assert xla.unscaled(np.zeros((2, 0, 3), dtype=object), 7).shape == (2, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +386,121 @@ def test_hypothesis_structures_agree(moved, defect, flat_idx, delta):
     check_morphism_both(morph.ELMorphism(iso.src, iso.dst, iso.f0, iso.f1, f2))
     theta = with_entry(iso2.theta, flat_idx, delta) if defect == "theta" else iso2.theta
     check_2morphism_both(morph.ELTwoMorphism(iso, iso, theta))
+
+
+# ---------------------------------------------------------------------------
+# constructions and residual checks that clear denominators once
+# ---------------------------------------------------------------------------
+
+def lie_only(g):
+    """g as a structure with no arrows (n1 = 0)."""
+    n = g.dim
+    return el2.EL2Algebra(dkcore.TwoTermComplex(n, 0, xla.zeros(n, 0)), g.c,
+                          xla.zeros(0, n, 0), xla.zeros(0, 0, n), xla.zeros(0, n, n), xla.zeros(0, n, n, n))
+
+
+def test_transport_matches_fraction_reference(coprime_structure):
+    base, phi0, phi1, e = coprime_structure
+    rational = np.array([[F(2, 3), F(1, 5)], [F(-1, 4), 1]], dtype=object)
+    g = catalog.sl2()
+    cases = [
+        (base, phi0, phi1),
+        (e, xla.inverse(phi0), np.array(phi1, dtype=object) * F(7, 3)),
+        (lie_only(g), phi0, xla.zeros(0, 0)),
+        (el2.zero_el2(0, 2, xla.zeros(0, 2)), xla.zeros(0, 0), rational),
+        (el2.direct_sum(el2.from_quadratic_lie(g, catalog.killing_form(g)),
+                        el2.zero_el2(1, 1, xla.identity(1))),
+         xla.identity(4) * F(3, 2), rational),
+    ]
+    for src, p0, p1 in cases:
+        got = el2.transport(src, p0, p1)
+        assert_same_structure(got, transport_reference(src, p0, p1))
+        assert all(t is F for t in entry_types(*el2._tensors(got)))
+    assert lie_only(g) == el2.transport(lie_only(g), xla.identity(3), xla.zeros(0, 0))
+
+
+def rational_pairs():
+    """(name, g, m, pair) with the pair a coboundary of an f whose entries
+    carry their own denominators."""
+    rng = random.Random(41)
+    out = []
+    for name, g, m in rational_cases():
+        f = rand_tensor(rng, m.dim, g.dim, g.dim) * F(1, 3)
+        f.reshape(-1)[1] = F(5, 11)
+        out.append((name, g, m, f, cohom.coboundary(g, m, f)))
+    return out
+
+
+def test_coboundary_matches_fraction_reference():
+    for name, g, m, f, pair in rational_pairs():
+        assert xla.common_denominator(g.c, m.rho) > 1 and xla.common_denominator(f) > 1, name
+        want = coboundary_reference(g, m, f)
+        assert_same_arrays(pair.s, want.s)
+        assert_same_arrays(pair.j, want.j)
+        assert all(t is F for t in entry_types(pair.s, pair.j)), name
+
+
+@pytest.mark.parametrize("where", ["none", "s", "j", "both"])
+def test_is_cocycle_matches_fraction_reference(where):
+    for name, g, m, _, pair in rational_pairs():
+        s, j = np.array(pair.s, copy=True), np.array(pair.j, copy=True)
+        if where in ("s", "both"):
+            s.reshape(-1)[4] += F(1, 13)
+        if where in ("j", "both"):
+            j.reshape(-1)[7] += F(-2, 17)
+        planted = cohom.CocyclePair(s, j)
+        ok, report = cohom.is_cocycle(g, m, planted)
+        want = is_cocycle_reference(g, m, planted)
+        assert ok == want.passed == (where == "none"), name
+        assert_same_report(report, want)
+
+
+def test_skew_jacobiator_matches_fraction_reference(coprime_structure):
+    _, _, _, e = coprime_structure
+    cases = [(e.jac, e.alt, e.b00)]
+    for name, g, m, _, pair in rational_pairs():
+        cases.append((pair.j, pair.s, g.c))
+    for jac, alt, b00 in cases:
+        assert xla.common_denominator(jac, alt, b00) > 1
+        got = skew.skew_jacobiator(jac, alt, b00)
+        assert_same_arrays(got, skew_jacobiator_reference(jac, alt, b00))
+        assert all(t is F for t in entry_types(got))
+
+
+def n3_cases():
+    """inner_symmetries_n3 data with integer tensors and, at a rescaled
+    Maurer-Cartan element of the big bracket, with rational ones."""
+    cdga, gamma = catalog.nilpotent_cdga_dgla()
+    big3, big4 = (catalog.big_bracket_dgla(xla.identity(n)) for n in (3, 4))
+    return [
+        defo.inner_symmetries_n3(cdga, gamma),
+        defo.inner_symmetries_n3(big3, catalog.cross_product_gamma(3) * F(2, 3)),
+        defo.inner_symmetries_n3(big4, catalog.cross_product_gamma(4) * F(3, 5)),
+    ]
+
+
+def planted_n3(data, where, flat_idx, delta):
+    """Copy of the n = 3 data with one entry of on_c0, on_c1, f0 or the
+    alternator shifted."""
+    if where in ("on_c0", "on_c1"):
+        shifted = with_entry(getattr(data.action, where), flat_idx, delta)
+        return dataclasses.replace(data, action=dataclasses.replace(data.action, **{where: shifted}))
+    if where == "f0":
+        b = data.boundary
+        f0 = with_entry(b.f0, flat_idx, delta)
+        return dataclasses.replace(data, boundary=morph.ELMorphism(b.src, b.dst, f0, b.f1, b.f2))
+    if where == "alt":
+        return dataclasses.replace(data, algebra=plant(data.algebra, "alt", flat_idx, delta))
+    return data
+
+
+@pytest.mark.parametrize("where", ["none", "on_c0", "on_c1", "f0", "alt"])
+def test_crossed_module_report_matches_fraction_reference(where):
+    cases = n3_cases()
+    assert [xla.common_denominator(c.algebra.b00, c.boundary.f0) > 1 for c in cases] == [False, True, True]
+    for k, data in enumerate(cases):
+        planted = planted_n3(data, where, 3 + k, F(2, 7))
+        got = defo.crossed_module_identities_report(planted)
+        want = crossed_module_reference(planted)
+        assert got.passed == (where == "none")
+        assert_same_report(got, want)
