@@ -193,8 +193,7 @@ def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bo
     )
     report = CheckReport()
     for name, residual, scale in zip(_COCYCLE_EQUATIONS, residuals, (den**3, den**2, den**2, den**2)):
-        if not xla.is_zero(residual):
-            collect_tensor_violations(report, name, xla.unscaled(residual, scale))
+        collect_tensor_violations(report, name, residual, scale=scale)
     return report.passed, report
 
 

@@ -75,36 +75,24 @@ class GradedL3Algebra:
         if dims and min(dims) < -3:
             raise DegreeError("components below degree -3 are not supported")
         object.__setattr__(self, "dims", dims)
-        l1 = {}
-        for k, m in self.l1.items():
-            arr = np.asarray(m)
-            want = (self.dim(k + 1), self.dim(k))
-            if arr.shape != want:
-                raise ShapeError(f"l1[{k}] has shape {arr.shape}, expected {want}")
-            if arr.size and not xla.is_zero(arr):
-                l1[int(k)] = xla.freeze(np.array(arr, dtype=object, copy=True))
-        object.__setattr__(self, "l1", l1)
-        l2 = {}
-        for (a, b), t in self.l2.items():
-            arr = np.asarray(t)
-            want = (self.dim(a + b), self.dim(a), self.dim(b))
-            if arr.shape != want:
-                raise ShapeError(f"l2[{(a, b)}] has shape {arr.shape}, expected {want}")
-            if arr.size and not xla.is_zero(arr):
-                l2[(int(a), int(b))] = xla.freeze(np.array(arr, dtype=object, copy=True))
-        object.__setattr__(self, "l2", l2)
-        l3 = {}
-        for (a, b, c), t in self.l3.items():
-            arr = np.asarray(t)
-            want = (self.dim(a + b + c - 1), self.dim(a), self.dim(b), self.dim(c))
-            if arr.shape != want:
-                raise ShapeError(f"l3[{(a, b, c)}] has shape {arr.shape}, expected {want}")
-            if arr.size and not xla.is_zero(arr):
-                l3[(int(a), int(b), int(c))] = xla.freeze(np.array(arr, dtype=object, copy=True))
-        object.__setattr__(self, "l3", l3)
+        for name in ("l1", "l2", "l3"):
+            kept = {}
+            for key, t in getattr(self, name).items():
+                degs = (int(key),) if name == "l1" else tuple(int(x) for x in key)
+                arr, want = np.asarray(t), self.shape(*degs)
+                if arr.shape != want:
+                    raise ShapeError(f"{name}[{key}] has shape {arr.shape}, expected {want}")
+                if arr.size and not xla.is_zero(arr):
+                    kept[degs[0] if name == "l1" else degs] = xla.freeze(np.array(arr, dtype=object, copy=True))
+            object.__setattr__(self, name, kept)
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
+
+    def shape(self, *degs: int) -> tuple[int, ...]:
+        """Shape of the n-ary bracket on the degrees degs (n = len(degs)),
+        whose output has degree sum(degs) + 2 - n."""
+        return (self.dim(sum(degs) + 2 - len(degs)),) + tuple(self.dim(x) for x in degs)
 
     @property
     def degrees(self) -> list[int]:
@@ -116,17 +104,15 @@ class GradedL3Algebra:
 
     def l1_mat(self, k: int) -> np.ndarray:
         got = self.l1.get(k)
-        return got if got is not None else xla.zeros(self.dim(k + 1), self.dim(k))
+        return got if got is not None else xla.zeros(*self.shape(k))
 
     def l2_tensor(self, a: int, b: int) -> np.ndarray:
         got = self.l2.get((a, b))
-        return got if got is not None else xla.zeros(self.dim(a + b), self.dim(a), self.dim(b))
+        return got if got is not None else xla.zeros(*self.shape(a, b))
 
     def l3_tensor(self, a: int, b: int, c: int) -> np.ndarray:
         got = self.l3.get((a, b, c))
-        return got if got is not None else xla.zeros(
-            self.dim(a + b + c - 1), self.dim(a), self.dim(b), self.dim(c)
-        )
+        return got if got is not None else xla.zeros(*self.shape(a, b, c))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedL3Algebra):
@@ -512,6 +498,5 @@ def crossed_module_identities_report(data: InnerSymmetriesN3) -> CheckReport:
         ("crossed.derived.parts", np.moveaxis(np.tensordot(on1, f0, axes=([1], [0])), 2, 1) - b01, 2),
     )
     for name, residual, power in identities:
-        if not xla.is_zero(residual):
-            collect_tensor_violations(report, name, xla.unscaled(residual, den**power))
+        collect_tensor_violations(report, name, residual, scale=den**power)
     return report

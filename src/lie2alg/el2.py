@@ -18,13 +18,14 @@ and that the four coherence diagrams commute, all by composing actual arrows.
 The two checkers agree identity by identity; the correspondence is recorded
 in ``EL2_TO_CATEGORICAL``.
 
-Both checkers, and those of :mod:`lie2alg.morph`, first run on an integer
+Both checkers, and those of :mod:`lie2alg.morph`, run once, on an integer
 copy: ``transport`` along den**-2 on objects and den**-3 on arrow parts, with
 den a common denominator, is a strict isomorphism that clears every
 denominator, so the residuals are computed in Python ints instead of
-Fractions.  It multiplies each residual by a nonzero constant, so the copy
-fails at exactly the basis tuples where the input fails; a failing verdict is
-recomputed on the input itself, so reports are those of the Fraction input.
+Fractions.  It multiplies the residual of each identity by a fixed power of
+den, so the copy fails at exactly the basis tuples where the input fails, and
+dividing each violating residual by that power gives the report of the
+Fraction input.
 
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
 Jacobiator arrow at (x, y, z) is ([x,[y,z]], -jac(x,y,z)), and the bracket of
@@ -33,7 +34,6 @@ two arrow parts is the derived one, [a,b] = [da,b].
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,7 +43,7 @@ import numpy as np
 from . import exactla as xla
 from .dkcore import BilinearBracket, TwoTermComplex, chain_b01, chain_b10, chain_derived
 from .exactla import ShapeError
-from .report import CheckReport, Violation, collect_tensor_violations
+from .report import CheckReport, Violation, collect_tensor_violations, exact_residual
 
 
 class InvalidStructureError(ValueError):
@@ -128,9 +128,11 @@ class LieAlgebraFD:
         if arr.shape != (self.dim,) * 3:
             raise ShapeError(f"structure constants shape {arr.shape}, expected {(self.dim,) * 3}")
         object.__setattr__(self, "c", xla.freeze(np.array(arr, dtype=object, copy=True)))
+        den = xla.common_denominator(self.c)
+        c = xla.scaled_ints(self.c, den)
         report = CheckReport()
-        collect_tensor_violations(report, "skew-symmetry", self.c + self.c.swapaxes(1, 2))
-        collect_tensor_violations(report, "jacobi", _leibniz_defect(self.c))
+        collect_tensor_violations(report, "skew-symmetry", c + c.swapaxes(1, 2), scale=den)
+        collect_tensor_violations(report, "jacobi", _leibniz_defect(c), scale=den**2)
         if not report.passed:
             raise InvalidStructureError("not a Lie algebra", report)
 
@@ -155,8 +157,11 @@ class LeibnizAlgebraFD:
         if arr.shape != (self.dim,) * 3:
             raise ShapeError(f"structure constants shape {arr.shape}, expected {(self.dim,) * 3}")
         object.__setattr__(self, "c", xla.freeze(np.array(arr, dtype=object, copy=True)))
+        den = xla.common_denominator(self.c)
         report = CheckReport()
-        collect_tensor_violations(report, "leibniz", _leibniz_defect(self.c))
+        collect_tensor_violations(
+            report, "leibniz", _leibniz_defect(xla.scaled_ints(self.c, den)), scale=den**2
+        )
         if not report.passed:
             raise InvalidStructureError("not a Leibniz algebra", report)
 
@@ -191,13 +196,15 @@ class RepresentationFD:
         if arr.shape != want:
             raise ShapeError(f"action tensor shape {arr.shape}, expected {want}")
         object.__setattr__(self, "rho", xla.freeze(np.array(arr, dtype=object, copy=True)))
-        # rho([x,y]) = rho(x) rho(y) - rho(y) rho(x) on basis pairs
-        c, rho = self.algebra.c, self.rho
+        # rho([x,y]) = rho(x) rho(y) - rho(y) rho(x) on basis pairs, on c and
+        # rho scaled by their common denominator: both sides are quadratic
+        den = xla.common_denominator(self.algebra.c, self.rho)
+        c, rho = xla.scaled_ints(self.algebra.c, den), xla.scaled_ints(self.rho, den)
         lhs = np.transpose(np.tensordot(rho, c, axes=([1], [0])), (0, 2, 3, 1))
         comp = np.tensordot(rho, rho, axes=([2], [0]))           # (m, x, y, a)
         rhs = comp - comp.swapaxes(1, 2)
         report = CheckReport()
-        collect_tensor_violations(report, "module-axiom", lhs - rhs)
+        collect_tensor_violations(report, "module-axiom", lhs - rhs, scale=den**2)
         if not report.passed:
             raise InvalidStructureError("not a representation", report)
 
@@ -353,6 +360,17 @@ EL2_REDUNDANT_EQUATIONS: tuple[tuple[str, Callable[[EL2Algebra], np.ndarray]], .
     ("red.alternator-exact", _residual_red_alt_exact),
 )
 
+# On the integer copy, where d and alt carry den, the brackets den**2 and jac
+# den**3, each residual is den to this power times the residual of the input.
+RESIDUAL_POWERS: dict[str, int] = {
+    "chain.b01": 3, "chain.b10": 3, "chain.derived": 3,
+    "skew.00": 2, "skew.10": 2, "skew.01": 2,
+    "jacobi.000": 4, "jacobi.100": 4, "jacobi.010": 4, "jacobi.001": 4,
+    "coh.bracket-jacobiator": 5, "coh.jacobiator-sym12": 3, "coh.jacobiator-sym23": 3,
+    "coh.alternator-bracket": 3,
+    "red.alternator-left": 3, "red.alternator-right": 3, "red.d-alternator": 2, "red.alternator-exact": 2,
+}
+
 
 def check_el2(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport:
     """Evaluate every defining identity on every basis tuple.
@@ -363,13 +381,15 @@ def check_el2(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport
     to be symmetric is reported as an informational note (it is never
     required).
     """
-    return _integer_first(_check_el2_body, e, _integer_copy(e), stop_after)
+    return _check_el2_body(*_integer_copy(e), stop_after)
 
 
-def _check_el2_body(e: EL2Algebra, stop_after: Optional[int]) -> CheckReport:
+def _check_el2_body(e: EL2Algebra, den: int, stop_after: Optional[int]) -> CheckReport:
+    """The checker on ``_integer_copy(x)``, reporting the residuals of x."""
     report = CheckReport()
     for name, fn in EL2_EQUATIONS + EL2_REDUNDANT_EQUATIONS:
-        if collect_tensor_violations(report, name, fn(e), stop_after=stop_after):
+        scale = den ** RESIDUAL_POWERS[name]
+        if collect_tensor_violations(report, name, fn(e), stop_after=stop_after, scale=scale):
             return report
     symmetric = xla.arrays_equal(e.alt, e.alt.swapaxes(1, 2))
     report.notes.append(f"alternator symmetric: {'yes' if symmetric else 'no'}")
@@ -434,12 +454,8 @@ def _check_pairing(g: LieAlgebraFD, pairing: np.ndarray) -> np.ndarray:
     t_right = np.transpose(np.tensordot(pairing, g.c, axes=([1], [0])), (1, 0, 2))
     # t_right[x,y,z] = sum_m pairing[y,m] c[m,x,z] = <y,[x,z]>
     resid = t_left + t_right
-    if not xla.is_zero(resid):
-        bad = next(
-            idx
-            for idx in itertools.product(*(range(s) for s in resid.shape))
-            if resid[idx] != 0
-        )
+    bad = next((idx for idx, x in np.ndenumerate(resid) if x != 0), None)
+    if bad is not None:
         raise PairingError(f"pairing is not invariant, first violation at basis triple {bad}")
     return xla.freeze(np.array(pairing, dtype=object, copy=True))
 
@@ -600,16 +616,10 @@ def _scaled_copy(e: EL2Algebra, den: int, p: int, q: int) -> EL2Algebra:
     )
 
 
-def _integer_copy(e: EL2Algebra) -> EL2Algebra:
-    return _scaled_copy(e, xla.common_denominator(*_tensors(e)), 2, 3)
-
-
-def _integer_first(body: Callable, exact, scaled, stop_after: Optional[int]) -> CheckReport:
-    """Run a checker body on the integer-scaled copy; a strict isomorphism
-    moves no violation, so a passing verdict is final.  A failing one is
-    recomputed on the Fraction input, whose residuals the report shows."""
-    report = body(scaled, stop_after)
-    return report if report.passed else body(exact, stop_after)
+def _integer_copy(e: EL2Algebra) -> tuple[EL2Algebra, int]:
+    """The copy the checkers run on, and its den."""
+    den = xla.common_denominator(*_tensors(e))
+    return _scaled_copy(e, den, 2, 3), den
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +760,6 @@ class _GammaEvaluator:
         """([x,[y,z]], -jac(x,y,z)): the component of the Jacobiator."""
         return _FastArrow(self.b(x, self.b(y, z)), self.j_part(x, y, z))
 
-    def jacobiator_flip(self, x, y, z) -> _FastArrow:
-        """([[x,y],z], +jac(x,y,z)): the inverse-style presentation, an arrow
-        [[x,y],z] -> [x,[y,z]] - [y,[x,z]]."""
-        return _FastArrow(self.b(self.b(x, y), z), _ev3(self.e.jac, x, y, z))
-
 
 def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport:
     """Re-derive the structure identities on the linear category.
@@ -765,10 +770,12 @@ def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = No
     pure arrow parts; and the four coherence diagrams commute, comparing the
     arrow parts of both composite paths on every basis tuple of objects.
     """
-    return _integer_first(_categorical_body, e, _integer_copy(e), stop_after)
+    return _categorical_body(*_integer_copy(e), stop_after)
 
 
-def _categorical_body(e: EL2Algebra, stop_after: Optional[int]) -> CheckReport:
+def _categorical_body(e: EL2Algebra, den: int, stop_after: Optional[int]) -> CheckReport:
+    """The checker on ``_integer_copy(x)``, reporting the residuals of x;
+    each identity carries the power of its partner in RESIDUAL_POWERS."""
     ev = _GammaEvaluator(e)
     report = CheckReport()
     n0, n1 = ev.n0, ev.n1
@@ -779,7 +786,8 @@ def _categorical_body(e: EL2Algebra, stop_after: Optional[int]) -> CheckReport:
     def record(name: str, at: tuple[int, ...], residual: np.ndarray) -> None:
         residual = np.asarray(residual)
         if not xla.is_zero(residual):
-            report.violations.append(Violation(name, at, tuple(residual.reshape(-1))))
+            scale = den ** RESIDUAL_POWERS[CATEGORICAL_TO_EL2[name]]
+            report.violations.append(Violation(name, at, exact_residual(residual.flat, scale)))
 
     # cat.target.b01: t([1_x, (0,b)]) = [x, db]
     for i in range(n0):

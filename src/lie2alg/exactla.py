@@ -17,18 +17,15 @@ produce integer zeros, which compare equal to ``Fraction(0)`` and mix safely
 with exact arithmetic.
 
 Fraction arithmetic normalizes by a gcd on every operation, so the hot
-paths clear denominators once (:func:`common_denominator`,
-:func:`scaled_ints`), evaluate on Python ints and divide once at the end
-(:func:`unscaled`).  The axiom checkers run on a copy moved along a scalar
-strict isomorphism, which multiplies each residual by a nonzero constant:
-a passing verdict is final, and only a failing check is recomputed on the
-Fraction input, whose residuals its report shows.  The constructions
-``el2.transport``, ``cohom.coboundary`` and ``skew.skew_jacobiator`` and the
-residual checks ``cohom.is_cocycle`` and
-``defo.crossed_module_identities_report`` scale their inputs so that each
-output tensor, or each identity, carries one known scale; they divide a
-result, or a violating residual, by it.  Verdicts, values, residuals and
-entry types are the ones Fraction evaluation gives.
+paths follow one rule: clear denominators once (:func:`common_denominator`,
+:func:`scaled_ints`), evaluate once on Python ints, and divide once by a
+known scale.  A construction (``el2.transport``, ``cohom.coboundary``,
+``skew.skew_jacobiator``) divides each output tensor (:func:`unscaled`).  A
+check (the axiom checkers, the algebra and module validators,
+``cohom.is_cocycle``, ``defo.crossed_module_identities_report``) gives each
+identity's residual one known power of the denominator and divides only
+the violating residuals (``report.collect_tensor_violations``).  Verdicts,
+values, residuals and entry types are the ones Fraction evaluation gives.
 
 Row reduction is fraction-free for the same reason: :func:`rref` clears
 denominators row by row, eliminates on Python ints (Bareiss) and divides once

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dkcore, exactla as xla
 from .dkcore import CompositionError
-from .el2 import EL2Algebra, _integer_first, _scaled_copy, _tensors
+from .el2 import EL2Algebra, _scaled_copy, _tensors
 from .exactla import ShapeError
 from .report import CheckReport, collect_tensor_violations
 
@@ -84,7 +84,7 @@ def check_morphism(m: ELMorphism, *, stop_after: Optional[int] = None) -> CheckR
     """All defining identities of a morphism on basis tuples: the chain-map
     condition, the three bracket-homotopy conditions, and compatibility with
     the alternators and Jacobiators of the endpoints."""
-    return _integer_first(_check_morphism_body, m, _integer_morphism(m), stop_after)
+    return _check_morphism_body(*_integer_morphism(m), stop_after)
 
 
 def _scaled_morphism(m: ELMorphism, den: int) -> ELMorphism:
@@ -101,46 +101,46 @@ def _scaled_morphism(m: ELMorphism, den: int) -> ELMorphism:
     )
 
 
-def _integer_morphism(m: ELMorphism) -> ELMorphism:
-    return _scaled_morphism(
-        m, xla.common_denominator(*_tensors(m.src), *_tensors(m.dst), m.f0, m.f1, m.f2)
-    )
+def _integer_morphism(m: ELMorphism) -> tuple[ELMorphism, int]:
+    den = xla.common_denominator(*_tensors(m.src), *_tensors(m.dst), m.f0, m.f1, m.f2)
+    return _scaled_morphism(m, den), den
 
 
-def _check_morphism_body(m: ELMorphism, stop_after: Optional[int]) -> CheckReport:
+def _check_morphism_body(m: ELMorphism, den: int, stop_after: Optional[int]) -> CheckReport:
+    """The checker on ``_integer_morphism(x)``, reporting the residuals of x."""
     report = CheckReport()
     src, dst = m.src, m.dst
     d, dp = src.complex.d, dst.complex.d
     f0, f1, f2 = m.f0, m.f1, m.f2
 
     r = np.dot(f0, d) - np.dot(dp, f1)
-    if collect_tensor_violations(report, "chain-map", r, stop_after=stop_after):
+    if collect_tensor_violations(report, "chain-map", r, stop_after=stop_after, scale=den**4):
         return report
 
     # [f0 x, f0 y]' - f0[x, y] = d' f2(x, y)
     b00_ff = xla.precompose(xla.precompose(dst.b00, 1, f0), 2, f0)
     r = b00_ff - xla.postcompose(f0, src.b00) - xla.postcompose(dp, f2)
-    if collect_tensor_violations(report, "bracket.00", r, stop_after=stop_after):
+    if collect_tensor_violations(report, "bracket.00", r, stop_after=stop_after, scale=den**6):
         return report
 
     # [f1 a, f0 y]' - f1[a, y] = f2(da, y)
     b10_ff = xla.precompose(xla.precompose(dst.b10, 1, f1), 2, f0)
     f2_da = np.moveaxis(np.tensordot(f2, d, axes=([1], [0])), 2, 1)
     r = b10_ff - xla.postcompose(f1, src.b10) - f2_da
-    if collect_tensor_violations(report, "bracket.10", r, stop_after=stop_after):
+    if collect_tensor_violations(report, "bracket.10", r, stop_after=stop_after, scale=den**7):
         return report
 
     # [f0 x, f1 b]' - f1[x, b] = f2(x, db)
     b01_ff = xla.precompose(xla.precompose(dst.b01, 1, f0), 2, f1)
     f2_db = np.tensordot(f2, d, axes=([2], [0]))
     r = b01_ff - xla.postcompose(f1, src.b01) - f2_db
-    if collect_tensor_violations(report, "bracket.01", r, stop_after=stop_after):
+    if collect_tensor_violations(report, "bracket.01", r, stop_after=stop_after, scale=den**7):
         return report
 
     # <f0 x, f0 y>' - f1<x, y> = f2(x, y) + f2(y, x)
     alt_ff = xla.precompose(xla.precompose(dst.alt, 1, f0), 2, f0)
     r = alt_ff - xla.postcompose(f1, src.alt) - f2 - f2.swapaxes(1, 2)
-    if collect_tensor_violations(report, "alternator", r, stop_after=stop_after):
+    if collect_tensor_violations(report, "alternator", r, stop_after=stop_after, scale=den**5):
         return report
 
     # <f0 x, f0 y, f0 z>' - f1<x, y, z> =
@@ -157,7 +157,7 @@ def _check_morphism_body(m: ELMorphism, stop_after: Optional[int]) -> CheckRepor
     t5 = np.swapaxes(np.tensordot(f2, src.b00, axes=([2], [0])), 1, 2)
     t6 = np.tensordot(f2, src.b00, axes=([2], [0]))
     r = lhs - (t1 - t2 - t3 - t4 - t5 + t6)
-    collect_tensor_violations(report, "jacobiator", r, stop_after=stop_after)
+    collect_tensor_violations(report, "jacobiator", r, stop_after=stop_after, scale=den**9)
     return report
 
 
@@ -217,18 +217,20 @@ def check_2morphism(t: ELTwoMorphism, *, stop_after: Optional[int] = None) -> Ch
                             - theta([x,y]) - [theta x, theta y]'
 
     with the last bracket the derived one, [d'theta x, theta y]'."""
-    return _integer_first(_check_2morphism_body, t, _integer_2morphism(t), stop_after)
+    return _check_2morphism_body(*_integer_2morphism(t), stop_after)
 
 
-def _integer_2morphism(t: ELTwoMorphism) -> ELTwoMorphism:
+def _integer_2morphism(t: ELTwoMorphism) -> tuple[ELTwoMorphism, int]:
     f, g = t.src, t.dst
     den = xla.common_denominator(
         *_tensors(f.src), *_tensors(f.dst), f.f0, f.f1, f.f2, g.f0, g.f1, g.f2, t.theta
     )
-    return ELTwoMorphism(_scaled_morphism(f, den), _scaled_morphism(g, den), xla.scaled_ints(t.theta, den))
+    scaled = ELTwoMorphism(_scaled_morphism(f, den), _scaled_morphism(g, den), xla.scaled_ints(t.theta, den))
+    return scaled, den
 
 
-def _check_2morphism_body(t: ELTwoMorphism, stop_after: Optional[int]) -> CheckReport:
+def _check_2morphism_body(t: ELTwoMorphism, den: int, stop_after: Optional[int]) -> CheckReport:
+    """The checker on ``_integer_2morphism(x)``, reporting the residuals of x."""
     report = CheckReport()
     f, g = t.src, t.dst
     theta = t.theta
@@ -237,10 +239,10 @@ def _check_2morphism_body(t: ELTwoMorphism, stop_after: Optional[int]) -> CheckR
     d, dp = src.complex.d, dst.complex.d
 
     r = g.f0 - f.f0 - np.dot(dp, theta)
-    if collect_tensor_violations(report, "homotopy.objects", r, stop_after=stop_after):
+    if collect_tensor_violations(report, "homotopy.objects", r, stop_after=stop_after, scale=den**2):
         return report
     r = g.f1 - f.f1 - np.dot(theta, d)
-    if collect_tensor_violations(report, "homotopy.parts", r, stop_after=stop_after):
+    if collect_tensor_violations(report, "homotopy.parts", r, stop_after=stop_after, scale=den**3):
         return report
 
     t1 = np.tensordot(xla.precompose(dst.b01, 1, f.f0), theta, axes=([2], [0]))
@@ -255,7 +257,7 @@ def _check_2morphism_body(t: ELTwoMorphism, stop_after: Optional[int]) -> CheckR
     )
     # t4 axes: b01'[k, m, b] dtheta[m, x] -> (k, b, x); then theta[b, y] -> (k, x, y)
     r = f.f2 - g.f2 - t1 - t2 + t3 + t4
-    collect_tensor_violations(report, "homotopy.bracket", r, stop_after=stop_after)
+    collect_tensor_violations(report, "homotopy.bracket", r, stop_after=stop_after, scale=den**5)
     return report
 
 

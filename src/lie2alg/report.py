@@ -72,32 +72,39 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def exact_residual(column, scale: int = 1) -> tuple[Fraction, ...]:
+    """The reported residual of a violating column computed ``scale`` times
+    too large: each entry divided by ``scale``, as a Fraction."""
+    return tuple(Fraction(x, scale) for x in column)
+
+
 def collect_tensor_violations(
     report: CheckReport,
     equation: str,
     residual: np.ndarray,
     *,
     stop_after: Optional[int] = None,
+    scale: int = 1,
 ) -> bool:
     """Append a violation for every basis tuple (the input axes, i.e. all axes
-    after axis 0) at which the residual slice is nonzero.
+    after axis 0) at which the residual slice is nonzero.  A checker that
+    evaluated the identity on inputs scaled so that the residual comes out
+    ``scale`` times the exact one passes ``scale``; only the violating
+    slices are divided by it.
 
     Returns True when the caller should stop checking further identities
     because ``stop_after`` violations have been collected in total.
     """
     residual = np.asarray(residual)
-    if residual.ndim == 0:
-        if residual[()] != 0:
-            report.violations.append(Violation(equation, (), (residual[()],)))
-    elif residual.ndim == 1:
-        if any(x != 0 for x in residual):
-            report.violations.append(Violation(equation, (), tuple(residual)))
-    else:
-        in_shape = residual.shape[1:]
-        for idx in itertools.product(*(range(s) for s in in_shape)):
-            column = residual[(slice(None),) + idx]
-            if any(x != 0 for x in column):
-                report.violations.append(Violation(equation, idx, tuple(column)))
-                if stop_after is not None and len(report.violations) >= stop_after:
-                    return True
+    if any(x != 0 for x in residual.flat):
+        if residual.ndim <= 1:
+            report.violations.append(Violation(equation, (), exact_residual(residual.flat, scale)))
+        else:
+            in_shape = residual.shape[1:]
+            for idx in itertools.product(*(range(s) for s in in_shape)):
+                column = residual[(slice(None),) + idx]
+                if any(x != 0 for x in column):
+                    report.violations.append(Violation(equation, idx, exact_residual(column, scale)))
+                    if stop_after is not None and len(report.violations) >= stop_after:
+                        return True
     return stop_after is not None and len(report.violations) >= stop_after

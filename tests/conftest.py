@@ -38,13 +38,16 @@ def rand_invertible(rng, n):
 
 
 def perturb(e, tensor_name, flat_idx, delta=F(1)):
-    """Copy of a structure with one tensor entry shifted by delta."""
+    """Copy of a structure with one tensor entry shifted by delta (C-ordered
+    copies, so that the flat view writes through for any input layout)."""
     arrs = {
-        name: np.array(getattr(e, name), dtype=object, copy=True)
+        name: np.array(getattr(e, name), dtype=object, copy=True, order="C")
         for name in ("b00", "b01", "b10", "alt", "jac")
     }
     arrs[tensor_name].reshape(-1)[flat_idx] += delta
-    return el2.EL2Algebra(e.complex, **arrs)
+    out = el2.EL2Algebra(e.complex, **arrs)
+    assert out != e
+    return out
 
 
 def twisted_nonskeletal(rng, skeletal, acyclic_dim):

@@ -1,10 +1,12 @@
 """The integer paths against plain Fraction evaluation.
 
-The axiom checkers run their bodies on an integer-scaled copy first.  The
-public checker must return the Fraction body's report exactly, and the
-integer run must fail at the same (identity, basis tuple) places, every
-residual a fixed positive multiple, per identity, of the Fraction one and
-computed in Python ints throughout.
+The axiom checkers run their bodies once, on an integer-scaled copy, and
+divide each violating residual by its identity's power of the scale.  The
+public checker must return the report of the same body run on the Fraction
+input at scale 1, and the integer run must fail at the same (identity,
+basis tuple) places, every residual a fixed positive multiple, per
+identity, of the Fraction one; the residuals of ``check_el2`` are computed
+in Python ints throughout.
 
 The constructions ``el2.transport``, ``cohom.coboundary`` and
 ``skew.skew_jacobiator`` and the residual checks ``cohom.is_cocycle`` and
@@ -32,20 +34,20 @@ EL2_CHECKERS = (
 
 
 def assert_integer_path_agrees(public, body, exact, scaled):
-    full = body(exact, None)
-    cases = [(None, full)] if full.passed else [(None, full), (2, body(exact, 2))]
+    full = body(exact, 1, None)
+    cases = [(None, full)] if full.passed else [(None, full), (2, body(exact, 1, 2))]
     for stop_after, want in cases:
         got = public(exact, stop_after=stop_after)
         assert got.violations == want.violations
         assert got.notes == want.notes
         assert got.render() == want.render()
-    ints = body(scaled, None)
+    ints = body(scaled, 1, None)
     assert [(v.equation, v.at) for v in ints.violations] == [
         (v.equation, v.at) for v in full.violations
     ]
     ratios: dict[str, set] = {}
     for vi, vf in zip(ints.violations, full.violations):
-        assert all(type(x) is int for x in vi.residual), vi
+        assert all(x.denominator == 1 for x in vi.residual), vi
         for xi, xf in zip(vi.residual, vf.residual):
             assert (xi == 0) == (xf == 0)
             if xf != 0:
@@ -160,9 +162,11 @@ def assert_scaled_copy_is_transport(e, scaled, den, p=2, q=3):
 
 
 def check_el2_both(e):
-    den = xla.common_denominator(*el2._tensors(e))
-    scaled = el2._integer_copy(e)
+    scaled, den = el2._integer_copy(e)
+    assert den == xla.common_denominator(*el2._tensors(e))
     assert_scaled_copy_is_transport(e, scaled, den)
+    for _, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS:
+        assert all(type(x) is int for x in fn(scaled).flat)
     return [assert_integer_path_agrees(pub, body, e, scaled) for pub, body in EL2_CHECKERS]
 
 
@@ -185,16 +189,16 @@ def transported_morphism(m, den, src_powers=(4, 6), dst_powers=(2, 3)):
 
 
 def check_morphism_both(m):
-    scaled = morph._integer_morphism(m)
-    den = xla.common_denominator(*el2._tensors(m.src), *el2._tensors(m.dst), m.f0, m.f1, m.f2)
+    scaled, den = morph._integer_morphism(m)
+    assert den == xla.common_denominator(*el2._tensors(m.src), *el2._tensors(m.dst), m.f0, m.f1, m.f2)
     assert scaled == transported_morphism(m, den)
     return assert_integer_path_agrees(morph.check_morphism, morph._check_morphism_body, m, scaled)
 
 
 def check_2morphism_both(t):
-    scaled = morph._integer_2morphism(t)
+    scaled, den = morph._integer_2morphism(t)
     f, g = t.src, t.dst
-    den = xla.common_denominator(
+    assert den == xla.common_denominator(
         *el2._tensors(f.src), *el2._tensors(f.dst), f.f0, f.f1, f.f2, g.f0, g.f1, g.f2, t.theta
     )
     assert scaled.src == transported_morphism(f, den)
@@ -329,6 +333,25 @@ def test_planted_structure_defect(coprime_structure, name):
     assert not any(r.passed for r in reports)
 
 
+def test_failing_check_evaluates_each_identity_once(coprime_structure, monkeypatch):
+    _, _, _, e = coprime_structure
+    calls = {}
+
+    def counted(table):
+        def wrap(name, fn):
+            def counting(x):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(x)
+            return name, counting
+        return tuple(wrap(name, fn) for name, fn in table)
+
+    monkeypatch.setattr(el2, "EL2_EQUATIONS", counted(el2.EL2_EQUATIONS))
+    monkeypatch.setattr(el2, "EL2_REDUNDANT_EQUATIONS", counted(el2.EL2_REDUNDANT_EQUATIONS))
+    report = el2.check_el2(plant(e, "jac", 5, F(1, 23)))
+    assert not report.passed
+    assert calls == dict.fromkeys(el2.RESIDUAL_POWERS, 1)
+
+
 def test_planted_f2_and_theta_defects(coprime_structure):
     base, phi0, phi1, _ = coprime_structure
     iso, _ = transport_iso(base, phi0, phi1)
@@ -337,6 +360,22 @@ def test_planted_f2_and_theta_defects(coprime_structure):
     theta = with_entry(xla.zeros(*iso.f2.shape[:2]), 1, F(3, 31))
     bad2 = morph.ELTwoMorphism(iso, iso, theta)
     assert not check_2morphism_both(bad2).passed
+    # with a nonzero differential, planted f0, f1, f2 and theta entries reach
+    # every identity, so each power of the scale is held to the reference
+    wide, _, _ = twisted_nonskeletal(random.Random(9), base, 1)
+    iso, iso2 = transport_iso(wide, xla.identity(4) * F(3, 5), xla.identity(4) * F(2, 7))
+    seen = set()
+    for name in ("f0", "f1", "f2"):
+        for flat_idx in (0, 5, 10):
+            maps = {n: getattr(iso, n) for n in ("f0", "f1", "f2")}
+            maps[name] = with_entry(maps[name], flat_idx, F(1, 11))
+            seen |= set(check_morphism_both(morph.ELMorphism(iso.src, iso.dst, **maps)).equations_violated())
+    assert seen == {"chain-map", "bracket.00", "bracket.10", "bracket.01", "alternator", "jacobiator"}
+    seen = set()
+    for flat_idx in (0, 5, 10, 15):
+        theta = with_entry(iso2.theta, flat_idx, F(1, 13))
+        seen |= set(check_2morphism_both(morph.ELTwoMorphism(iso, iso, theta)).equations_violated())
+    assert seen == {"homotopy.objects", "homotopy.parts", "homotopy.bracket"}
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +492,32 @@ def test_is_cocycle_matches_fraction_reference(where):
         want = is_cocycle_reference(g, m, planted)
         assert ok == want.passed == (where == "none"), name
         assert_same_report(report, want)
+
+
+def test_validators_report_fraction_residuals():
+    c = xla.zeros(2, 2, 2).copy()
+    c[0, 0, 1], c[1, 1, 0], c[1, 0, 0] = F(2, 3), F(-1, 5), F(3, 7)
+    g = rational_cases()[0][1]
+    rho = xla.zeros(1, 3, 1).copy()
+    rho[0, 0, 0] = F(2, 3)
+    lhs = np.transpose(np.tensordot(rho, g.c, axes=([1], [0])), (0, 2, 3, 1))
+    comp = np.tensordot(rho, rho, axes=([2], [0]))
+    cases = [
+        (lambda: el2.LieAlgebraFD(2, c), "not a Lie algebra",
+         [("skew-symmetry", c + c.swapaxes(1, 2)), ("jacobi", el2._leibniz_defect(c))]),
+        (lambda: el2.LeibnizAlgebraFD(2, c), "not a Leibniz algebra", [("leibniz", el2._leibniz_defect(c))]),
+        (lambda: el2.RepresentationFD(g, 1, rho), "not a representation",
+         [("module-axiom", lhs - comp + comp.swapaxes(1, 2))]),
+    ]
+    for build, message, residuals in cases:
+        want = CheckReport()
+        for name, residual in residuals:
+            collect_tensor_violations(want, name, residual)
+        assert not want.passed
+        with pytest.raises(el2.InvalidStructureError) as err:
+            build()
+        assert_same_report(err.value.report, want)
+        assert str(err.value) == f"{message}\n{want.render()}"
 
 
 def test_skew_jacobiator_matches_fraction_reference(coprime_structure):
