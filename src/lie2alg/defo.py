@@ -75,16 +75,33 @@ class GradedL3Algebra:
         if dims and min(dims) < -3:
             raise DegreeError("components below degree -3 are not supported")
         object.__setattr__(self, "dims", dims)
-        for name in ("l1", "l2", "l3"):
-            kept = {}
-            for key, t in getattr(self, name).items():
-                degs = (int(key),) if name == "l1" else tuple(int(x) for x in key)
-                arr, want = np.asarray(t), self.shape(*degs)
-                if arr.shape != want:
-                    raise ShapeError(f"{name}[{key}] has shape {arr.shape}, expected {want}")
-                if arr.size and not xla.is_zero(arr):
-                    kept[degs[0] if name == "l1" else degs] = xla.freeze(np.array(arr, dtype=object, copy=True))
-            object.__setattr__(self, name, kept)
+        l1 = {}
+        for k, m in self.l1.items():
+            arr = np.asarray(m)
+            want = self.shape(k)
+            if arr.shape != want:
+                raise ShapeError(f"l1[{k}] has shape {arr.shape}, expected {want}")
+            if arr.size and not xla.is_zero(arr):
+                l1[int(k)] = xla.freeze(np.array(arr, dtype=object, copy=True))
+        object.__setattr__(self, "l1", l1)
+        l2 = {}
+        for (a, b), t in self.l2.items():
+            arr = np.asarray(t)
+            want = self.shape(a, b)
+            if arr.shape != want:
+                raise ShapeError(f"l2[{(a, b)}] has shape {arr.shape}, expected {want}")
+            if arr.size and not xla.is_zero(arr):
+                l2[(int(a), int(b))] = xla.freeze(np.array(arr, dtype=object, copy=True))
+        object.__setattr__(self, "l2", l2)
+        l3 = {}
+        for (a, b, c), t in self.l3.items():
+            arr = np.asarray(t)
+            want = self.shape(a, b, c)
+            if arr.shape != want:
+                raise ShapeError(f"l3[{(a, b, c)}] has shape {arr.shape}, expected {want}")
+            if arr.size and not xla.is_zero(arr):
+                l3[(int(a), int(b), int(c))] = xla.freeze(np.array(arr, dtype=object, copy=True))
+        object.__setattr__(self, "l3", l3)
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)

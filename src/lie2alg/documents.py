@@ -315,13 +315,19 @@ def _dec_graded(v: Any, path: str) -> GradedL3Algebra:
             raise ParseError(f"bad degree {k!r}", path + ".dims") from exc
         dims[deg] = _dec_int(d, f"{path}.dims.{k}")
     tmp = GradedL3Algebra(dims=dims)
-    brackets: dict[str, dict] = {}
-    for arity, name in enumerate(("l1", "l2", "l3"), start=1):
-        table = brackets[name] = {}
-        for k, arr in (v.get(name) or {}).items():
-            degs = _dec_degree_key(k, arity, f"{path}.{name}")
-            table[degs[0] if arity == 1 else degs] = _dec_array(arr, f"{path}.{name}.{k}", tmp.shape(*degs))
-    return GradedL3Algebra(dims=dims, **brackets)
+    l1 = {}
+    for k, arr in (v.get("l1") or {}).items():
+        (deg,) = _dec_degree_key(k, 1, path + ".l1")
+        l1[deg] = _dec_array(arr, f"{path}.l1.{k}", tmp.shape(deg))
+    l2 = {}
+    for k, arr in (v.get("l2") or {}).items():
+        a, b = _dec_degree_key(k, 2, path + ".l2")
+        l2[(a, b)] = _dec_array(arr, f"{path}.l2.{k}", tmp.shape(a, b))
+    l3 = {}
+    for k, arr in (v.get("l3") or {}).items():
+        a, b, c = _dec_degree_key(k, 3, path + ".l3")
+        l3[(a, b, c)] = _dec_array(arr, f"{path}.l3.{k}", tmp.shape(a, b, c))
+    return GradedL3Algebra(dims=dims, l1=l1, l2=l2, l3=l3)
 
 
 def from_payload(kind: str, payload: Any, path: str = "$.payload") -> Any:

@@ -34,6 +34,7 @@ two arrow parts is the derived one, [a,b] = [da,b].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -454,8 +455,12 @@ def _check_pairing(g: LieAlgebraFD, pairing: np.ndarray) -> np.ndarray:
     t_right = np.transpose(np.tensordot(pairing, g.c, axes=([1], [0])), (1, 0, 2))
     # t_right[x,y,z] = sum_m pairing[y,m] c[m,x,z] = <y,[x,z]>
     resid = t_left + t_right
-    bad = next((idx for idx, x in np.ndenumerate(resid) if x != 0), None)
-    if bad is not None:
+    if not xla.is_zero(resid):
+        bad = next(
+            idx
+            for idx in itertools.product(*(range(s) for s in resid.shape))
+            if resid[idx] != 0
+        )
         raise PairingError(f"pairing is not invariant, first violation at basis triple {bad}")
     return xla.freeze(np.array(pairing, dtype=object, copy=True))
 
@@ -759,6 +764,11 @@ class _GammaEvaluator:
     def jacobiator_arrow(self, x, y, z) -> _FastArrow:
         """([x,[y,z]], -jac(x,y,z)): the component of the Jacobiator."""
         return _FastArrow(self.b(x, self.b(y, z)), self.j_part(x, y, z))
+
+    def jacobiator_flip(self, x, y, z) -> _FastArrow:
+        """([[x,y],z], +jac(x,y,z)): the inverse-style presentation, an arrow
+        [[x,y],z] -> [x,[y,z]] - [y,[x,z]]."""
+        return _FastArrow(self.b(self.b(x, y), z), _ev3(self.e.jac, x, y, z))
 
 
 def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport:

@@ -5,8 +5,9 @@ divide each violating residual by its identity's power of the scale.  The
 public checker must return the report of the same body run on the Fraction
 input at scale 1, and the integer run must fail at the same (identity,
 basis tuple) places, every residual a fixed positive multiple, per
-identity, of the Fraction one; the residuals of ``check_el2`` are computed
-in Python ints throughout.
+identity, of the Fraction one.  Every scaled copy holds Python ints only,
+and so does every residual column that reaches a report, before it is
+divided.
 
 The constructions ``el2.transport``, ``cohom.coboundary`` and
 ``skew.skew_jacobiator`` and the residual checks ``cohom.is_cocycle`` and
@@ -15,6 +16,7 @@ once.  They must return the values, entry types and reports of the Fraction
 references kept here.
 """
 
+import contextlib
 import dataclasses
 import random
 from fractions import Fraction as F
@@ -25,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import coboundary_reference, rand_tensor, rational_cases, twisted_nonskeletal
 from lie2alg import catalog, cohom, defo, dkcore, el2, exactla as xla, morph, skew
+from lie2alg import report as report_module
 from lie2alg.report import CheckReport, Violation, collect_tensor_violations
 
 EL2_CHECKERS = (
@@ -33,21 +36,43 @@ EL2_CHECKERS = (
 )
 
 
+@contextlib.contextmanager
+def int_columns_only():
+    """Inside the block, every residual column a checker reports must hold
+    Python ints only when it reaches the division by its scale."""
+    divide = report_module.exact_residual
+
+    def checked(column, scale=1):
+        column = list(column)
+        assert all(type(x) is int for x in column), column
+        return divide(column, scale)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(report_module, "exact_residual", checked)
+        mp.setattr(el2, "exact_residual", checked)
+        yield
+
+
+def assert_int_entries(*arrays):
+    assert all(type(x) is int for a in arrays for x in np.asarray(a).flat)
+
+
 def assert_integer_path_agrees(public, body, exact, scaled):
     full = body(exact, 1, None)
     cases = [(None, full)] if full.passed else [(None, full), (2, body(exact, 1, 2))]
     for stop_after, want in cases:
-        got = public(exact, stop_after=stop_after)
+        with int_columns_only():
+            got = public(exact, stop_after=stop_after)
         assert got.violations == want.violations
         assert got.notes == want.notes
         assert got.render() == want.render()
-    ints = body(scaled, 1, None)
+    with int_columns_only():
+        ints = body(scaled, 1, None)
     assert [(v.equation, v.at) for v in ints.violations] == [
         (v.equation, v.at) for v in full.violations
     ]
     ratios: dict[str, set] = {}
     for vi, vf in zip(ints.violations, full.violations):
-        assert all(x.denominator == 1 for x in vi.residual), vi
         for xi, xf in zip(vi.residual, vf.residual):
             assert (xi == 0) == (xf == 0)
             if xf != 0:
@@ -158,15 +183,14 @@ def assert_scaled_copy_is_transport(e, scaled, den, p=2, q=3):
     n0, n1 = e.complex.n0, e.complex.n1
     moved = transport_reference(e, scalar(n0, den, -p), scalar(n1, den, -q))
     assert scaled == moved
-    assert all(type(x) is int for a in el2._tensors(scaled) for x in a.flat)
+    assert_int_entries(*el2._tensors(scaled))
 
 
 def check_el2_both(e):
     scaled, den = el2._integer_copy(e)
     assert den == xla.common_denominator(*el2._tensors(e))
     assert_scaled_copy_is_transport(e, scaled, den)
-    for _, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS:
-        assert all(type(x) is int for x in fn(scaled).flat)
+    assert_int_entries(*(fn(scaled) for _, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS))
     return [assert_integer_path_agrees(pub, body, e, scaled) for pub, body in EL2_CHECKERS]
 
 
@@ -188,23 +212,27 @@ def transported_morphism(m, den, src_powers=(4, 6), dst_powers=(2, 3)):
     )
 
 
+def morphism_tensors(m):
+    return (*el2._tensors(m.src), *el2._tensors(m.dst), m.f0, m.f1, m.f2)
+
+
 def check_morphism_both(m):
     scaled, den = morph._integer_morphism(m)
-    assert den == xla.common_denominator(*el2._tensors(m.src), *el2._tensors(m.dst), m.f0, m.f1, m.f2)
+    assert den == xla.common_denominator(*morphism_tensors(m))
     assert scaled == transported_morphism(m, den)
+    assert_int_entries(*morphism_tensors(scaled))
     return assert_integer_path_agrees(morph.check_morphism, morph._check_morphism_body, m, scaled)
 
 
 def check_2morphism_both(t):
     scaled, den = morph._integer_2morphism(t)
     f, g = t.src, t.dst
-    assert den == xla.common_denominator(
-        *el2._tensors(f.src), *el2._tensors(f.dst), f.f0, f.f1, f.f2, g.f0, g.f1, g.f2, t.theta
-    )
+    assert den == xla.common_denominator(*morphism_tensors(f), g.f0, g.f1, g.f2, t.theta)
     assert scaled.src == transported_morphism(f, den)
     assert scaled.dst == transported_morphism(g, den)
     theta = np.dot(scalar(t.theta.shape[0], den, -3), np.dot(t.theta, scalar(t.theta.shape[1], den, 4)))
     assert xla.arrays_equal(scaled.theta, theta)
+    assert_int_entries(*morphism_tensors(scaled.src), *morphism_tensors(scaled.dst), scaled.theta)
     return assert_integer_path_agrees(morph.check_2morphism, morph._check_2morphism_body, t, scaled)
 
 
