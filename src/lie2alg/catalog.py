@@ -7,11 +7,15 @@ ones built from a Lie algebra tensored with a small commutative dg algebra,
 and contraction ("big bracket") ones on the exterior algebra of an inner
 product space, where a Maurer-Cartan trivector is the same thing as a
 quadratic Lie algebra structure.
+
+Each small commutative dg algebra is an exterior algebra on odd generators,
+given by a generator table: the generator degrees, the differential of each
+generator and an optional top degree.  Every monomial product, in these
+algebras and in the big bracket, is one :func:`exactla.wedge`.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -137,118 +141,76 @@ def standard_leibniz_corpus() -> list[tuple[str, LeibnizAlgebraFD]]:
 # ---------------------------------------------------------------------------
 
 class _SmallCdga:
-    """A finite-dimensional graded-commutative dg algebra given by monomial
-    basis labels, degrees, a multiplication table and a differential."""
+    """The exterior algebra on odd generators of degrees ``gen_degrees``,
+    with the differential ``gen_diff`` (generator -> list of (coeff,
+    monomial)) extended as a derivation, and with the monomials above degree
+    ``top`` dropped.  Monomials are increasing generator tuples listed in
+    binary-counting order; products are :func:`exactla.wedge`."""
 
-    def __init__(self, labels, degrees, products, diff):
-        self.labels = list(labels)
-        self.index = {m: i for i, m in enumerate(self.labels)}
-        self.degrees = dict(degrees)
-        self.products = dict(products)  # (m1, m2) -> list[(coeff, m3)]
-        self.diff = dict(diff)          # m -> list[(coeff, m2)]
+    def __init__(self, gen_degrees, gen_diff, top=None):
+        k = len(gen_degrees)
+        self.degrees = {}
+        for bits in range(2 ** k):
+            m = tuple(i for i in range(k) if bits >> i & 1)
+            deg = sum(gen_degrees[i] for i in m)
+            if top is None or deg <= top:
+                self.degrees[m] = deg
+        self.diff = {}
+        for m in self.degrees:
+            # d(a g b) = (-1)^len(a) a d(g) b for a generator g: all are odd
+            terms = {}
+            for pos, gen in enumerate(m):
+                for coeff, u in gen_diff.get(gen, ()):
+                    left = xla.wedge(m[:pos], u)
+                    prod = None if left is None else self.mul(left[1], m[pos + 1:])
+                    if prod is not None:
+                        sign = (-1) ** pos * left[0] * prod[0]
+                        terms[prod[1]] = terms.get(prod[1], 0) + sign * coeff
+            self.diff[m] = [(c, w) for w, c in terms.items() if c]
 
-
-def _lambda_theta_eta_cdga() -> _SmallCdga:
-    """Monomials of the free graded-commutative algebra on two degree -1
-    generators and one degree +1 generator, with d(theta1) = 1; products
-    landing outside the retained monomials are zero (degree truncation)."""
-    labels = ["1", "t1", "t2", "t1t2", "h", "t1h", "t2h", "t1t2h"]
-    degrees = {
-        "1": 0, "t1": -1, "t2": -1, "t1t2": -2,
-        "h": 1, "t1h": 0, "t2h": 0, "t1t2h": -1,
-    }
-    # generator exponents: (theta1, theta2, eta) with each in {0, 1}
-    expo = {
-        "1": (0, 0, 0), "t1": (1, 0, 0), "t2": (0, 1, 0), "t1t2": (1, 1, 0),
-        "h": (0, 0, 1), "t1h": (1, 0, 1), "t2h": (0, 1, 1), "t1t2h": (1, 1, 1),
-    }
-    by_expo = {v: k for k, v in expo.items()}
-    gen_deg = (-1, -1, 1)
-
-    def mono_mul(a, b):
-        ea, eb = expo[a], expo[b]
-        if any(ea[i] and eb[i] for i in range(3)):
-            return []
-        # Koszul sign from commuting b's generators through a's
-        sign = 1
-        for i in range(3):
-            if eb[i] and gen_deg[i] % 2:
-                # count odd generators of a strictly after position i
-                crossings = sum(1 for jj in range(i + 1, 3) if ea[jj] and gen_deg[jj] % 2)
-                sign *= (-1) ** crossings
-        prod = tuple(ea[i] + eb[i] for i in range(3))
-        return [(Fraction(sign), by_expo[prod])]
-
-    products = {}
-    for a in labels:
-        for b in labels:
-            products[(a, b)] = mono_mul(a, b)
-
-    # d is the derivation with d(theta1) = 1, d(theta2) = d(eta) = 0:
-    # d(theta1 ^ w) = w restricted to monomials without theta1.
-    diff = {m: [] for m in labels}
-    for m in labels:
-        e = expo[m]
-        if e[0]:
-            rest = (0, e[1], e[2])
-            diff[m] = [(Fraction(1), by_expo[rest])]
-    return _SmallCdga(labels, degrees, products, diff)
+    def mul(self, a, b):
+        """``(sign, monomial)`` with a b = sign * monomial, or None when the
+        product vanishes or is truncated."""
+        prod = xla.wedge(a, b)
+        return prod if prod is not None and prod[1] in self.degrees else None
 
 
 def tensor_dgla(g: LieAlgebraFD, omega: _SmallCdga) -> GradedL3Algebra:
     """The dg Lie algebra g (x) Omega: bracket [x (x) a, y (x) b] =
-    [x,y] (x) ab, differential 1 (x) d."""
+    [x,y] (x) ab, differential 1 (x) d.  Degree k has the basis
+    m (x) e_i, monomial by monomial."""
     n = g.dim
     degs = sorted(set(omega.degrees.values()))
-    mono_by_deg = {k: [m for m in omega.labels if omega.degrees[m] == k] for k in degs}
+    mono_by_deg = {k: [m for m, d in omega.degrees.items() if d == k] for k in degs}
     dims = {k: n * len(mono_by_deg[k]) for k in degs}
-    pos = {}
-    for k in degs:
-        for w, m in enumerate(mono_by_deg[k]):
-            for i in range(n):
-                pos[(m, i)] = (k, w * n + i)
+    block = {
+        m: slice(w * n, (w + 1) * n) for k in degs for w, m in enumerate(mono_by_deg[k])
+    }
 
     l1 = {}
     for k in degs:
-        if k + 1 not in dims:
-            continue
-        mat = xla.zeros(dims[k + 1], dims[k]).copy()
-        nonzero = False
-        for m in mono_by_deg[k]:
-            for coeff, m2 in omega.diff[m]:
-                for i in range(n):
-                    kk, row = pos[(m2, i)]
-                    _, col = pos[(m, i)]
-                    mat[row, col] += coeff
-                    nonzero = True
-        if nonzero:
+        if k + 1 in dims:
+            mat = xla.zeros(dims[k + 1], dims[k]).copy()
+            for m in mono_by_deg[k]:
+                for coeff, m2 in omega.diff[m]:
+                    mat[block[m2], block[m]] += coeff * xla.identity(n)
             l1[k] = xla.freeze(mat)
 
+    # each pair of monomials fills its own block of the bracket with +-c
+    signed_c = {1: xla.as_exact(g.c), -1: xla.as_exact(-g.c)}
     l2 = {}
     for k1 in degs:
         for k2 in degs:
-            k_out = k1 + k2
-            if k_out not in dims:
+            if k1 + k2 not in dims:
                 continue
-            t = xla.zeros(dims[k_out], dims[k1], dims[k2]).copy()
-            nonzero = False
+            t = xla.zeros(dims[k1 + k2], dims[k1], dims[k2]).copy()
             for m1 in mono_by_deg[k1]:
                 for m2 in mono_by_deg[k2]:
-                    for coeff, m3 in omega.products[(m1, m2)]:
-                        if omega.degrees[m3] != k_out:
-                            continue
-                        for i in range(n):
-                            for j in range(n):
-                                for out in range(n):
-                                    if g.c[out, i, j] == 0:
-                                        continue
-                                    _, row = pos[(m3, out)]
-                                    _, c1 = pos[(m1, i)]
-                                    _, c2 = pos[(m2, j)]
-                                    t[row, c1, c2] += coeff * g.c[out, i, j]
-                                    nonzero = True
-            if nonzero:
-                l2[(k1, k2)] = xla.freeze(t)
+                    prod = omega.mul(m1, m2)
+                    if prod is not None:
+                        sign, m3 = prod
+                        t[block[m3], block[m1], block[m2]] = signed_c[sign]
+            l2[(k1, k2)] = xla.freeze(t)
     return GradedL3Algebra(dims=dims, l1=l1, l2=l2, l3={})
 
 
@@ -262,80 +224,23 @@ def nilpotent_cdga_dgla(g: LieAlgebraFD | None = None) -> tuple[GradedL3Algebra,
     """
     if g is None:
         g = affine_line()
-    omega = _lambda_theta_eta_cdga()
-    dgla = tensor_dgla(g, omega)
+    dgla = tensor_dgla(g, _SmallCdga((-1, -1, 1), {0: [(1, ())]}))
     gamma = xla.zeros(dgla.dim(1)).copy()
     gamma[0] = Fraction(1)  # first basis vector of g (x) eta
     return dgla, xla.freeze(gamma)
 
 
-def _lambda_theta_eta_small() -> _SmallCdga:
-    """Monomials 1, theta, eta, theta*eta with degrees 0, -1, +1, 0 and
-    d(theta) = 1; no degree below -1, for the two-term construction."""
-    labels = ["1", "t", "h", "th"]
-    degrees = {"1": 0, "t": -1, "h": 1, "th": 0}
-    expo = {"1": (0, 0), "t": (1, 0), "h": (0, 1), "th": (1, 1)}
-    by_expo = {v: k for k, v in expo.items()}
-
-    def mono_mul(a, b):
-        ea, eb = expo[a], expo[b]
-        if any(ea[i] and eb[i] for i in range(2)):
-            return []
-        sign = 1
-        # both generators odd: each crossing contributes a sign
-        if eb[0] and ea[1]:
-            sign = -sign
-        prod = (ea[0] + eb[0], ea[1] + eb[1])
-        return [(Fraction(sign), by_expo[prod])]
-
-    products = {(a, b): mono_mul(a, b) for a in labels for b in labels}
-    diff = {m: [] for m in labels}
-    diff["t"] = [(Fraction(1), "1")]
-    diff["th"] = [(Fraction(1), "h")]
-    return _SmallCdga(labels, degrees, products, diff)
-
-
 def nilpotent_cdga_dgla_n2(g: LieAlgebraFD | None = None) -> tuple[GradedL3Algebra, np.ndarray]:
     """A dgla populated in degrees -1..1 with nonzero differential and a
-    nonzero Maurer-Cartan element, for the two-term symmetry construction."""
+    nonzero Maurer-Cartan element, for the two-term symmetry construction:
+    g (x) Omega for Omega generated by theta (degree -1) and eta (degree
+    +1) with d(theta) = 1."""
     if g is None:
         g = affine_line()
-    dgla = tensor_dgla(g, _lambda_theta_eta_small())
+    dgla = tensor_dgla(g, _SmallCdga((-1, 1), {0: [(1, ())]}))
     gamma = xla.zeros(dgla.dim(1)).copy()
     gamma[0] = Fraction(1)
     return dgla, xla.freeze(gamma)
-
-
-def _eta_cube_cdga() -> _SmallCdga:
-    """Three odd degree +1 generators with d(eta3) = -eta1 eta2, truncated to
-    degrees <= 2.  Tensoring with a Lie algebra produces Maurer-Cartan
-    problems where the differential genuinely balances the bracket term."""
-    labels = ["1", "h1", "h2", "h3", "h1h2", "h1h3", "h2h3"]
-    degrees = {"1": 0, "h1": 1, "h2": 1, "h3": 1, "h1h2": 2, "h1h3": 2, "h2h3": 2}
-    expo = {
-        "1": (0, 0, 0), "h1": (1, 0, 0), "h2": (0, 1, 0), "h3": (0, 0, 1),
-        "h1h2": (1, 1, 0), "h1h3": (1, 0, 1), "h2h3": (0, 1, 1),
-    }
-    by_expo = {v: k for k, v in expo.items()}
-
-    def mono_mul(a, b):
-        ea, eb = expo[a], expo[b]
-        if any(ea[i] and eb[i] for i in range(3)):
-            return []
-        prod = tuple(ea[i] + eb[i] for i in range(3))
-        if sum(prod) > 2:
-            return []
-        sign = 1
-        for i in range(3):
-            if eb[i]:
-                crossings = sum(1 for jj in range(i + 1, 3) if ea[jj])
-                sign *= (-1) ** crossings
-        return [(Fraction(sign), by_expo[prod])]
-
-    products = {(a, b): mono_mul(a, b) for a in labels for b in labels}
-    diff = {m: [] for m in labels}
-    diff["h3"] = [(Fraction(-1), "h1h2")]
-    return _SmallCdga(labels, degrees, products, diff)
 
 
 def mc_balancing_dgla() -> tuple[GradedL3Algebra, np.ndarray, np.ndarray]:
@@ -344,7 +249,9 @@ def mc_balancing_dgla() -> tuple[GradedL3Algebra, np.ndarray, np.ndarray]:
     X h1 + Y h2 + Z h3 is flat because d gamma = -Z h1h2 cancels
     1/2 [gamma, gamma] = Z h1h2, while dropping the h3 leg leaves a nonzero
     residual.  Returns (algebra, flat gamma, non-flat gamma)."""
-    dgla = tensor_dgla(heisenberg(), _eta_cube_cdga())
+    # three odd degree +1 generators with d(eta3) = -eta1 eta2, truncated
+    # to degrees <= 2
+    dgla = tensor_dgla(heisenberg(), _SmallCdga((1, 1, 1), {2: [(-1, (0, 1))]}, top=2))
     # degree 1 basis comes out as (h1 (x) basis, h2 (x) basis, h3 (x) basis)
     good = xla.zeros(dgla.dim(1)).copy()
     good[0] = Fraction(1)   # X (x) h1
@@ -403,10 +310,6 @@ def twisted_big_bracket_dgla() -> tuple[GradedL3Algebra, np.ndarray]:
 # Graded fixtures: contraction bracket on an exterior algebra
 # ---------------------------------------------------------------------------
 
-def _subsets(n: int, k: int):
-    return list(itertools.combinations(range(n), k))
-
-
 def big_bracket_dgla(
     form: np.ndarray, mu: np.ndarray | None = None
 ) -> GradedL3Algebra:
@@ -418,26 +321,9 @@ def big_bracket_dgla(
     n = form.shape[0]
     if form.shape != (n, n) or not xla.arrays_equal(form, form.T):
         raise xla.ShapeError("contraction form must be square symmetric")
-    subsets = {p: _subsets(n, p) for p in range(n + 1)}
+    subsets = {p: xla.increasing_tuples(n, p) for p in range(n + 1)}
     index = {p: {s: i for i, s in enumerate(subsets[p])} for p in subsets}
     dims = {p - 2: len(subsets[p]) for p in range(n + 1)}
-
-    def merge(left: tuple[int, ...], right: tuple[int, ...]):
-        """Sort a concatenated monomial, returning (sign, sorted) or None on
-        a repeated index."""
-        arr = list(left) + list(right)
-        sign = 1
-        # insertion sort, counting transpositions
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and arr[j - 1] > arr[j]:
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                sign = -sign
-                j -= 1
-        for i in range(1, len(arr)):
-            if arr[i - 1] == arr[i]:
-                return None
-        return sign, tuple(arr)
 
     def bracket_monomials(s: tuple[int, ...], t: tuple[int, ...]):
         """{e_S, e_T} = sum over index pairs of the contracted monomial."""
@@ -449,9 +335,7 @@ def big_bracket_dgla(
                 if coeff == 0:
                     continue
                 sign = (-1) ** (p - 1 - ai) * (-1) ** bj
-                rest_s = s[:ai] + s[ai + 1:]
-                rest_t = t[:bj] + t[bj + 1:]
-                merged = merge(rest_s, rest_t)
+                merged = xla.wedge(s[:ai] + s[ai + 1:], t[:bj] + t[bj + 1:])
                 if merged is None:
                     continue
                 msign, mono = merged
@@ -462,17 +346,14 @@ def big_bracket_dgla(
     for p in range(1, n + 1):
         for q in range(1, n + 1):
             r = p + q - 2
-            if r < 0 or r > n or not subsets[r]:
+            if r > n:
                 continue
             t = xla.zeros(len(subsets[r]), len(subsets[p]), len(subsets[q])).copy()
-            nonzero = False
             for s_i, s in enumerate(subsets[p]):
                 for t_i, tt in enumerate(subsets[q]):
                     for coeff, mono in bracket_monomials(s, tt):
                         t[index[r][mono], s_i, t_i] += coeff
-                        nonzero = True
-            if nonzero:
-                l2[(p - 2, q - 2)] = xla.freeze(t)
+            l2[(p - 2, q - 2)] = xla.freeze(t)
 
     l1 = {}
     if mu is not None:
@@ -480,18 +361,14 @@ def big_bracket_dgla(
         if mu.shape != (len(subsets[3]),):
             raise xla.ShapeError("inner differential must be a trivector coordinate vector")
         for p in range(n + 1):
-            key = (1, p - 2)
-            if key not in l2:
-                continue
-            mat = np.tensordot(l2[key], mu, axes=([1], [0]))
-            if not xla.is_zero(mat):
-                l1[p - 2] = xla.freeze(mat)
-    return GradedL3Algebra(dims={k: v for k, v in dims.items()}, l1=l1, l2=l2, l3={})
+            if (1, p - 2) in l2:
+                l1[p - 2] = np.tensordot(l2[(1, p - 2)], mu, axes=([1], [0]))
+    return GradedL3Algebra(dims=dims, l1=l1, l2=l2, l3={})
 
 
 def trivector_coords(n: int, terms: list[tuple[int, tuple[int, int, int]]]) -> np.ndarray:
     """Coordinate vector in the basis of increasing triples of {0..n-1}."""
-    subsets = _subsets(n, 3)
+    subsets = xla.increasing_tuples(n, 3)
     v = xla.zeros(len(subsets)).copy()
     for coeff, triple in terms:
         v[subsets.index(tuple(sorted(triple)))] += Fraction(coeff)

@@ -227,6 +227,14 @@ def cmd_inner_sym(args) -> int:
     return PASS
 
 
+def _count(text: str) -> int:
+    """argparse type of --max-violations: a non-negative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lie2alg",
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the checker matching the document kind")
     p.add_argument("file")
-    p.add_argument("--max-violations", type=int, default=20, metavar="N",
+    p.add_argument("--max-violations", type=_count, default=20, metavar="N",
                    help="residuals printed per identity (default 20)")
     p.set_defaults(fn=cmd_check)
 
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="skeletal model and classifying data")
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None, help="write the skeletal model document")
-    p.add_argument("--max-violations", type=int, default=20)
+    p.add_argument("--max-violations", type=_count, default=20)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("mc", help="Maurer-Cartan residual, optionally writing the twist")
@@ -271,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, choices=(2, 3), default=3)
     p.add_argument("--skew", action="store_true", help="also skew-symmetrize the result")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--max-violations", type=int, default=20)
+    p.add_argument("--max-violations", type=_count, default=20)
     p.set_defaults(fn=cmd_inner_sym)
     return parser
 

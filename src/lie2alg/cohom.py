@@ -26,11 +26,9 @@ rather than returning anything unvalidated.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -350,16 +348,12 @@ def class_coordinates(space: CohomologySpace, p: CocyclePair | Sequence[CocycleP
 # Chevalley-Eilenberg cohomology in degree 3
 # ---------------------------------------------------------------------------
 
-def _wedge_indices(n: int, k: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(n), k))
-
-
 def ce_differential(g: LieAlgebraFD, m: RepresentationFD, k: int) -> np.ndarray:
     """Matrix of d: Hom(wedge^k g, M) -> Hom(wedge^{k+1} g, M) in the basis
     of increasing index tuples, with the standard alternating-sum formula."""
     n, dm = g.dim, m.dim
-    rows_idx = _wedge_indices(n, k + 1)
-    cols_idx = _wedge_indices(n, k)
+    rows_idx = xla.increasing_tuples(n, k + 1)
+    cols_idx = xla.increasing_tuples(n, k)
     row_pos = {t: i for i, t in enumerate(rows_idx)}
     col_pos = {t: i for i, t in enumerate(cols_idx)}
     out = xla.zeros(dm * len(rows_idx), dm * len(cols_idx)).copy()
@@ -374,7 +368,7 @@ def ce_differential(g: LieAlgebraFD, m: RepresentationFD, k: int) -> np.ndarray:
     for row_t in rows_idx:
         for i_pos, xi in enumerate(row_t):
             rest = row_t[:i_pos] + row_t[i_pos + 1:]
-            sign = Fraction((-1) ** i_pos)
+            sign = (-1) ** i_pos
             # rho(x_i) phi(rest)
             for out_c in range(dm):
                 for in_c in range(dm):
@@ -383,17 +377,17 @@ def ce_differential(g: LieAlgebraFD, m: RepresentationFD, k: int) -> np.ndarray:
             for j_pos in range(i_pos + 1, len(row_t)):
                 xj = row_t[j_pos]
                 rest = tuple(v for t, v in enumerate(row_t) if t not in (i_pos, j_pos))
-                sign = Fraction((-1) ** (i_pos + j_pos))
-                # phi([x_i, x_j], rest): expand the bracket and insert its
-                # index into rest, one sign flip per smaller entry passed
+                sign = (-1) ** (i_pos + j_pos)
+                # phi([x_i, x_j], rest): expand the bracket and wedge its
+                # index onto the front of rest
                 for b_out in range(n):
                     coeff = g.c[b_out, xi, xj]
-                    if coeff == 0 or b_out in rest:
+                    merged = None if coeff == 0 else xla.wedge((b_out,), rest)
+                    if merged is None:
                         continue
-                    pos = bisect.bisect_left(rest, b_out)
-                    mono = rest[:pos] + (b_out,) + rest[pos:]
+                    msign, mono = merged
                     for out_c in range(dm):
-                        add(row_t, out_c, mono, out_c, sign * coeff * (-1) ** pos)
+                        add(row_t, out_c, mono, out_c, sign * msign * coeff)
     return xla.freeze(out)
 
 
@@ -406,7 +400,7 @@ class CeH3:
 
 
 def alt3_to_coords(g: LieAlgebraFD, m: RepresentationFD, t: np.ndarray) -> np.ndarray:
-    triples = _wedge_indices(g.dim, 3)
+    triples = xla.increasing_tuples(g.dim, 3)
     out = xla.zeros(m.dim * len(triples)).copy()
     for pos, (a, b, c) in enumerate(triples):
         for mc in range(m.dim):
@@ -419,7 +413,7 @@ def coords_to_alt3(g: LieAlgebraFD, m: RepresentationFD, v: np.ndarray) -> np.nd
     each value is placed at its triple, then the tensor is alternated."""
     n, dm = g.dim, m.dim
     t = xla.zeros(dm, n, n, n).copy()
-    for pos, (a, b, c) in enumerate(_wedge_indices(n, 3)):
+    for pos, (a, b, c) in enumerate(xla.increasing_tuples(n, 3)):
         t[:, a, b, c] = v[pos * dm:(pos + 1) * dm]
     return xla.alternate(t, xla.ONE)
 

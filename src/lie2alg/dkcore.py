@@ -207,12 +207,6 @@ def identity_chain_map(c: TwoTermComplex) -> ChainMap:
     return ChainMap(c, c, xla.identity(c.n0), xla.identity(c.n1))
 
 
-def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    if f.dst != g.src:
-        raise CompositionError("chain maps are not composable")
-    return ChainMap(f.src, g.dst, np.dot(g.f0, f.f0), np.dot(g.f1, f.f1))
-
-
 @dataclass(frozen=True, eq=False)
 class ChainHomotopy:
     """A degree -1 map h: C^0 -> C'^-1; its meaning is fixed by the use site."""

@@ -765,10 +765,6 @@ class _GammaEvaluator:
         """([x,[y,z]], -jac(x,y,z)): the component of the Jacobiator."""
         return _FastArrow(self.b(x, self.b(y, z)), self.j_part(x, y, z))
 
-    def jacobiator_flip(self, x, y, z) -> _FastArrow:
-        """([[x,y],z], +jac(x,y,z)): the inverse-style presentation, an arrow
-        [[x,y],z] -> [x,[y,z]] - [y,[x,z]]."""
-        return _FastArrow(self.b(self.b(x, y), z), _ev3(self.e.jac, x, y, z))
 
 
 def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport:

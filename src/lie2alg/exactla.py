@@ -36,7 +36,10 @@ independent by construction (the identity, kernel and image bases) skip the
 rank check the public :class:`Subspace` constructor makes.
 
 Every convention and subspace question has one helper here: the sign of a
-permutation, with an optional Koszul sign (:func:`perm_sign`); the signed sum
+permutation, with an optional Koszul sign (:func:`perm_sign`); the product
+of two exterior monomials, as a sign and a merged increasing index tuple
+(:func:`wedge`), behind the exterior-algebra fixtures of ``catalog`` and
+the Chevalley-Eilenberg differential of ``cohom``; the signed sum
 over the permutations of a tensor's input axes (:func:`alternate`), behind
 skew-symmetrization and alternating cochains; and coordinates modulo a
 subspace against chosen representatives (:func:`coset_coordinates`), one
@@ -425,10 +428,6 @@ def membership(s: Subspace, v: np.ndarray) -> Optional[np.ndarray]:
     return solve(s.basis, v)
 
 
-def contains(s: Subspace, v: np.ndarray) -> bool:
-    return membership(s, v) is not None
-
-
 def subspace_leq(a: Subspace, b: Subspace) -> bool:
     """True when span(a) is contained in span(b): one elimination, a lies in
     b exactly when appending its columns leaves the rank at b.dim."""
@@ -481,6 +480,31 @@ def perm_sign(perm: Sequence[int], degrees: Optional[Sequence[int]] = None) -> i
                 if not both_odd:
                     sign = -sign
     return sign
+
+
+def increasing_tuples(n: int, k: int) -> list[tuple[int, ...]]:
+    """The increasing k-tuples of range(n) in lexicographic order: the
+    monomial basis of the k-th exterior power."""
+    return list(itertools.combinations(range(n), k))
+
+
+def wedge(left: Sequence[int], right: Sequence[int]) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Product of the exterior monomials on two increasing index tuples:
+    ``(sign, merged)`` with ``e_left ^ e_right = sign * e_merged``, or None
+    when they share an index.  The sign counts the inversions between the
+    two tuples, the same as :func:`perm_sign` of the sorting permutation."""
+    merged = []
+    i = inversions = 0
+    for b in right:
+        while i < len(left) and left[i] < b:
+            merged.append(left[i])
+            i += 1
+        if i < len(left) and left[i] == b:
+            return None
+        inversions += len(left) - i
+        merged.append(b)
+    merged.extend(left[i:])
+    return (-1 if inversions % 2 else 1), tuple(merged)
 
 
 def alternate(t: np.ndarray, coeff: Union[int, Fraction]) -> np.ndarray:

@@ -126,6 +126,24 @@ def test_cli_check_pass_and_fail(tmp_path, capsys, sl2_quadratic):
     assert "FAIL" in out and "coh.jacobiator-sym23" in out
 
 
+@pytest.mark.parametrize("command", ["check", "classify", "inner-sym"])
+def test_cli_rejects_negative_max_violations(tmp_path, capsys, sl2_quadratic, command):
+    path = write(tmp_path, "quad.json", sl2_quadratic)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, path, "--max-violations", "-1"])
+    assert exc.value.code == 2
+    assert "expected a count >= 0, got -1" in capsys.readouterr().err
+
+
+def test_cli_max_violations_zero_prints_counts_only(tmp_path, capsys, sl2_quadratic):
+    from conftest import perturb
+
+    path = write(tmp_path, "bad.json", perturb(sl2_quadratic, "alt", 1))
+    assert cli.main(["check", path, "--max-violations", "0"]) == 1
+    out = capsys.readouterr().out
+    assert " at " not in out and "more" in out
+
+
 def test_cli_check_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")

@@ -351,6 +351,24 @@ def test_perm_sign_matches_brute_force(case):
     assert xla.perm_sign(perm, [0] * len(perm)) == plain
 
 
+_increasing = st.sets(st.integers(0, 7), max_size=6).map(lambda s: tuple(sorted(s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_increasing, _increasing)
+def test_wedge_matches_perm_sign(left, right):
+    """wedge against perm_sign of the permutation sorting left + right, on
+    disjoint and overlapping tuples alike."""
+    got = xla.wedge(left, right)
+    if set(left) & set(right):
+        assert got is None
+        return
+    joined = left + right
+    perm = sorted(range(len(joined)), key=joined.__getitem__)
+    assert got == (xla.perm_sign(perm), tuple(sorted(joined)))
+
+
+
 def test_inverse():
     m = xla.matrix([[1, 2], [3, 4]])
     inv = xla.inverse(m)
