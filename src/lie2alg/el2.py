@@ -14,7 +14,8 @@ is complete by multilinearity, and reports exact residuals.
 ``categorical_coherence_check`` re-derives the same identities independently
 on the associated linear category: it checks that the bracket is a functor,
 that the alternator and Jacobiator are well-formed natural transformations,
-and that the four coherence diagrams commute, all by composing actual arrows.
+and that the four coherence diagrams commute, all by composing actual arrows,
+each diagram over all basis tuples at once.
 The two checkers agree identity by identity; the correspondence is recorded
 in ``EL2_TO_CATEGORICAL``.
 
@@ -37,14 +38,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from . import exactla as xla
 from .dkcore import BilinearBracket, TwoTermComplex, chain_b01, chain_b10, chain_derived
 from .exactla import ShapeError
-from .report import CheckReport, Violation, collect_tensor_violations, exact_residual
+from .report import CheckReport, collect_tensor_violations
 
 
 class InvalidStructureError(ValueError):
@@ -651,120 +652,118 @@ EL2_TO_CATEGORICAL: dict[str, str] = {
 CATEGORICAL_TO_EL2: dict[str, str] = {v: k for k, v in EL2_TO_CATEGORICAL.items()}
 
 
-def _ev2(t: np.ndarray, x, y) -> np.ndarray:
-    """Evaluate a bilinear tensor on arguments that are either basis indices
-    (plain ints, costing a slice) or coordinate vectors."""
-    if isinstance(x, int):
-        sub = t[:, x, :]
-        return sub[:, y] if isinstance(y, int) else np.dot(sub, y)
-    if isinstance(y, int):
-        return np.dot(t[:, :, y], x)
-    return np.dot(np.tensordot(t, x, axes=([1], [0])), y)
+class _Arrow(NamedTuple):
+    """An arrow (object, arrow part) of the associated category; each
+    component is a batched argument of :class:`_GammaEvaluator`."""
 
-
-def _ev3(t: np.ndarray, x, y, z) -> np.ndarray:
-    if isinstance(x, int):
-        return _ev2(t[:, x, :, :], y, z)
-    if isinstance(y, int):
-        return _ev2(t[:, :, y, :], x, z)
-    if isinstance(z, int):
-        return _ev2(t[:, :, :, z], x, y)
-    return _ev2(np.tensordot(t, z, axes=([3], [0])), x, y)
-
-
-class _FastArrow:
-    """An arrow of the associated category held as (object, arrow part);
-    either component may be a basis index or a coordinate vector."""
-
-    __slots__ = ("obj", "part")
-
-    def __init__(self, obj, part):
-        self.obj = obj
-        self.part = part
+    obj: object
+    part: object
 
 
 class _GammaEvaluator:
-    """Arrow-level evaluation of the structure on the associated category.
+    """Arrow-level evaluation of the structure on the associated category,
+    over every basis tuple of a diagram at once.
 
-    Implements the same operations as :class:`~lie2alg.dkcore.BilinearBracket`
-    and :func:`~lie2alg.dkcore.compose_arrows` but accepts basis indices in
-    place of coordinate vectors so that diagram paths cost slices instead of
-    dense contractions; agreement with the reference arrow operations is
-    pinned by tests."""
+    Implements the operations of :class:`~lie2alg.dkcore.BilinearBracket` and
+    :func:`~lie2alg.dkcore.compose_arrows` on batched arguments.  A diagram on
+    ``rank`` basis slots has tuple axes 0, ..., rank - 1, and an argument is
 
-    def __init__(self, e: EL2Algebra):
+    * an int p: the basis vector that runs along tuple axis p, so the
+      tensor's input axis becomes that tuple axis at no arithmetic cost;
+    * an array of shape (n, s_0, ..., s_{rank-1}), one vector per basis
+      tuple, with s_p = 1 along each axis p it does not depend on;
+    * None: the zero vector, the part of an identity arrow or the object 0;
+      terms multiplied by it are elided.
+
+    Every operation returns arrays of the second kind; the object of an
+    arrow from :meth:`on_arrows` is None when it is 0.  Agreement with the
+    reference arrow operations at every index is pinned by tests."""
+
+    def __init__(self, e: EL2Algebra, rank: int):
         self.e = e
-        self.n0 = e.complex.n0
-        self.n1 = e.complex.n1
-        # plain ints: a Fraction constant would turn the integer-scaled run
-        # back into Fraction arithmetic
-        self.zero0 = xla.freeze(np.zeros(self.n0, dtype=object))
-        self.zero1 = xla.freeze(np.zeros(self.n1, dtype=object))
+        self.rank = rank
 
-    def vec0(self, x) -> np.ndarray:
-        if isinstance(x, int):
-            out = self.zero0.copy()
-            out[x] = 1
-            return out
-        return x
+    def _apply(self, t: np.ndarray, *args) -> Optional[np.ndarray]:
+        """t (out, m_1, ..., m_r) on r batched arguments, as one einsum whose
+        tuple axes broadcast; None when an argument is zero."""
+        axes = "abcd"[: self.rank]
+        subs, operands = ["z"], [t]
+        for slot, a in enumerate(args):
+            if a is None:
+                return None
+            if isinstance(a, int):
+                subs[0] += axes[a]
+            else:
+                subs[0] += "pqr"[slot]
+                subs.append("pqr"[slot] + axes)
+                operands.append(a)
+        if len(operands) > 1:
+            return np.einsum(",".join(subs) + "->z" + axes, *operands)
+        # basis arguments only: a transpose, with a unit axis for each tuple
+        # axis no argument runs along
+        used = sorted(set(args))
+        out = np.einsum(subs[0] + "->z" + "".join(axes[p] for p in used), t)
+        shape = [1] * self.rank
+        for p, size in zip(used, out.shape[1:]):
+            shape[p] = size
+        return out.reshape(out.shape[:1] + tuple(shape))
 
-    def vec1(self, a) -> np.ndarray:
-        if isinstance(a, int):
-            out = self.zero1.copy()
-            out[a] = 1
-            return out
-        return a
+    def _sum(self, n: int, *terms: Optional[np.ndarray]) -> np.ndarray:
+        """The sum of the terms that are not elided; zero when all are."""
+        kept = [t for t in terms if t is not None]
+        if not kept:
+            # plain ints: a Fraction constant would turn the integer-scaled
+            # run back into Fraction arithmetic
+            return np.zeros((n,) + (1,) * self.rank, dtype=object)
+        return sum(kept[1:], kept[0])
 
-    def d_of(self, a) -> np.ndarray:
-        d = self.e.complex.d
-        return d[:, a] if isinstance(a, int) else np.dot(d, a)
+    def one(self, x) -> _Arrow:
+        return _Arrow(x, None)
 
-    def one(self, x) -> _FastArrow:
-        """Identity arrows carry the shared zero part, recognized by the
-        elision logic of :meth:`on_arrows`."""
-        return _FastArrow(x, self.zero1)
-
-    def part_arrow(self, a) -> _FastArrow:
+    def part_arrow(self, a) -> _Arrow:
         """The arrow (0, a): 0 -> d a."""
-        return _FastArrow(self.zero0, self.vec1(a))
+        return _Arrow(None, a)
 
-    def target(self, f: _FastArrow) -> np.ndarray:
-        return self.vec0(f.obj) + np.dot(self.e.complex.d, self.vec1(f.part))
+    def target(self, f: _Arrow) -> np.ndarray:
+        """x + d a for f = (x, a); x is an array or None."""
+        return self._sum(self.e.complex.n0, f.obj, self._apply(self.e.complex.d, f.part))
 
     def b(self, x, y) -> np.ndarray:
-        return _ev2(self.e.b00, x, y)
+        return self._sum(self.e.complex.n0, self._apply(self.e.b00, x, y))
 
-    def on_arrows(self, f: _FastArrow, g: _FastArrow, need_obj: bool = True) -> _FastArrow:
+    def on_arrows(self, f: _Arrow, g: _Arrow) -> _Arrow:
         """[(x,a), (y,b)] = ([x,y], [x,b] + [a,y] + [da,b]).
 
-        Terms multiplied by the zero part of an identity arrow are elided;
-        ``need_obj=False`` skips the object component for path-sum use."""
-        f_id = f.part is self.zero1
-        g_id = g.part is self.zero1
-        part = self.zero1
-        if not g_id:
-            part = _ev2(self.e.b01, f.obj, g.part)
-        if not f_id:
-            part = part + _ev2(self.e.b10, f.part, g.obj)
-        if not (f_id or g_id):
-            part = part + _ev2(self.e.b01, self.d_of(f.part), g.part)
-        obj = _ev2(self.e.b00, f.obj, g.obj) if need_obj else None
-        return _FastArrow(obj, part)
+        Terms multiplied by a zero object or by the zero part of an identity
+        arrow are elided, so the object is None when x or y is."""
+        e = self.e
+        derived = None if g.part is None else self._apply(e.b01, self._apply(e.complex.d, f.part), g.part)
+        part = self._sum(
+            e.complex.n1, self._apply(e.b01, f.obj, g.part), self._apply(e.b10, f.part, g.obj), derived
+        )
+        return _Arrow(self._apply(e.b00, f.obj, g.obj), part)
+
+    def whisk_left(self, x, part) -> np.ndarray:
+        """The part of [1_x, A] for an arrow A with the given part."""
+        return self.on_arrows(self.one(x), _Arrow(None, part)).part
+
+    def whisk_right(self, part, y) -> np.ndarray:
+        """The part of [A, 1_y]."""
+        return self.on_arrows(_Arrow(None, part), self.one(y)).part
 
     def s_part(self, x, y) -> np.ndarray:
-        return -_ev2(self.e.alt, x, y)
+        return -self._sum(self.e.complex.n1, self._apply(self.e.alt, x, y))
 
     def j_part(self, x, y, z) -> np.ndarray:
-        return -_ev3(self.e.jac, x, y, z)
+        return -self._sum(self.e.complex.n1, self._apply(self.e.jac, x, y, z))
 
-    def alternator_arrow(self, x, y) -> _FastArrow:
+    def alternator_arrow(self, x, y) -> _Arrow:
         """([x,y], -alt(x,y)): the component of the alternator at (x, y)."""
-        return _FastArrow(self.b(x, y), self.s_part(x, y))
+        return _Arrow(self.b(x, y), self.s_part(x, y))
 
-    def jacobiator_arrow(self, x, y, z) -> _FastArrow:
+    def jacobiator_arrow(self, x, y, z) -> _Arrow:
         """([x,[y,z]], -jac(x,y,z)): the component of the Jacobiator."""
-        return _FastArrow(self.b(x, self.b(y, z)), self.j_part(x, y, z))
-
+        return _Arrow(self.b(x, self.b(y, z)), self.j_part(x, y, z))
 
 
 def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport:
@@ -774,7 +773,8 @@ def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = No
     preserves composition; the alternator and Jacobiator components are
     arrows with the required targets; both are natural against arrows with
     pure arrow parts; and the four coherence diagrams commute, comparing the
-    arrow parts of both composite paths on every basis tuple of objects.
+    arrow parts of both composite paths.  Each diagram is evaluated once,
+    over all its basis tuples at once.
     """
     return _categorical_body(*_integer_copy(e), stop_after)
 
@@ -782,217 +782,137 @@ def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = No
 def _categorical_body(e: EL2Algebra, den: int, stop_after: Optional[int]) -> CheckReport:
     """The checker on ``_integer_copy(x)``, reporting the residuals of x;
     each identity carries the power of its partner in RESIDUAL_POWERS."""
-    ev = _GammaEvaluator(e)
     report = CheckReport()
-    n0, n1 = ev.n0, ev.n1
+    for name, residual in _categorical_residuals(e):
+        scale = den ** RESIDUAL_POWERS[CATEGORICAL_TO_EL2[name]]
+        if collect_tensor_violations(report, name, residual, stop_after=stop_after, scale=scale):
+            break
+    return report
 
-    def done() -> bool:
-        return stop_after is not None and len(report.violations) >= stop_after
 
-    def record(name: str, at: tuple[int, ...], residual: np.ndarray) -> None:
-        residual = np.asarray(residual)
-        if not xla.is_zero(residual):
-            scale = den ** RESIDUAL_POWERS[CATEGORICAL_TO_EL2[name]]
-            report.violations.append(Violation(name, at, exact_residual(residual.flat, scale)))
+def _categorical_residuals(e: EL2Algebra) -> Iterator[tuple[str, np.ndarray]]:
+    """Each cat.* identity in order, with its residual laid out as (output,
+    basis tuple axes); the variable names give the tuple axes in order."""
+    ev = _GammaEvaluator(e, 2)
 
     # cat.target.b01: t([1_x, (0,b)]) = [x, db]
-    for i in range(n0):
-        for a in range(n1):
-            arr = ev.on_arrows(ev.one(i), ev.part_arrow(a))
-            want = ev.b(i, ev.target(ev.part_arrow(a)))
-            record("cat.target.b01", (i, a), ev.target(arr) - want)
-            if done():
-                return report
+    x, b = 0, 1
+    B = ev.part_arrow(b)
+    yield "cat.target.b01", ev.target(ev.on_arrows(ev.one(x), B)) - ev.b(x, ev.target(B))
 
     # cat.target.b10: t([(0,a), 1_y]) = [da, y]
-    for a in range(n1):
-        for j in range(n0):
-            arr = ev.on_arrows(ev.part_arrow(a), ev.one(j))
-            want = ev.b(ev.target(ev.part_arrow(a)), j)
-            record("cat.target.b10", (a, j), ev.target(arr) - want)
-            if done():
-                return report
+    a, y = 0, 1
+    A = ev.part_arrow(a)
+    yield "cat.target.b10", ev.target(ev.on_arrows(A, ev.one(y))) - ev.b(ev.target(A), y)
 
     # cat.compose: [A'A, B'B] = [A',B'][A,B] for the composable pairs
     # A = 1_0 then A' = (0, a);  B = (0, b) then B' = 1_{db}.
-    for a in range(n1):
-        A = ev.one(ev.zero0)
-        Ap = ev.part_arrow(a)
-        AA = _FastArrow(ev.zero0, Ap.part)  # Ap after A: parts add
-        for b in range(n1):
-            B = ev.part_arrow(b)
-            Bp = ev.one(ev.target(B))
-            BB = _FastArrow(ev.zero0, B.part)  # Bp after B
-            lhs = ev.on_arrows(AA, BB)
-            first = ev.on_arrows(A, B)
-            second = ev.on_arrows(Ap, Bp)
-            record("cat.compose", (a, b), lhs.part - (first.part + second.part))
-            if done():
-                return report
+    a, b = 0, 1
+    A, Ap = ev.one(None), ev.part_arrow(a)
+    AA = _Arrow(None, Ap.part)  # Ap after A: parts add
+    B = ev.part_arrow(b)
+    Bp = ev.one(ev.target(B))
+    BB = _Arrow(None, B.part)  # Bp after B
+    first, second = ev.on_arrows(A, B), ev.on_arrows(Ap, Bp)
+    yield "cat.compose", ev.on_arrows(AA, BB).part - (first.part + second.part)
 
     # cat.alternator.arrow: t(S_{x,y}) = -[y,x]
-    for i in range(n0):
-        for j in range(n0):
-            s_arrow = ev.alternator_arrow(i, j)
-            record("cat.alternator.arrow", (i, j), ev.target(s_arrow) + ev.b(j, i))
-            if done():
-                return report
+    x, y = 0, 1
+    yield "cat.alternator.arrow", ev.target(ev.alternator_arrow(x, y)) + ev.b(y, x)
 
-    # cat.alternator.nat10 at (a, y): S against ((0,a), 1_y)
-    for a in range(n1):
-        A = ev.part_arrow(a)
-        da = ev.target(A)
-        for j in range(n0):
-            lhs = ev.on_arrows(A, ev.one(j)).part + ev.alternator_arrow(da, j).part
-            rhs = ev.alternator_arrow(ev.zero0, j).part - ev.on_arrows(ev.one(j), A).part
-            record("cat.alternator.nat10", (a, j), lhs - rhs)
-            if done():
-                return report
+    # cat.alternator.nat10: S against ((0,a), 1_y)
+    a, y = 0, 1
+    A = ev.part_arrow(a)
+    da = ev.target(A)
+    lhs = ev.on_arrows(A, ev.one(y)).part + ev.s_part(da, y)
+    rhs = ev.s_part(None, y) - ev.on_arrows(ev.one(y), A).part
+    yield "cat.alternator.nat10", lhs - rhs
 
-    # cat.alternator.nat01 at (x, b): S against (1_x, (0,b))
-    for i in range(n0):
-        for b in range(n1):
-            B = ev.part_arrow(b)
-            db = ev.target(B)
-            lhs = ev.on_arrows(ev.one(i), B).part + ev.alternator_arrow(i, db).part
-            rhs = ev.alternator_arrow(i, ev.zero0).part - ev.on_arrows(B, ev.one(i)).part
-            record("cat.alternator.nat01", (i, b), lhs - rhs)
-            if done():
-                return report
+    # cat.alternator.nat01: S against (1_x, (0,b))
+    x, b = 0, 1
+    B = ev.part_arrow(b)
+    db = ev.target(B)
+    lhs = ev.on_arrows(ev.one(x), B).part + ev.s_part(x, db)
+    rhs = ev.s_part(x, None) - ev.on_arrows(B, ev.one(x)).part
+    yield "cat.alternator.nat01", lhs - rhs
+
+    ev = _GammaEvaluator(e, 3)
 
     # cat.jacobiator.arrow: t(J_{x,y,z}) = [[x,y],z] + [y,[x,z]]
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                j_arrow = ev.jacobiator_arrow(i, j, k)
-                want = ev.b(ev.b(i, j), k) + ev.b(j, ev.b(i, k))
-                record("cat.jacobiator.arrow", (i, j, k), ev.target(j_arrow) - want)
-                if done():
-                    return report
+    x, y, z = 0, 1, 2
+    want = ev.b(ev.b(x, y), z) + ev.b(y, ev.b(x, z))
+    yield "cat.jacobiator.arrow", ev.target(ev.jacobiator_arrow(x, y, z)) - want
 
     # Jacobiator naturality against one pure-arrow-part argument
-    for a in range(n1):
-        A = ev.part_arrow(a)
-        da = ev.target(A)
-        for j in range(n0):
-            ab = ev.on_arrows(A, ev.one(j))
-            for k in range(n0):
-                inner = ev.one(ev.b(j, k))
-                lhs = ev.on_arrows(A, inner).part + ev.jacobiator_arrow(da, j, k).part
-                ac = ev.on_arrows(A, ev.one(k))
-                rhs = (
-                    ev.jacobiator_arrow(ev.zero0, j, k).part
-                    + ev.on_arrows(ab, ev.one(k)).part
-                    + ev.on_arrows(ev.one(j), ac).part
-                )
-                record("cat.jacobiator.nat100", (a, j, k), lhs - rhs)
-                if done():
-                    return report
+    a, y, z = 0, 1, 2
+    A = ev.part_arrow(a)
+    da = ev.target(A)
+    ab = ev.on_arrows(A, ev.one(y))
+    ac = ev.on_arrows(A, ev.one(z))
+    lhs = ev.on_arrows(A, ev.one(ev.b(y, z))).part + ev.j_part(da, y, z)
+    rhs = (
+        ev.j_part(None, y, z)
+        + ev.on_arrows(ab, ev.one(z)).part
+        + ev.on_arrows(ev.one(y), ac).part
+    )
+    yield "cat.jacobiator.nat100", lhs - rhs
 
-    for i in range(n0):
-        for b in range(n1):
-            B = ev.part_arrow(b)
-            db = ev.target(B)
-            xb = ev.on_arrows(ev.one(i), B)
-            for k in range(n0):
-                inner = ev.on_arrows(B, ev.one(k))
-                lhs = ev.on_arrows(ev.one(i), inner).part + ev.jacobiator_arrow(i, db, k).part
-                rhs = (
-                    ev.jacobiator_arrow(i, ev.zero0, k).part
-                    + ev.on_arrows(xb, ev.one(k)).part
-                    + ev.on_arrows(B, ev.one(ev.b(i, k))).part
-                )
-                record("cat.jacobiator.nat010", (i, b, k), lhs - rhs)
-                if done():
-                    return report
+    x, b, z = 0, 1, 2
+    B = ev.part_arrow(b)
+    db = ev.target(B)
+    xb = ev.on_arrows(ev.one(x), B)
+    inner = ev.on_arrows(B, ev.one(z))
+    lhs = ev.on_arrows(ev.one(x), inner).part + ev.j_part(x, db, z)
+    rhs = (
+        ev.j_part(x, None, z)
+        + ev.on_arrows(xb, ev.one(z)).part
+        + ev.on_arrows(B, ev.one(ev.b(x, z))).part
+    )
+    yield "cat.jacobiator.nat010", lhs - rhs
 
-    for i in range(n0):
-        for j in range(n0):
-            for c in range(n1):
-                C = ev.part_arrow(c)
-                dc = ev.target(C)
-                inner = ev.on_arrows(ev.one(j), C)
-                lhs = ev.on_arrows(ev.one(i), inner).part + ev.jacobiator_arrow(i, j, dc).part
-                xc = ev.on_arrows(ev.one(i), C)
-                rhs = (
-                    ev.jacobiator_arrow(i, j, ev.zero0).part
-                    + ev.on_arrows(ev.one(ev.b(i, j)), C).part
-                    + ev.on_arrows(ev.one(j), xc).part
-                )
-                record("cat.jacobiator.nat001", (i, j, c), lhs - rhs)
-                if done():
-                    return report
+    x, y, c = 0, 1, 2
+    C = ev.part_arrow(c)
+    dc = ev.target(C)
+    inner = ev.on_arrows(ev.one(y), C)
+    xc = ev.on_arrows(ev.one(x), C)
+    lhs = ev.on_arrows(ev.one(x), inner).part + ev.j_part(x, y, dc)
+    rhs = (
+        ev.j_part(x, y, None)
+        + ev.on_arrows(ev.one(ev.b(x, y)), C).part
+        + ev.on_arrows(ev.one(y), xc).part
+    )
+    yield "cat.jacobiator.nat001", lhs - rhs
 
     # the four coherence diagrams, compared by total path arrow parts;
-    # whiskering through on_arrows with need_obj=False keeps the sums cheap,
-    # and identity-side terms are elided by the composition law itself
-    def whisk_left(x, arrow_part):
-        """[1_x, A] for an arrow with the given part."""
-        return ev.on_arrows(ev.one(x), _FastArrow(None, arrow_part), need_obj=False).part
+    # identity-side terms are elided by the composition law itself
+    ev4 = _GammaEvaluator(e, 4)
+    j, br, wl, wr = ev4.j_part, ev4.b, ev4.whisk_left, ev4.whisk_right
+    x, y, z, w = 0, 1, 2, 3
+    left = (
+        wl(x, j(y, z, w))
+        + j(x, br(y, z), w)
+        + j(x, z, br(y, w))
+        + wr(j(x, y, z), w)
+        + wl(z, j(x, y, w))
+    )
+    right = (
+        j(x, y, br(z, w))
+        + j(br(x, y), z, w)
+        + wl(y, j(x, z, w))
+        + j(y, br(x, z), w)
+        + j(y, z, br(x, w))
+    )
+    yield "cat.pentagon", left - right
 
-    def whisk_right(arrow_part, y):
-        """[A, 1_y]."""
-        return ev.on_arrows(_FastArrow(None, arrow_part), ev.one(y), need_obj=False).part
+    x, y, z = 0, 1, 2
+    # [S_{x,y}, z] then minus the flipped Jacobiator at (y, x, z), against
+    # the flipped Jacobiator at (x, y, z); the flip carries part +jac, so
+    # both appearances enter as j_part here
+    yield "cat.triangle-sym12", ev.whisk_right(ev.s_part(x, y), z) + ev.j_part(y, x, z) + ev.j_part(x, y, z)
 
-    for i in range(n0):
-        for j in range(n0):
-            byx = {k: ev.b(j, k) for k in range(n0)}   # [y, -]
-            bxy = {k: ev.b(i, k) for k in range(n0)}   # [x, -]
-            for k in range(n0):
-                for l in range(n0):
-                    left = (
-                        whisk_left(i, ev.j_part(j, k, l))
-                        + ev.j_part(i, byx[k], l)
-                        + ev.j_part(i, k, byx[l])
-                        + whisk_right(ev.j_part(i, j, k), l)
-                        + whisk_left(k, ev.j_part(i, j, l))
-                    )
-                    right = (
-                        ev.j_part(i, j, ev.b(k, l))
-                        + ev.j_part(ev.b(i, j), k, l)
-                        + whisk_left(j, ev.j_part(i, k, l))
-                        + ev.j_part(j, bxy[k], l)
-                        + ev.j_part(j, k, bxy[l])
-                    )
-                    record("cat.pentagon", (i, j, k, l), left - right)
-                    if done():
-                        return report
+    path_a = ev.whisk_left(x, ev.s_part(y, z)) - ev.j_part(x, z, y)
+    path_b = ev.j_part(x, y, z) + ev.s_part(ev.b(x, y), z) + ev.s_part(y, ev.b(x, z))
+    yield "cat.square-sym23", path_a - path_b
 
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                # [S_{x,y}, z] then minus the flipped Jacobiator at (y, x, z),
-                # against the flipped Jacobiator at (x, y, z); the flip carries
-                # part +jac, so both appearances enter as j_part here
-                residual = (
-                    whisk_right(ev.s_part(i, j), k)
-                    + ev.j_part(j, i, k)
-                    + ev.j_part(i, j, k)
-                )
-                record("cat.triangle-sym12", (i, j, k), residual)
-                if done():
-                    return report
-
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                path_a = whisk_left(i, ev.s_part(j, k)) - ev.j_part(i, k, j)
-                path_b = (
-                    ev.j_part(i, j, k)
-                    + ev.s_part(ev.b(i, j), k)
-                    + ev.s_part(j, ev.b(i, k))
-                )
-                record("cat.square-sym23", (i, j, k), path_a - path_b)
-                if done():
-                    return report
-
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                yz = ev.b(j, k)
-                loop = ev.s_part(i, yz) - ev.s_part(yz, i)
-                record("cat.triangle-symm", (i, j, k), loop)
-                if done():
-                    return report
-
-    return report
+    yz = ev.b(y, z)
+    yield "cat.triangle-symm", ev.s_part(x, yz) - ev.s_part(yz, x)

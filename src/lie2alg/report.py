@@ -52,6 +52,8 @@ class CheckReport:
     def render(self, max_per_equation: int = 20) -> str:
         """Human-readable report, truncated to ``max_per_equation`` residuals
         per identity with a total count."""
+        if max_per_equation < 0:
+            raise ValueError(f"max_per_equation must be at least 0, got {max_per_equation}")
         if self.passed:
             lines = ["pass"]
         else:
@@ -93,8 +95,13 @@ def collect_tensor_violations(
     slices are divided by it.
 
     Returns True when the caller should stop checking further identities
-    because ``stop_after`` violations have been collected in total.
+    because ``stop_after`` violations have been collected in total.  Every
+    checker passes its ``stop_after`` through here, so a count below 1, which
+    would stop before the first violation and let a broken structure pass,
+    is rejected here for all of them.
     """
+    if stop_after is not None and stop_after < 1:
+        raise ValueError(f"stop_after must be at least 1, got {stop_after}")
     residual = np.asarray(residual)
     if any(x != 0 for x in residual.flat):
         if residual.ndim <= 1:

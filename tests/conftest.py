@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lie2alg import catalog, cohom, el2, exactla as xla
+from lie2alg import catalog, cohom, dkcore, el2, exactla as xla
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +38,16 @@ def rand_invertible(rng, n):
 
 
 def perturb(e, tensor_name, flat_idx, delta=F(1)):
-    """Copy of a structure with one tensor entry shifted by delta (C-ordered
-    copies, so that the flat view writes through for any input layout)."""
+    """Copy of a structure with one entry of d or of a structure tensor
+    shifted by delta (C-ordered copies, so that the flat view writes through
+    for any input layout)."""
     arrs = {
-        name: np.array(getattr(e, name), dtype=object, copy=True, order="C")
-        for name in ("b00", "b01", "b10", "alt", "jac")
+        name: np.array(t, dtype=object, copy=True, order="C")
+        for name, t in zip(("d", "b00", "b01", "b10", "alt", "jac"), el2._tensors(e))
     }
     arrs[tensor_name].reshape(-1)[flat_idx] += delta
-    out = el2.EL2Algebra(e.complex, **arrs)
+    d = arrs.pop("d")
+    out = el2.EL2Algebra(dkcore.TwoTermComplex(e.complex.n0, e.complex.n1, d), **arrs)
     assert out != e
     return out
 

@@ -237,20 +237,91 @@ def test_categorical_detects_broken_sym12():
     assert "cat.triangle-sym12" in report.equations_violated()
 
 
+def _batched_vector(rng, n, shape, axes):
+    """One random vector of length n per basis tuple, varying along the
+    given tuple axes only (unit axes elsewhere)."""
+    return rand_tensor(rng, n, *(size if p in axes else 1 for p, size in enumerate(shape)))
+
+
+def _at(arg, idx, n):
+    """The argument of a batched evaluator operation at one basis tuple."""
+    if arg is None:
+        return xla.zeros(n)
+    if isinstance(arg, int):
+        out = xla.zeros(n).copy()
+        out[idx[arg]] = 1
+        return out
+    return arg[(slice(None),) + tuple(i if s > 1 else 0 for i, s in zip(idx, arg.shape[1:]))]
+
+
 def test_fast_arrow_ops_match_reference():
+    # arrow operations need no axiom: every tensor random
     rng = random.Random(3)
-    e = el2.from_leibniz(catalog.standard_leibniz_corpus()[3][1])
-    ev = el2._GammaEvaluator(e)
+    n0, n1 = 3, 2
+    e = el2.EL2Algebra(
+        dkcore.TwoTermComplex(n0, n1, rand_tensor(rng, n0, n1)),
+        rand_tensor(rng, n0, n0, n0),
+        rand_tensor(rng, n1, n0, n1),
+        rand_tensor(rng, n1, n1, n0),
+        rand_tensor(rng, n1, n0, n0),
+        rand_tensor(rng, n1, n0, n0, n0),
+    )
     br = e.bracket
-    for _ in range(25):
-        x = rand_tensor(rng, e.complex.n0)
-        a = rand_tensor(rng, e.complex.n1)
-        y = rand_tensor(rng, e.complex.n0)
-        b = rand_tensor(rng, e.complex.n1)
-        ref = br.on_arrows(dkcore.Arrow(x, a), dkcore.Arrow(y, b))
-        fast = ev.on_arrows(el2._FastArrow(x, a), el2._FastArrow(y, b))
-        assert xla.arrays_equal(ref.obj, fast.obj)
-        assert xla.arrays_equal(ref.part, fast.part)
+    # tuple axes: an object slot, an arrow-part slot and a free batch axis
+    shape = (n0, n1, 2)
+    ev = el2._GammaEvaluator(e, len(shape))
+
+    def v0(*axes):
+        return _batched_vector(rng, n0, shape, axes)
+
+    def v1(*axes):
+        return _batched_vector(rng, n1, shape, axes)
+
+    arrow_pairs = [
+        ((0, v1(1, 2)), (v0(0, 2), 1)),
+        ((v0(2), 1), (0, v1(0, 1, 2))),
+        ((None, 1), (0, None)),
+        ((0, None), (None, 1)),
+        ((None, None), (v0(0), 1)),
+        ((v0(0, 1, 2), v1(0, 1, 2)), (v0(0, 1, 2), v1(0, 1, 2))),
+    ]
+    for (x, a), (y, b) in arrow_pairs:
+        got = ev.on_arrows(el2._Arrow(x, a), el2._Arrow(y, b))
+        for idx in np.ndindex(*shape):
+            ref = br.on_arrows(
+                dkcore.Arrow(_at(x, idx, n0), _at(a, idx, n1)),
+                dkcore.Arrow(_at(y, idx, n0), _at(b, idx, n1)),
+            )
+            assert xla.arrays_equal(ref.obj, _at(got.obj, idx, n0))
+            assert xla.arrays_equal(ref.part, _at(got.part, idx, n1))
+
+    part, y = v1(1, 2), v0(0, 2)
+    targets = [(el2._Arrow(y, 1), y, 1), (el2._Arrow(None, part), None, part)]
+    for arrow, obj, a in targets:
+        got = ev.target(arrow)
+        for idx in np.ndindex(*shape):
+            want = _at(obj, idx, n0) + np.dot(e.complex.d, _at(a, idx, n1))
+            assert xla.arrays_equal(want, _at(got, idx, n0))
+
+    z = v0(1)
+    left, right = ev.whisk_left(0, part), ev.whisk_right(part, 0)
+    s_arrow, j_arrow = ev.alternator_arrow(0, y), ev.jacobiator_arrow(0, y, z)
+    for idx in np.ndindex(*shape):
+        xi, yi, zi, ai = _at(0, idx, n0), _at(y, idx, n0), _at(z, idx, n0), _at(part, idx, n1)
+        zero0, zero1 = xla.zeros(n0), xla.zeros(n1)
+        whiskers = [
+            (left, br.on_arrows(dkcore.Arrow(xi, zero1), dkcore.Arrow(zero0, ai))),
+            (right, br.on_arrows(dkcore.Arrow(zero0, ai), dkcore.Arrow(xi, zero1))),
+        ]
+        for got, ref in whiskers:
+            assert xla.arrays_equal(ref.part, _at(got, idx, n1))
+        components = [
+            (s_arrow, br.on_objects(xi, yi), xla.apply_multilinear(e.alt, xi, yi)),
+            (j_arrow, br.on_objects(xi, br.on_objects(yi, zi)), xla.apply_multilinear(e.jac, xi, yi, zi)),
+        ]
+        for got, obj, minus_part in components:
+            assert xla.arrays_equal(obj, _at(got.obj, idx, n0))
+            assert xla.arrays_equal(-minus_part, _at(got.part, idx, n1))
 
 
 def test_direct_sum_and_transport_preserve_validity():

@@ -49,7 +49,6 @@ def int_columns_only():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report_module, "exact_residual", checked)
-        mp.setattr(el2, "exact_residual", checked)
         yield
 
 

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
-from lie2alg import exactla as xla
+from conftest import perturb
+from lie2alg import catalog, defo, dkcore, el2, exactla as xla, morph
 from lie2alg.report import CheckReport, Violation, collect_tensor_violations
 
 
@@ -48,3 +50,50 @@ def test_render_pass_with_notes():
     assert report.passed
     assert "pass" in report.render() and "note:" in report.render()
     assert str(Violation("eq", (0, 1), (F(1),))) == "eq at basis tuple (0, 1): residual (1)"
+
+
+def test_render_rejects_a_negative_cap():
+    report = CheckReport()
+    collect_tensor_violations(report, "everywhere", np.ones((1, 3), dtype=object))
+    assert report.render(max_per_equation=0).splitlines()[-1] == "    ... 3 more"
+    with pytest.raises(ValueError):
+        report.render(max_per_equation=-1)
+
+
+def _broken_checks():
+    """Each checker on an input it rejects, as a function of stop_after."""
+    g = catalog.sl2()
+    quad = el2.from_quadratic_lie(g, catalog.killing_form(g))
+    bad = perturb(quad, "jac", 5)
+    ident = morph.identity_morphism(quad)
+    f2 = np.array(ident.f2, copy=True)
+    f2[0, 0, 1] += 1
+    bad_morphism = morph.ELMorphism(quad, quad, ident.f0, ident.f1, f2)
+    square = el2.from_leibniz(catalog.leibniz_square())
+    square_ident = morph.identity_morphism(square)
+    theta = np.array(xla.zeros(1, 2), copy=True)
+    theta[0, 0] = 1
+    bad_2morphism = morph.ELTwoMorphism(square_ident, square_ident, theta)
+    bad_bracket = perturb(square, "b01", 0).bracket
+    action = catalog.action_dgla(catalog.adjoint_rep(catalog.so3()))
+    l2 = {k: np.array(v, copy=True) for k, v in action.l2.items()}
+    l2[(0, 0)][2, 0, 1] = -l2[(0, 0)][2, 0, 1]
+    bad_graded = defo.GradedL3Algebra(dims=action.dims, l1={}, l2=l2, l3={})
+    return {
+        "check_el2": lambda s: el2.check_el2(bad, stop_after=s),
+        "categorical_coherence_check": lambda s: el2.categorical_coherence_check(bad, stop_after=s),
+        "check_morphism": lambda s: morph.check_morphism(bad_morphism, stop_after=s),
+        "check_2morphism": lambda s: morph.check_2morphism(bad_2morphism, stop_after=s),
+        "check_graded": lambda s: defo.check_graded(bad_graded, stop_after=s),
+        "crossed_module_report": lambda s: dkcore.crossed_module_report(bad_bracket, stop_after=s),
+    }
+
+
+@pytest.mark.parametrize("checker", sorted(_broken_checks()))
+def test_stop_after_below_one_is_rejected(checker):
+    run = _broken_checks()[checker]
+    assert not run(None).passed
+    assert len(run(1).violations) == 1
+    for stop_after in (0, -1):
+        with pytest.raises(ValueError):
+            run(stop_after)
