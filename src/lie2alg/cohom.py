@@ -42,7 +42,7 @@ from .el2 import (
     check_el2,
     extract_skeletal_data,
 )
-from .exactla import ShapeError, Subspace
+from .exactla import ShapeError, Subspace, TensorRecord
 from .report import CheckReport, collect_tensor_violations
 
 
@@ -57,29 +57,16 @@ class TransferError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class CocyclePair:
+class CocyclePair(TensorRecord):
     """s: g (x) g -> M and j: g (x) g (x) g -> M, stored output-first."""
 
     s: np.ndarray
     j: np.ndarray
 
-    def __post_init__(self) -> None:
-        s = np.asarray(self.s)
-        j = np.asarray(self.j)
-        if s.ndim != 3 or j.ndim != 4:
-            raise ShapeError("cocycle pair must be (3-tensor, 4-tensor)")
-        if s.shape[0] != j.shape[0] or s.shape[1] != s.shape[2] or j.shape[1:] != (s.shape[1],) * 3:
-            raise ShapeError(f"inconsistent pair shapes {s.shape}, {j.shape}")
-        object.__setattr__(self, "s", xla.freeze(np.array(s, dtype=object, copy=True)))
-        object.__setattr__(self, "j", xla.freeze(np.array(j, dtype=object, copy=True)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CocyclePair):
-            return NotImplemented
-        return xla.arrays_equal(self.s, other.s) and xla.arrays_equal(self.j, other.j)
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.s.shape, self.j.shape))
+    def shapes(self):
+        # dim M and dim g are read off s
+        m, n = (np.shape(self.s) + (None, None))[:2]
+        return {"s": (m, n, n), "j": (m, n, n, n)}
 
     def __add__(self, other: "CocyclePair") -> "CocyclePair":
         return CocyclePair(self.s + other.s, self.j + other.j)

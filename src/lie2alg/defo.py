@@ -44,7 +44,7 @@ from . import exactla as xla, morph as morph_mod
 from .dkcore import TwoTermComplex
 from .el2 import EL2Algebra, InvalidStructureError, check_el2, is_hemistrict
 from .exactla import ShapeError, Subspace
-from .report import CheckReport, Violation, collect_tensor_violations
+from .report import CheckReport, Violation, collect_tensor_violations, require_stop_after
 
 
 class DegreeError(ValueError):
@@ -213,8 +213,11 @@ def check_graded(L: GradedL3Algebra, *, stop_after: Optional[int] = None) -> Che
     identities through arity 5, evaluated per degree tuple on basis tuples.
 
     For an algebra with no trilinear bracket the arity 4 and 5 relations
-    vanish identically and are skipped.
+    vanish identically and are skipped.  ``stop_after`` is checked before
+    anything is evaluated: an algebra with no brackets never reaches
+    ``collect_tensor_violations``.
     """
+    require_stop_after(stop_after)
     report = CheckReport()
     degrees = L.degrees
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import exactla as xla
-from .exactla import ShapeError, Subspace
+from .exactla import Subspace, TensorRecord
 from .report import CheckReport, collect_tensor_violations
 
 
@@ -37,51 +37,35 @@ class ChainMapError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class TwoTermComplex:
+class TwoTermComplex(TensorRecord):
     """C^-1 --d--> C^0 with chosen bases; d is an (n0 x n1) matrix."""
 
     n0: int
     n1: int
     d: np.ndarray
 
-    def __post_init__(self) -> None:
-        d = np.asarray(self.d)
-        if d.shape != (self.n0, self.n1):
-            raise ShapeError(f"d has shape {d.shape}, expected ({self.n0}, {self.n1})")
-        object.__setattr__(self, "d", xla.freeze(np.array(d, dtype=object, copy=True)))
+    def shapes(self):
+        return {"d": (self.n0, self.n1)}
 
     @property
     def is_skeletal(self) -> bool:
         return xla.is_zero(self.d)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TwoTermComplex):
-            return NotImplemented
-        return (
-            self.n0 == other.n0
-            and self.n1 == other.n1
-            and xla.arrays_equal(self.d, other.d)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.n0, self.n1))
 
 
 def zero_complex(n0: int = 0, n1: int = 0) -> TwoTermComplex:
     return TwoTermComplex(n0, n1, xla.zeros(n0, n1))
 
 
-@dataclass(frozen=True)
-class Arrow:
+@dataclass(frozen=True, eq=False)
+class Arrow(TensorRecord):
     """An arrow (x, a): x -> x + d a of a linear category, stored as its
     source object and arrow part."""
 
     obj: np.ndarray
     part: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "obj", xla.freeze(np.array(self.obj, dtype=object, copy=True)))
-        object.__setattr__(self, "part", xla.freeze(np.array(self.part, dtype=object, copy=True)))
+    def shapes(self):
+        return {"obj": (None,), "part": (None,)}
 
     def __add__(self, other: "Arrow") -> "Arrow":
         return Arrow(self.obj + other.obj, self.part + other.part)
@@ -92,17 +76,9 @@ class Arrow:
     def __neg__(self) -> "Arrow":
         return Arrow(-self.obj, -self.part)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Arrow):
-            return NotImplemented
-        return xla.arrays_equal(self.obj, other.obj) and xla.arrays_equal(self.part, other.part)
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.obj.shape, self.part.shape))
-
 
 @dataclass(frozen=True, eq=False)
-class LinearCategory:
+class LinearCategory(TensorRecord):
     """The linear groupoid with object space Q^objects_dim and arrows
     (x, a) with target x + t_matrix a."""
 
@@ -110,25 +86,8 @@ class LinearCategory:
     arrow_part_dim: int
     t_matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        t = np.asarray(self.t_matrix)
-        if t.shape != (self.objects_dim, self.arrow_part_dim):
-            raise ShapeError(
-                f"target matrix shape {t.shape}, expected ({self.objects_dim}, {self.arrow_part_dim})"
-            )
-        object.__setattr__(self, "t_matrix", xla.freeze(np.array(t, dtype=object, copy=True)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearCategory):
-            return NotImplemented
-        return (
-            self.objects_dim == other.objects_dim
-            and self.arrow_part_dim == other.arrow_part_dim
-            and xla.arrays_equal(self.t_matrix, other.t_matrix)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.objects_dim, self.arrow_part_dim))
+    def shapes(self):
+        return {"t_matrix": (self.objects_dim, self.arrow_part_dim)}
 
     def source(self, f: Arrow) -> np.ndarray:
         return f.obj
@@ -169,7 +128,7 @@ def compose_arrows(v: LinearCategory, g: Arrow, f: Arrow) -> Arrow:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class ChainMap:
+class ChainMap(TensorRecord):
     """A chain map (f0, f1): src -> dst, with f0 d = d' f1."""
 
     src: TwoTermComplex
@@ -177,30 +136,12 @@ class ChainMap:
     f0: np.ndarray
     f1: np.ndarray
 
-    def __post_init__(self) -> None:
-        f0 = np.asarray(self.f0)
-        f1 = np.asarray(self.f1)
-        if f0.shape != (self.dst.n0, self.src.n0):
-            raise ShapeError(f"f0 shape {f0.shape}, expected ({self.dst.n0}, {self.src.n0})")
-        if f1.shape != (self.dst.n1, self.src.n1):
-            raise ShapeError(f"f1 shape {f1.shape}, expected ({self.dst.n1}, {self.src.n1})")
-        object.__setattr__(self, "f0", xla.freeze(np.array(f0, dtype=object, copy=True)))
-        object.__setattr__(self, "f1", xla.freeze(np.array(f1, dtype=object, copy=True)))
+    def shapes(self):
+        return {"f0": (self.dst.n0, self.src.n0), "f1": (self.dst.n1, self.src.n1)}
+
+    def validate(self) -> None:
         if not xla.arrays_equal(np.dot(self.f0, self.src.d), np.dot(self.dst.d, self.f1)):
             raise ChainMapError("f0 d != d' f1")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainMap):
-            return NotImplemented
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and xla.arrays_equal(self.f0, other.f0)
-            and xla.arrays_equal(self.f1, other.f1)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.src.n0, self.src.n1, self.dst.n0, self.dst.n1))
 
 
 def identity_chain_map(c: TwoTermComplex) -> ChainMap:
@@ -208,24 +149,13 @@ def identity_chain_map(c: TwoTermComplex) -> ChainMap:
 
 
 @dataclass(frozen=True, eq=False)
-class ChainHomotopy:
+class ChainHomotopy(TensorRecord):
     """A degree -1 map h: C^0 -> C'^-1; its meaning is fixed by the use site."""
 
     h: np.ndarray
 
-    def __post_init__(self) -> None:
-        h = np.asarray(self.h)
-        if h.ndim != 2:
-            raise ShapeError("homotopy must be a matrix")
-        object.__setattr__(self, "h", xla.freeze(np.array(h, dtype=object, copy=True)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainHomotopy):
-            return NotImplemented
-        return xla.arrays_equal(self.h, other.h)
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash(self.h.shape)
+    def shapes(self):
+        return {"h": (None, None)}
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +163,7 @@ class ChainHomotopy:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class BilinearBracket:
+class BilinearBracket(TensorRecord):
     """Chain-level data of a bilinear functor on gamma(complex).
 
     b00: C0 x C0 -> C0, b01: C0 x C-1 -> C-1, b10: C-1 x C0 -> C-1, each
@@ -246,14 +176,9 @@ class BilinearBracket:
     b01: np.ndarray
     b10: np.ndarray
 
-    def __post_init__(self) -> None:
+    def shapes(self):
         n0, n1 = self.complex.n0, self.complex.n1
-        shapes = {"b00": (n0, n0, n0), "b01": (n1, n0, n1), "b10": (n1, n1, n0)}
-        for name, want in shapes.items():
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != want:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {want}")
-            object.__setattr__(self, name, xla.freeze(np.array(arr, dtype=object, copy=True)))
+        return {"b00": (n0, n0, n0), "b01": (n1, n0, n1), "b10": (n1, n1, n0)}
 
     def on_objects(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return xla.apply_multilinear(self.b00, x, y)

@@ -12,6 +12,14 @@ is canonical - sorted keys, two-space indent, trailing newline - so
 parse . serialize is the identity and serialize . parse is the identity on
 canonical text.
 
+A record kind's payload keys are its constructor's fields, declared once
+on the type (a :class:`exactla.TensorRecord`): :data:`KINDS` maps each kind
+to its type, and one codec encodes a record field by field and decodes its
+nested records and dimensions first, then each tensor against the shape
+``shapes()`` reads off them.  ``graded_l3`` (degree-string keys) and
+``cocycle_pair`` (payload ``representation``, ``s``, ``j``) keep their own
+layouts.
+
 Parse errors report the JSON path of the offending value.  Structural axiom
 violations (a Lie algebra document failing the Jacobi identity, say) surface
 as the constructor's own error, not as a parse error.
@@ -19,8 +27,12 @@ as the constructor's own error, not as a parse error.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -30,6 +42,7 @@ from .cohom import CocyclePair
 from .defo import GradedL3Algebra
 from .dkcore import TwoTermComplex
 from .el2 import EL2Algebra, LeibnizAlgebraFD, LieAlgebraFD, RepresentationFD
+from .exactla import TensorRecord
 from .morph import ELMorphism, ELTwoMorphism
 
 
@@ -39,20 +52,15 @@ class ParseError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class MCProblem:
+@dataclass(frozen=True, eq=False)
+class MCProblem(TensorRecord):
     """A graded algebra together with a degree-1 element to test or twist by."""
 
     graded: GradedL3Algebra
     gamma: np.ndarray
 
-    def __post_init__(self) -> None:
-        gamma = np.asarray(self.gamma)
-        if gamma.shape != (self.graded.dim(1),):
-            raise xla.ShapeError(
-                f"gamma has length {gamma.shape}, expected ({self.graded.dim(1)},)"
-            )
-        object.__setattr__(self, "gamma", xla.freeze(np.array(gamma, dtype=object, copy=True)))
+    def shapes(self):
+        return {"gamma": (self.graded.dim(1),)}
 
 
 @dataclass(frozen=True)
@@ -62,18 +70,39 @@ class ParsedDocument:
     obj: Any
 
 
-KINDS = (
-    "complex",
-    "el2",
-    "morphism",
-    "two_morphism",
-    "lie_algebra",
-    "leibniz_algebra",
-    "representation",
-    "cocycle_pair",
-    "graded_l3",
-    "mc_problem",
-)
+@dataclass(frozen=True)
+class _CocycleDocument:
+    """A cocycle pair with the representation it lives over."""
+
+    module: RepresentationFD
+    pair: CocyclePair
+
+
+def cocycle_document(module: RepresentationFD, pair: CocyclePair) -> _CocycleDocument:
+    return _CocycleDocument(module, pair)
+
+
+KINDS = {
+    "complex": TwoTermComplex,
+    "el2": EL2Algebra,
+    "morphism": ELMorphism,
+    "two_morphism": ELTwoMorphism,
+    "lie_algebra": LieAlgebraFD,
+    "leibniz_algebra": LeibnizAlgebraFD,
+    "representation": RepresentationFD,
+    "cocycle_pair": _CocycleDocument,
+    "graded_l3": GradedL3Algebra,
+    "mc_problem": MCProblem,
+}
+
+_KIND_OF = {cls: kind for kind, cls in KINDS.items()}
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, type], ...]:
+    """A record's fields and their resolved types, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 # ---------------------------------------------------------------------------
@@ -93,39 +122,6 @@ def _enc_array(a: np.ndarray) -> dict:
     }
 
 
-def _enc_complex(c: TwoTermComplex) -> dict:
-    return {"n0": c.n0, "n1": c.n1, "d": _enc_array(c.d)}
-
-
-def _enc_el2(e: EL2Algebra) -> dict:
-    return {
-        "complex": _enc_complex(e.complex),
-        "b00": _enc_array(e.b00),
-        "b01": _enc_array(e.b01),
-        "b10": _enc_array(e.b10),
-        "alt": _enc_array(e.alt),
-        "jac": _enc_array(e.jac),
-    }
-
-
-def _enc_morphism(m: ELMorphism) -> dict:
-    return {
-        "src": _enc_el2(m.src),
-        "dst": _enc_el2(m.dst),
-        "f0": _enc_array(m.f0),
-        "f1": _enc_array(m.f1),
-        "f2": _enc_array(m.f2),
-    }
-
-
-def _enc_lie(g: LieAlgebraFD) -> dict:
-    return {"dim": g.dim, "c": _enc_array(g.c)}
-
-
-def _enc_rep(m: RepresentationFD) -> dict:
-    return {"algebra": _enc_lie(m.algebra), "dim": m.dim, "rho": _enc_array(m.rho)}
-
-
 def _enc_graded(L: GradedL3Algebra) -> dict:
     return {
         "dims": {str(k): v for k, v in sorted(L.dims.items())},
@@ -135,51 +131,28 @@ def _enc_graded(L: GradedL3Algebra) -> dict:
     }
 
 
+def _enc_value(v: Any) -> Any:
+    """A record's payload has one key per field, nested records as objects."""
+    if isinstance(v, np.ndarray):
+        return _enc_array(v)
+    if isinstance(v, TensorRecord):
+        return {name: _enc_value(getattr(v, name)) for name, _ in _fields(type(v))}
+    if isinstance(v, GradedL3Algebra):
+        return _enc_graded(v)
+    return v
+
+
 def to_payload(obj: Any) -> tuple[str, dict]:
-    if isinstance(obj, TwoTermComplex):
-        return "complex", _enc_complex(obj)
-    if isinstance(obj, EL2Algebra):
-        return "el2", _enc_el2(obj)
-    if isinstance(obj, ELMorphism):
-        return "morphism", _enc_morphism(obj)
-    if isinstance(obj, ELTwoMorphism):
-        return "two_morphism", {
-            "src": _enc_morphism(obj.src),
-            "dst": _enc_morphism(obj.dst),
-            "theta": _enc_array(obj.theta),
-        }
-    if isinstance(obj, LieAlgebraFD):
-        return "lie_algebra", _enc_lie(obj)
-    if isinstance(obj, LeibnizAlgebraFD):
-        return "leibniz_algebra", {"dim": obj.dim, "c": _enc_array(obj.c)}
-    if isinstance(obj, RepresentationFD):
-        return "representation", _enc_rep(obj)
-    if isinstance(obj, _CocycleDocument):
-        return "cocycle_pair", {
-            "representation": _enc_rep(obj.module),
+    kind = _KIND_OF.get(type(obj))
+    if kind is None:
+        raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
+    if kind == "cocycle_pair":
+        return kind, {
+            "representation": _enc_value(obj.module),
             "s": _enc_array(obj.pair.s),
             "j": _enc_array(obj.pair.j),
         }
-    if isinstance(obj, GradedL3Algebra):
-        return "graded_l3", _enc_graded(obj)
-    if isinstance(obj, MCProblem):
-        return "mc_problem", {
-            "graded": _enc_graded(obj.graded),
-            "gamma": _enc_array(obj.gamma),
-        }
-    raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-@dataclass(frozen=True)
-class _CocycleDocument:
-    """A cocycle pair with the representation it lives over."""
-
-    module: RepresentationFD
-    pair: CocyclePair
-
-
-def cocycle_document(module: RepresentationFD, pair: CocyclePair) -> _CocycleDocument:
-    return _CocycleDocument(module, pair)
+    return kind, _enc_value(obj)
 
 
 def serialize(obj: Any, name: str = "", description: str = "") -> str:
@@ -246,54 +219,6 @@ def _dec_int(v: Any, path: str) -> int:
     return v
 
 
-def _dec_complex(v: Any, path: str) -> TwoTermComplex:
-    _expect(isinstance(v, dict), "complex payload must be an object", path)
-    n0 = _dec_int(v.get("n0"), path + ".n0")
-    n1 = _dec_int(v.get("n1"), path + ".n1")
-    d = _dec_array(v.get("d"), path + ".d", (n0, n1))
-    return TwoTermComplex(n0, n1, d)
-
-
-def _dec_el2(v: Any, path: str) -> EL2Algebra:
-    _expect(isinstance(v, dict), "payload must be an object", path)
-    c = _dec_complex(v.get("complex"), path + ".complex")
-    n0, n1 = c.n0, c.n1
-    return EL2Algebra(
-        c,
-        _dec_array(v.get("b00"), path + ".b00", (n0, n0, n0)),
-        _dec_array(v.get("b01"), path + ".b01", (n1, n0, n1)),
-        _dec_array(v.get("b10"), path + ".b10", (n1, n1, n0)),
-        _dec_array(v.get("alt"), path + ".alt", (n1, n0, n0)),
-        _dec_array(v.get("jac"), path + ".jac", (n1, n0, n0, n0)),
-    )
-
-
-def _dec_morphism(v: Any, path: str) -> ELMorphism:
-    _expect(isinstance(v, dict), "payload must be an object", path)
-    src = _dec_el2(v.get("src"), path + ".src")
-    dst = _dec_el2(v.get("dst"), path + ".dst")
-    return ELMorphism(
-        src,
-        dst,
-        _dec_array(v.get("f0"), path + ".f0", (dst.complex.n0, src.complex.n0)),
-        _dec_array(v.get("f1"), path + ".f1", (dst.complex.n1, src.complex.n1)),
-        _dec_array(v.get("f2"), path + ".f2", (dst.complex.n1, src.complex.n0, src.complex.n0)),
-    )
-
-
-def _dec_lie(v: Any, path: str) -> LieAlgebraFD:
-    _expect(isinstance(v, dict), "payload must be an object", path)
-    n = _dec_int(v.get("dim"), path + ".dim")
-    return LieAlgebraFD(n, _dec_array(v.get("c"), path + ".c", (n, n, n)))
-
-
-def _dec_rep(v: Any, path: str) -> RepresentationFD:
-    _expect(isinstance(v, dict), "payload must be an object", path)
-    g = _dec_lie(v.get("algebra"), path + ".algebra")
-    dm = _dec_int(v.get("dim"), path + ".dim")
-    return RepresentationFD(g, dm, _dec_array(v.get("rho"), path + ".rho", (dm, g.dim, dm)))
-
-
 def _dec_degree_key(k: str, arity: int, path: str) -> tuple[int, ...]:
     parts = k.split(",")
     _expect(len(parts) == arity, f"key {k!r} must have {arity} comma-separated degrees", path)
@@ -315,60 +240,52 @@ def _dec_graded(v: Any, path: str) -> GradedL3Algebra:
             raise ParseError(f"bad degree {k!r}", path + ".dims") from exc
         dims[deg] = _dec_int(d, f"{path}.dims.{k}")
     tmp = GradedL3Algebra(dims=dims)
-    l1 = {}
-    for k, arr in (v.get("l1") or {}).items():
-        (deg,) = _dec_degree_key(k, 1, path + ".l1")
-        l1[deg] = _dec_array(arr, f"{path}.l1.{k}", tmp.shape(deg))
-    l2 = {}
-    for k, arr in (v.get("l2") or {}).items():
-        a, b = _dec_degree_key(k, 2, path + ".l2")
-        l2[(a, b)] = _dec_array(arr, f"{path}.l2.{k}", tmp.shape(a, b))
-    l3 = {}
-    for k, arr in (v.get("l3") or {}).items():
-        a, b, c = _dec_degree_key(k, 3, path + ".l3")
-        l3[(a, b, c)] = _dec_array(arr, f"{path}.l3.{k}", tmp.shape(a, b, c))
-    return GradedL3Algebra(dims=dims, l1=l1, l2=l2, l3=l3)
+    brackets = {}
+    for arity, name in enumerate(("l1", "l2", "l3"), 1):
+        raw = v.get(name) or {}
+        _expect(isinstance(raw, dict), f"{name} must be an object", f"{path}.{name}")
+        table = brackets[name] = {}
+        for k, arr in raw.items():
+            degs = _dec_degree_key(k, arity, f"{path}.{name}")
+            table[degs if arity > 1 else degs[0]] = _dec_array(arr, f"{path}.{name}.{k}", tmp.shape(*degs))
+    return GradedL3Algebra(dims=dims, **brackets)
+
+
+def _dec_value(cls: type, v: Any, path: str) -> Any:
+    """Decode a value of type ``cls``.  A record decodes its nested records
+    and dimensions first, reads the shapes of its tensors off them and then
+    decodes each tensor against its shape."""
+    if cls is int:
+        return _dec_int(v, path)
+    if cls is GradedL3Algebra:
+        return _dec_graded(v, path)
+    _expect(isinstance(v, dict), "payload must be an object", path)
+    values = {
+        name: _dec_value(typ, v.get(name), f"{path}.{name}")
+        for name, typ in _fields(cls) if typ is not np.ndarray
+    }
+    shapes = cls.shapes(SimpleNamespace(**values))
+    for name, want in shapes.items():
+        values[name] = _dec_array(v.get(name), f"{path}.{name}", want)
+    return cls(**values)
+
+
+def _dec_cocycle(v: Any, path: str) -> _CocycleDocument:
+    _expect(isinstance(v, dict), "payload must be an object", path)
+    rep = _dec_value(RepresentationFD, v.get("representation"), path + ".representation")
+    n, dm = rep.algebra.dim, rep.dim
+    s = _dec_array(v.get("s"), path + ".s", (dm, n, n))
+    j = _dec_array(v.get("j"), path + ".j", (dm, n, n, n))
+    return _CocycleDocument(rep, CocyclePair(s, j))
 
 
 def from_payload(kind: str, payload: Any, path: str = "$.payload") -> Any:
-    if kind == "complex":
-        return _dec_complex(payload, path)
-    if kind == "el2":
-        return _dec_el2(payload, path)
-    if kind == "morphism":
-        return _dec_morphism(payload, path)
-    if kind == "two_morphism":
-        _expect(isinstance(payload, dict), "payload must be an object", path)
-        src = _dec_morphism(payload.get("src"), path + ".src")
-        dst = _dec_morphism(payload.get("dst"), path + ".dst")
-        theta = _dec_array(
-            payload.get("theta"), path + ".theta",
-            (src.dst.complex.n1, src.src.complex.n0),
-        )
-        return ELTwoMorphism(src, dst, theta)
-    if kind == "lie_algebra":
-        return _dec_lie(payload, path)
-    if kind == "leibniz_algebra":
-        _expect(isinstance(payload, dict), "payload must be an object", path)
-        n = _dec_int(payload.get("dim"), path + ".dim")
-        return LeibnizAlgebraFD(n, _dec_array(payload.get("c"), path + ".c", (n, n, n)))
-    if kind == "representation":
-        return _dec_rep(payload, path)
-    if kind == "cocycle_pair":
-        _expect(isinstance(payload, dict), "payload must be an object", path)
-        rep = _dec_rep(payload.get("representation"), path + ".representation")
-        n, dm = rep.algebra.dim, rep.dim
-        s = _dec_array(payload.get("s"), path + ".s", (dm, n, n))
-        j = _dec_array(payload.get("j"), path + ".j", (dm, n, n, n))
-        return _CocycleDocument(rep, CocyclePair(s, j))
-    if kind == "graded_l3":
-        return _dec_graded(payload, path)
-    if kind == "mc_problem":
-        _expect(isinstance(payload, dict), "payload must be an object", path)
-        graded = _dec_graded(payload.get("graded"), path + ".graded")
-        gamma = _dec_array(payload.get("gamma"), path + ".gamma", (graded.dim(1),))
-        return MCProblem(graded, gamma)
-    raise ParseError(f"unknown kind {kind!r}", "$.kind")
+    cls = KINDS.get(kind)
+    if cls is None:
+        raise ParseError(f"unknown kind {kind!r}", "$.kind")
+    if cls is _CocycleDocument:
+        return _dec_cocycle(payload, path)
+    return _dec_value(cls, payload, path)
 
 
 def _int_literal(text: str) -> Any:
@@ -386,7 +303,7 @@ def parse(text: str) -> ParsedDocument:
         raise ParseError(f"invalid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "document must be a JSON object", "$")
     kind = doc.get("kind")
-    _expect(isinstance(kind, str) and kind in KINDS, f"kind must be one of {KINDS}", "$.kind")
+    _expect(isinstance(kind, str) and kind in KINDS, f"kind must be one of {tuple(KINDS)}", "$.kind")
     metadata = doc.get("metadata", {})
     _expect(isinstance(metadata, dict), "metadata must be an object", "$.metadata")
     obj = from_payload(kind, doc.get("payload"), "$.payload")

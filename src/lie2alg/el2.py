@@ -44,7 +44,7 @@ import numpy as np
 
 from . import exactla as xla
 from .dkcore import BilinearBracket, TwoTermComplex, chain_b01, chain_b10, chain_derived
-from .exactla import ShapeError
+from .exactla import ShapeError, TensorRecord
 from .report import CheckReport, collect_tensor_violations
 
 
@@ -65,45 +65,29 @@ class PairingError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class EL2Algebra:
+class EL2Algebra(TensorRecord):
     """A two-term complex with bracket, alternator and Jacobiator tensors."""
 
     complex: TwoTermComplex
-    b00: np.ndarray  # (n0, n0, n0)
-    b01: np.ndarray  # (n1, n0, n1)
-    b10: np.ndarray  # (n1, n1, n0)
-    alt: np.ndarray  # (n1, n0, n0)
-    jac: np.ndarray  # (n1, n0, n0, n0)
+    b00: np.ndarray
+    b01: np.ndarray
+    b10: np.ndarray
+    alt: np.ndarray
+    jac: np.ndarray
 
-    def __post_init__(self) -> None:
+    def shapes(self):
         n0, n1 = self.complex.n0, self.complex.n1
-        shapes = {
+        return {
             "b00": (n0, n0, n0),
             "b01": (n1, n0, n1),
             "b10": (n1, n1, n0),
             "alt": (n1, n0, n0),
             "jac": (n1, n0, n0, n0),
         }
-        for name, want in shapes.items():
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != want:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {want}")
-            object.__setattr__(self, name, xla.freeze(np.array(arr, dtype=object, copy=True)))
 
     @property
     def bracket(self) -> BilinearBracket:
         return BilinearBracket(self.complex, self.b00, self.b01, self.b10)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EL2Algebra):
-            return NotImplemented
-        return self.complex == other.complex and all(
-            xla.arrays_equal(getattr(self, n), getattr(other, n))
-            for n in ("b00", "b01", "b10", "alt", "jac")
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.complex.n0, self.complex.n1))
 
 
 def zero_el2(n0: int, n1: int, d: Optional[np.ndarray] = None) -> EL2Algebra:
@@ -119,17 +103,16 @@ def zero_el2(n0: int, n1: int, d: Optional[np.ndarray] = None) -> EL2Algebra:
 
 
 @dataclass(frozen=True, eq=False)
-class LieAlgebraFD:
+class LieAlgebraFD(TensorRecord):
     """Finite-dimensional Lie algebra by structure constants c[k,i,j]."""
 
     dim: int
     c: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.c)
-        if arr.shape != (self.dim,) * 3:
-            raise ShapeError(f"structure constants shape {arr.shape}, expected {(self.dim,) * 3}")
-        object.__setattr__(self, "c", xla.freeze(np.array(arr, dtype=object, copy=True)))
+    def shapes(self):
+        return {"c": (self.dim,) * 3}
+
+    def validate(self) -> None:
         den = xla.common_denominator(self.c)
         c = xla.scaled_ints(self.c, den)
         report = CheckReport()
@@ -138,27 +121,18 @@ class LieAlgebraFD:
         if not report.passed:
             raise InvalidStructureError("not a Lie algebra", report)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieAlgebraFD):
-            return NotImplemented
-        return self.dim == other.dim and xla.arrays_equal(self.c, other.c)
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash(self.dim)
-
 
 @dataclass(frozen=True, eq=False)
-class LeibnizAlgebraFD:
+class LeibnizAlgebraFD(TensorRecord):
     """Bracket satisfying the left Leibniz identity; no skew-symmetry."""
 
     dim: int
     c: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.c)
-        if arr.shape != (self.dim,) * 3:
-            raise ShapeError(f"structure constants shape {arr.shape}, expected {(self.dim,) * 3}")
-        object.__setattr__(self, "c", xla.freeze(np.array(arr, dtype=object, copy=True)))
+    def shapes(self):
+        return {"c": (self.dim,) * 3}
+
+    def validate(self) -> None:
         den = xla.common_denominator(self.c)
         report = CheckReport()
         collect_tensor_violations(
@@ -166,14 +140,6 @@ class LeibnizAlgebraFD:
         )
         if not report.passed:
             raise InvalidStructureError("not a Leibniz algebra", report)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LeibnizAlgebraFD):
-            return NotImplemented
-        return self.dim == other.dim and xla.arrays_equal(self.c, other.c)
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash(self.dim)
 
 
 def _leibniz_defect(c: np.ndarray) -> np.ndarray:
@@ -185,19 +151,17 @@ def _leibniz_defect(c: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RepresentationFD:
+class RepresentationFD(TensorRecord):
     """A module over a Lie algebra: rho[m, x, a] is the action tensor."""
 
     algebra: LieAlgebraFD
     dim: int
     rho: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.rho)
-        want = (self.dim, self.algebra.dim, self.dim)
-        if arr.shape != want:
-            raise ShapeError(f"action tensor shape {arr.shape}, expected {want}")
-        object.__setattr__(self, "rho", xla.freeze(np.array(arr, dtype=object, copy=True)))
+    def shapes(self):
+        return {"rho": (self.dim, self.algebra.dim, self.dim)}
+
+    def validate(self) -> None:
         # rho([x,y]) = rho(x) rho(y) - rho(y) rho(x) on basis pairs, on c and
         # rho scaled by their common denominator: both sides are quadratic
         den = xla.common_denominator(self.algebra.c, self.rho)
@@ -209,18 +173,6 @@ class RepresentationFD:
         collect_tensor_violations(report, "module-axiom", lhs - rhs, scale=den**2)
         if not report.passed:
             raise InvalidStructureError("not a representation", report)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RepresentationFD):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.dim == other.dim
-            and xla.arrays_equal(self.rho, other.rho)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.algebra.dim, self.dim))
 
 
 # ---------------------------------------------------------------------------

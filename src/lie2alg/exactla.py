@@ -10,7 +10,9 @@ coordinate of the map applied to the pair of basis vectors ``(e_i, e_j)``.
 All operations are pure and deterministic: row reduction scans columns left to
 right and picks the first usable pivot, kernel vectors are enumerated by
 increasing free column, and quotient representatives are produced by greedy
-pivot extension.  Arrays returned by this module are frozen (non-writeable).
+pivot extension.  Arrays returned by this module are frozen (non-writeable),
+and so are the tensors of every domain record (:class:`TensorRecord`), whose
+shapes each record type declares once.
 
 Zero-dimensional spaces are legal everywhere; contractions over an empty axis
 produce integer zeros, which compare equal to ``Fraction(0)`` and mix safely
@@ -59,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -224,6 +226,49 @@ def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
     if a.shape != b.shape:
         return False
     return all(x == y for x, y in zip(a.reshape(-1), b.reshape(-1)))
+
+
+class TensorRecord:
+    """Base of the frozen records of exact tensors, each subclass a
+    ``@dataclass(frozen=True, eq=False)``.
+
+    A subclass names its tensor fields and their shapes once, in
+    :meth:`shapes`, read off its other fields (dimensions and nested
+    records); a ``None`` length is free.  Construction checks every declared
+    shape, stores a frozen object copy of each tensor and runs
+    :meth:`validate`.  Equality is structural over all fields, tensors
+    compared entry by entry.
+    """
+
+    def shapes(self) -> dict[str, tuple[Optional[int], ...]]:
+        raise NotImplementedError
+
+    def validate(self) -> None:
+        """Check the axioms of the frozen record; raise to reject it."""
+
+    def __post_init__(self) -> None:
+        for name, want in self.shapes().items():
+            arr = np.asarray(getattr(self, name))
+            if len(arr.shape) != len(want) or any(
+                w is not None and w != s for s, w in zip(arr.shape, want)
+            ):
+                raise ShapeError(f"{name} has shape {arr.shape}, expected {want}")
+            object.__setattr__(self, name, freeze(np.array(arr, dtype=object, copy=True)))
+        self.validate()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            arrays_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._values(), other._values())
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(v.shape if isinstance(v, np.ndarray) else v for v in self._values()))
 
 
 # ---------------------------------------------------------------------------

@@ -30,49 +30,28 @@ import numpy as np
 from . import dkcore, exactla as xla
 from .dkcore import CompositionError
 from .el2 import EL2Algebra, _scaled_copy, _tensors
-from .exactla import ShapeError
+from .exactla import TensorRecord
 from .report import CheckReport, collect_tensor_violations
 
 
 @dataclass(frozen=True, eq=False)
-class ELMorphism:
+class ELMorphism(TensorRecord):
     """(f0, f1, f2): src -> dst."""
 
     src: EL2Algebra
     dst: EL2Algebra
-    f0: np.ndarray  # (dst.n0, src.n0)
-    f1: np.ndarray  # (dst.n1, src.n1)
-    f2: np.ndarray  # (dst.n1, src.n0, src.n0)
+    f0: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
 
-    def __post_init__(self) -> None:
-        shapes = {
-            "f0": (self.dst.complex.n0, self.src.complex.n0),
-            "f1": (self.dst.complex.n1, self.src.complex.n1),
-            "f2": (self.dst.complex.n1, self.src.complex.n0, self.src.complex.n0),
-        }
-        for name, want in shapes.items():
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != want:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {want}")
-            object.__setattr__(self, name, xla.freeze(np.array(arr, dtype=object, copy=True)))
+    def shapes(self):
+        m0, m1 = self.src.complex.n0, self.src.complex.n1
+        n0, n1 = self.dst.complex.n0, self.dst.complex.n1
+        return {"f0": (n0, m0), "f1": (n1, m1), "f2": (n1, m0, m0)}
 
     @property
     def chain_map(self) -> dkcore.ChainMap:
         return dkcore.ChainMap(self.src.complex, self.dst.complex, self.f0, self.f1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ELMorphism):
-            return NotImplemented
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and xla.arrays_equal(self.f0, other.f0)
-            and xla.arrays_equal(self.f1, other.f1)
-            and xla.arrays_equal(self.f2, other.f2)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.src.complex.n0, self.dst.complex.n0))
 
 
 def identity_morphism(e: EL2Algebra) -> ELMorphism:
@@ -177,33 +156,19 @@ def is_equivalence(m: ELMorphism) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class ELTwoMorphism:
+class ELTwoMorphism(TensorRecord):
     """theta: src => dst between parallel morphisms."""
 
     src: ELMorphism
     dst: ELMorphism
-    theta: np.ndarray  # (dst-complex n1, src-complex n0)
+    theta: np.ndarray
 
-    def __post_init__(self) -> None:
+    def shapes(self):
+        return {"theta": (self.src.dst.complex.n1, self.src.src.complex.n0)}
+
+    def validate(self) -> None:
         if self.src.src != self.dst.src or self.src.dst != self.dst.dst:
             raise CompositionError("2-morphism endpoints are not parallel")
-        want = (self.src.dst.complex.n1, self.src.src.complex.n0)
-        arr = np.asarray(self.theta)
-        if arr.shape != want:
-            raise ShapeError(f"theta has shape {arr.shape}, expected {want}")
-        object.__setattr__(self, "theta", xla.freeze(np.array(arr, dtype=object, copy=True)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ELTwoMorphism):
-            return NotImplemented
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and xla.arrays_equal(self.theta, other.theta)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash(self.theta.shape)
 
 
 def identity_2morphism(m: ELMorphism) -> ELTwoMorphism:

@@ -80,6 +80,13 @@ def exact_residual(column, scale: int = 1) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, scale) for x in column)
 
 
+def require_stop_after(stop_after: Optional[int]) -> None:
+    """Reject a ``stop_after`` below 1, which would stop before the first
+    violation and let a broken structure pass."""
+    if stop_after is not None and stop_after < 1:
+        raise ValueError(f"stop_after must be at least 1, got {stop_after}")
+
+
 def collect_tensor_violations(
     report: CheckReport,
     equation: str,
@@ -96,12 +103,10 @@ def collect_tensor_violations(
 
     Returns True when the caller should stop checking further identities
     because ``stop_after`` violations have been collected in total.  Every
-    checker passes its ``stop_after`` through here, so a count below 1, which
-    would stop before the first violation and let a broken structure pass,
-    is rejected here for all of them.
+    checker passes its ``stop_after`` through here, so a count below 1 is
+    rejected here for all of them (:func:`require_stop_after`).
     """
-    if stop_after is not None and stop_after < 1:
-        raise ValueError(f"stop_after must be at least 1, got {stop_after}")
+    require_stop_after(stop_after)
     residual = np.asarray(residual)
     if any(x != 0 for x in residual.flat):
         if residual.ndim <= 1:

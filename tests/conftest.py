@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from lie2alg import catalog, cohom, dkcore, el2, exactla as xla
+from lie2alg import catalog, cohom, defo, dkcore, el2, exactla as xla
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +129,11 @@ def quadratic_corpus():
 @pytest.fixture(scope="session")
 def el2_corpus(quadratic_corpus, hl3_spaces):
     """Every constructor family: hemistrict structures of Leibniz algebras,
-    quadratic hemistrict and semistrict structures, and one skeletal
-    structure per cocycle-space basis element of every (algebra, module)."""
+    quadratic hemistrict and semistrict structures, one skeletal structure
+    per cocycle-space basis element of every (algebra, module), and the
+    identity crossed module of sl2 (d = identity, b01 the adjoint action),
+    the one family with a nonzero derived bracket [da, b], as built and
+    moved along random invertible maps."""
     out = []
     for name, leib in catalog.standard_leibniz_corpus():
         out.append((f"leibniz:{name}", el2.from_leibniz(leib)))
@@ -143,4 +146,10 @@ def el2_corpus(quadratic_corpus, hl3_spaces):
             out.append(
                 (f"skeletal:{name}#{k}", el2.from_skeletal_cocycle(g, m, pair.s, pair.j))
             )
+    crossed = defo.inner_symmetries_n2(catalog.inner_derivation_dgla(catalog.sl2()), xla.zeros(0))
+    rng = random.Random(3)
+    out.append(("crossed:sl2-identity", crossed))
+    out.append(
+        ("crossed:sl2-identity-moved", el2.transport(crossed, rand_invertible(rng, 3), rand_invertible(rng, 3)))
+    )
     return out

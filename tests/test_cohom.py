@@ -363,3 +363,12 @@ def test_exact_sequence_report_one_elimination_per_question(monkeypatch):
         calls.clear()
         assert cohom.exact_sequence_report(g, catalog.trivial_rep(g)).passed
         assert len(calls) == want
+
+
+def test_cocycle_pair_shapes_are_read_off_s():
+    with pytest.raises(xla.ShapeError, match=r"^j has shape \(1, 3, 3, 2\), expected \(1, 3, 3, 3\)$"):
+        cohom.CocyclePair(xla.zeros(1, 3, 3), xla.zeros(1, 3, 3, 2))
+    with pytest.raises(xla.ShapeError, match=r"^s has shape \(1, 3\), expected \(1, 3, 3\)$"):
+        cohom.CocyclePair(xla.zeros(1, 3), xla.zeros(1, 3, 3, 3))
+    with pytest.raises(xla.ShapeError, match=r"^s has shape \(\), expected \(None, None, None\)$"):
+        cohom.CocyclePair(xla.ZERO, xla.zeros(1, 3, 3, 3))

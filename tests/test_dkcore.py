@@ -32,6 +32,26 @@ def random_complex_from(n0, n1, seed):
     return dkcore.TwoTermComplex(n0, n1, d)
 
 
+def test_records_check_shapes_store_frozen_copies_and_compare_structurally():
+    d = np.array(xla.identity(2), copy=True)
+    c = dkcore.TwoTermComplex(2, 2, d)
+    d[0, 0] = 5
+    assert c.d[0, 0] == 1 and not c.d.flags.writeable
+    same = dkcore.TwoTermComplex(2, 2, xla.identity(2))
+    assert c == same and hash(c) == hash(same)
+    assert c != dkcore.TwoTermComplex(2, 2, xla.zeros(2, 2))
+    with pytest.raises(xla.ShapeError, match=r"^d has shape \(2, 3\), expected \(2, 2\)$"):
+        dkcore.TwoTermComplex(2, 2, xla.zeros(2, 3))
+    # a None length is free, but the number of axes is not
+    assert dkcore.ChainHomotopy(xla.zeros(3, 0)).h.shape == (3, 0)
+    with pytest.raises(xla.ShapeError, match=r"^h has shape \(3,\), expected \(None, None\)$"):
+        dkcore.ChainHomotopy(xla.zeros(3))
+    with pytest.raises(xla.ShapeError, match=r"^obj has shape"):
+        dkcore.Arrow(xla.zeros(2, 2), xla.zeros(1))
+    with pytest.raises(dkcore.ChainMapError):
+        dkcore.ChainMap(c, c, xla.identity(2), xla.zeros(2, 2))
+
+
 def test_gamma_skeletal_endomorphisms():
     c = dkcore.TwoTermComplex(1, 1, xla.zeros(1, 1))
     v = dkcore.gamma(c)

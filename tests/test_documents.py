@@ -19,15 +19,17 @@ def roundtrip(obj, **meta):
     return text, parsed
 
 
-def test_canonical_roundtrip_all_kinds(sl2_quadratic):
+def all_kind_objects():
+    """One object of every document kind, in ``documents.KINDS`` order."""
     g = catalog.sl2()
+    quadratic = el2.from_quadratic_lie(g, catalog.killing_form(g))
     m = catalog.trivial_rep(g)
     k = catalog.killing_form(g)
     L, gamma = catalog.nilpotent_cdga_dgla()
-    mor = morph.identity_morphism(sl2_quadratic)
-    objects = [
-        sl2_quadratic.complex,
-        sl2_quadratic,
+    mor = morph.identity_morphism(quadratic)
+    return [
+        quadratic.complex,
+        quadratic,
         mor,
         morph.identity_2morphism(mor),
         g,
@@ -39,15 +41,66 @@ def test_canonical_roundtrip_all_kinds(sl2_quadratic):
         L,
         documents.MCProblem(L, gamma),
     ]
+
+
+def test_canonical_roundtrip_all_kinds():
+    objects = all_kind_objects()
+    assert [documents.to_payload(obj)[0] for obj in objects] == list(documents.KINDS)
     for obj in objects:
         text, parsed = roundtrip(obj, name="fixture")
         # serialize . parse is the identity on canonical text
         again = documents.serialize(parsed.obj, name="fixture")
         assert again == text
         # parse . serialize is the identity on the object
-        if hasattr(parsed.obj, "__eq__") and not isinstance(parsed.obj, documents.MCProblem):
-            if type(parsed.obj) is type(obj):
-                assert parsed.obj == obj or xla is None
+        assert type(parsed.obj) is type(obj)
+        assert parsed.obj == obj
+
+
+def _array_paths(node, path):
+    """JSON paths of the arrays (objects with "shape" and "entries") in a
+    payload."""
+    if isinstance(node, dict):
+        if set(node) == {"shape", "entries"}:
+            yield path
+            return
+        for key, value in sorted(node.items()):
+            yield from _array_paths(value, f"{path}.{key}")
+
+
+ARRAY_FIELDS = [
+    (kind, text, path)
+    for kind, text in (
+        (json.loads(text)["kind"], text)
+        for text in map(documents.serialize, all_kind_objects())
+    )
+    for path in _array_paths(json.loads(text)["payload"], "$.payload")
+]
+
+
+def _at(doc, path):
+    """The dict holding the value at ``path`` and its key."""
+    *parents, key = path.split(".")[1:]
+    for part in parents:
+        doc = doc[part]
+    return doc, key
+
+
+@pytest.mark.parametrize(
+    "kind, text, path", ARRAY_FIELDS, ids=[f"{kind}:{path}" for kind, _, path in ARRAY_FIELDS]
+)
+def test_array_field_errors_carry_the_field_path(kind, text, path):
+    """A wrong shape, or a value that is not an array object, is a parse
+    error at that array's JSON path, in every kind and at every depth."""
+    doc = json.loads(text)
+    holder, key = _at(doc, path)
+    holder[key]["shape"] = holder[key]["shape"] + [1]  # same entry count
+    with pytest.raises(documents.ParseError) as err:
+        documents.parse(json.dumps(doc))
+    assert err.value.path == path and "expected shape" in str(err.value)
+    holder[key] = 7
+    with pytest.raises(documents.ParseError) as err:
+        documents.parse(json.dumps(doc))
+    assert err.value.path == path and "must be an object" in str(err.value)
 
 
 def test_parse_normalizes_noncanonical(sl2_quadratic):
@@ -88,6 +141,14 @@ def test_parse_errors_report_paths():
             '{"kind": "complex", "payload": {"n0": 1, "n1": 2, "d": {"shape": [1, 1], "entries": [1]}}}'
         )
     assert "shape" in str(err.value)
+
+
+@pytest.mark.parametrize("table", ["l1", "l2", "l3"])
+def test_graded_bracket_table_must_be_an_object(table):
+    doc = {"kind": "graded_l3", "payload": {"dims": {"0": 1}, table: [1]}}
+    with pytest.raises(documents.ParseError) as err:
+        documents.parse(json.dumps(doc))
+    assert err.value.path == f"$.payload.{table}"
 
 
 def test_axiom_violations_are_not_parse_errors():

@@ -97,3 +97,13 @@ def test_stop_after_below_one_is_rejected(checker):
     for stop_after in (0, -1):
         with pytest.raises(ValueError):
             run(stop_after)
+
+
+def test_check_graded_rejects_stop_after_below_one_on_an_empty_algebra():
+    """With no brackets there is no identity to evaluate, so the guard must
+    run before any of them."""
+    empty = defo.GradedL3Algebra(dims={0: 2})
+    assert defo.check_graded(empty).passed
+    for stop_after in (0, -1):
+        with pytest.raises(ValueError, match="stop_after must be at least 1"):
+            defo.check_graded(empty, stop_after=stop_after)
