@@ -187,18 +187,17 @@ def tensor_dgla(g: LieAlgebraFD, omega: _SmallCdga) -> GradedL3Algebra:
         m: slice(w * n, (w + 1) * n) for k in degs for w, m in enumerate(mono_by_deg[k])
     }
 
-    l1 = {}
+    brackets = {}
     for k in degs:
         if k + 1 in dims:
             mat = xla.zeros(dims[k + 1], dims[k]).copy()
             for m in mono_by_deg[k]:
                 for coeff, m2 in omega.diff[m]:
                     mat[block[m2], block[m]] += coeff * xla.identity(n)
-            l1[k] = xla.freeze(mat)
+            brackets[(k,)] = xla.freeze(mat)
 
     # each pair of monomials fills its own block of the bracket with +-c
     signed_c = {1: xla.as_exact(g.c), -1: xla.as_exact(-g.c)}
-    l2 = {}
     for k1 in degs:
         for k2 in degs:
             if k1 + k2 not in dims:
@@ -210,8 +209,8 @@ def tensor_dgla(g: LieAlgebraFD, omega: _SmallCdga) -> GradedL3Algebra:
                     if prod is not None:
                         sign, m3 = prod
                         t[block[m3], block[m1], block[m2]] = signed_c[sign]
-            l2[(k1, k2)] = xla.freeze(t)
-    return GradedL3Algebra(dims=dims, l1=l1, l2=l2, l3={})
+            brackets[(k1, k2)] = xla.freeze(t)
+    return GradedL3Algebra(dims, brackets)
 
 
 def nilpotent_cdga_dgla(g: LieAlgebraFD | None = None) -> tuple[GradedL3Algebra, np.ndarray]:
@@ -269,20 +268,18 @@ def action_dgla(rep: RepresentationFD) -> GradedL3Algebra:
     g = rep.algebra
     return GradedL3Algebra(
         dims={0: g.dim, -1: rep.dim},
-        l1={},
-        l2={
+        brackets={
             (0, 0): g.c,
             (0, -1): rep.rho,
             (-1, 0): xla.freeze(-np.moveaxis(rep.rho, 1, 2)),
         },
-        l3={},
     )
 
 
 def inner_derivation_dgla(g: LieAlgebraFD) -> GradedL3Algebra:
     """The identity crossed module g -> g as a dgla in degrees -1, 0."""
     base = action_dgla(adjoint_rep(g))
-    return GradedL3Algebra(dims=base.dims, l1={-1: xla.identity(g.dim)}, l2=base.l2, l3={})
+    return GradedL3Algebra(base.dims, {**base.brackets, (-1,): xla.identity(g.dim)})
 
 
 def two_term_l3_dgla(g: LieAlgebraFD, pairing: np.ndarray) -> GradedL3Algebra:
@@ -292,9 +289,7 @@ def two_term_l3_dgla(g: LieAlgebraFD, pairing: np.ndarray) -> GradedL3Algebra:
     phi = np.tensordot(g.c, np.asarray(pairing), axes=([0], [0]))
     return GradedL3Algebra(
         dims={0: g.dim, -1: 1},
-        l1={},
-        l2={(0, 0): g.c},
-        l3={(0, 0, 0): xla.freeze(phi.reshape((1, g.dim, g.dim, g.dim)))},
+        brackets={(0, 0): g.c, (0, 0, 0): xla.freeze(phi.reshape((1, g.dim, g.dim, g.dim)))},
     )
 
 
@@ -342,7 +337,7 @@ def big_bracket_dgla(
                 out.append((coeff * sign * msign, mono))
         return out
 
-    l2 = {}
+    brackets = {}
     for p in range(1, n + 1):
         for q in range(1, n + 1):
             r = p + q - 2
@@ -353,17 +348,16 @@ def big_bracket_dgla(
                 for t_i, tt in enumerate(subsets[q]):
                     for coeff, mono in bracket_monomials(s, tt):
                         t[index[r][mono], s_i, t_i] += coeff
-            l2[(p - 2, q - 2)] = xla.freeze(t)
+            brackets[(p - 2, q - 2)] = xla.freeze(t)
 
-    l1 = {}
     if mu is not None:
         mu = xla.as_exact(mu)
         if mu.shape != (len(subsets[3]),):
             raise xla.ShapeError("inner differential must be a trivector coordinate vector")
         for p in range(n + 1):
-            if (1, p - 2) in l2:
-                l1[p - 2] = np.tensordot(l2[(1, p - 2)], mu, axes=([1], [0]))
-    return GradedL3Algebra(dims=dims, l1=l1, l2=l2, l3={})
+            if (1, p - 2) in brackets:
+                brackets[(p - 2,)] = np.tensordot(brackets[(1, p - 2)], mu, axes=([1], [0]))
+    return GradedL3Algebra(dims, brackets)
 
 
 def trivector_coords(n: int, terms: list[tuple[int, tuple[int, int, int]]]) -> np.ndarray:

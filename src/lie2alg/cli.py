@@ -55,12 +55,14 @@ def _report_exit(report: CheckReport, max_violations: int) -> int:
 def _gamma_from_args(graded: defo.GradedL3Algebra, text: Optional[str]) -> np.ndarray:
     if text is None:
         return xla.zeros(graded.dim(1))
-    entries = [s for s in text.split(",") if s.strip() != ""]
+    entries = [s.strip() for s in text.split(",")] if text.strip() else []
+    if "" in entries:
+        raise ParseError(f"--gamma entry {entries.index('') + 1} of {len(entries)} is empty")
     if len(entries) != graded.dim(1):
         raise ParseError(
             f"--gamma needs {graded.dim(1)} comma-separated rationals, got {len(entries)}"
         )
-    return xla.vector([e.strip() for e in entries])
+    return xla.vector(entries)
 
 
 def cmd_check(args) -> int:
@@ -77,7 +79,7 @@ def cmd_check(args) -> int:
     if kind == "two_morphism":
         return _report_exit(morph.check_2morphism(obj), args.max_violations)
     if kind == "cocycle_pair":
-        ok, report = cohom.is_cocycle(obj.module.algebra, obj.module, obj.pair)
+        ok, report = cohom.is_cocycle(obj.representation.algebra, obj.representation, obj.pair)
         return _report_exit(report, args.max_violations)
     if kind == "graded_l3":
         return _report_exit(defo.check_graded(obj), args.max_violations)

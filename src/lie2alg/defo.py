@@ -14,8 +14,20 @@ arguments.  With the trilinear bracket zero these reduce to the textbook
 differential graded Lie algebra axioms, and they are stable under twisting
 by a Maurer-Cartan element; both facts are exercised by the test suite.
 
-Degrees outside the populated range are zero spaces, so any bracket landing
-there is the zero map.
+The brackets live in one table keyed by their input degrees: the key
+length is the arity, so ``(k,)`` is the differential on degree k and
+``(a, b)`` the binary bracket on degrees a and b.  Degrees outside the
+populated range are zero spaces, so any bracket landing there is the zero
+map, and a missing key is the zero map too.
+
+Twisting by gamma in degree 1 is one series over that table (Getzler,
+"Lie theory for nilpotent L-infinity algebras", Ann. Math. 170, 2009):
+
+    l_n^gamma(x_1, ..., x_n) = sum_m 1/m! l_{n+m}(gamma, ..., gamma, x_1, ..., x_n)
+
+At arity 0 it is the Maurer-Cartan residual, at arity 1..3 the twisted
+brackets, and the twisted differential on degree 0 applied to x is the
+infinitesimal action of x on gamma.
 
 The two symmetry constructions:
 
@@ -34,6 +46,7 @@ The two symmetry constructions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -57,51 +70,36 @@ class MaurerCartanError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GradedL3Algebra:
-    """Graded vector space with l1 (degree +1), l2 (degree 0) and l3
-    (degree -1); missing entries of the bracket dictionaries are zero maps.
-
-    l1[k] is a matrix dim(k+1) x dim(k); l2[(a, b)] has shape
-    (dim(a+b), dim(a), dim(b)); l3[(a, b, c)] has shape
-    (dim(a+b+c-1), dim(a), dim(b), dim(c)).
+    """Graded vector space with brackets l1 (degree +1), l2 (degree 0) and
+    l3 (degree -1), stored in one table keyed by their input degrees: the
+    arity is the key length, so the differential on degree k is
+    ``brackets[(k,)]`` and ``brackets[(a, b, c)]`` is the trilinear bracket
+    on degrees a, b, c.  A missing key is the zero map; a key's tensor has
+    shape :meth:`shape` of its degrees, output first.
     """
 
     dims: dict[int, int]
-    l1: dict[int, np.ndarray] = field(default_factory=dict)
-    l2: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    l3: dict[tuple[int, int, int], np.ndarray] = field(default_factory=dict)
+    brackets: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if any(int(v) < 0 for v in self.dims.values()):
+            raise ShapeError(f"dimensions must be non-negative, got {self.dims}")
         dims = {int(k): int(v) for k, v in self.dims.items() if int(v) > 0}
         if dims and min(dims) < -3:
             raise DegreeError("components below degree -3 are not supported")
         object.__setattr__(self, "dims", dims)
-        l1 = {}
-        for k, m in self.l1.items():
-            arr = np.asarray(m)
-            want = self.shape(k)
-            if arr.shape != want:
-                raise ShapeError(f"l1[{k}] has shape {arr.shape}, expected {want}")
-            if arr.size and not xla.is_zero(arr):
-                l1[int(k)] = xla.freeze(np.array(arr, dtype=object, copy=True))
-        object.__setattr__(self, "l1", l1)
-        l2 = {}
-        for (a, b), t in self.l2.items():
+        brackets = {}
+        for degs, t in self.brackets.items():
+            if not isinstance(degs, tuple) or not 1 <= len(degs) <= 3:
+                raise ShapeError(f"bracket key {degs!r} must be a tuple of 1 to 3 degrees")
+            degs = tuple(int(x) for x in degs)
             arr = np.asarray(t)
-            want = self.shape(a, b)
+            want = self.shape(*degs)
             if arr.shape != want:
-                raise ShapeError(f"l2[{(a, b)}] has shape {arr.shape}, expected {want}")
+                raise ShapeError(f"bracket {degs} has shape {arr.shape}, expected {want}")
             if arr.size and not xla.is_zero(arr):
-                l2[(int(a), int(b))] = xla.freeze(np.array(arr, dtype=object, copy=True))
-        object.__setattr__(self, "l2", l2)
-        l3 = {}
-        for (a, b, c), t in self.l3.items():
-            arr = np.asarray(t)
-            want = self.shape(a, b, c)
-            if arr.shape != want:
-                raise ShapeError(f"l3[{(a, b, c)}] has shape {arr.shape}, expected {want}")
-            if arr.size and not xla.is_zero(arr):
-                l3[(int(a), int(b), int(c))] = xla.freeze(np.array(arr, dtype=object, copy=True))
-        object.__setattr__(self, "l3", l3)
+                brackets[degs] = xla.freeze(np.array(arr, dtype=object, copy=True))
+        object.__setattr__(self, "brackets", brackets)
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
@@ -117,61 +115,29 @@ class GradedL3Algebra:
 
     @property
     def is_dgla(self) -> bool:
-        return not self.l3
+        return all(len(degs) < 3 for degs in self.brackets)
 
-    def l1_mat(self, k: int) -> np.ndarray:
-        got = self.l1.get(k)
-        return got if got is not None else xla.zeros(*self.shape(k))
-
-    def l2_tensor(self, a: int, b: int) -> np.ndarray:
-        got = self.l2.get((a, b))
-        return got if got is not None else xla.zeros(*self.shape(a, b))
-
-    def l3_tensor(self, a: int, b: int, c: int) -> np.ndarray:
-        got = self.l3.get((a, b, c))
-        return got if got is not None else xla.zeros(*self.shape(a, b, c))
+    def bracket(self, *degs: int) -> np.ndarray:
+        """The bracket on the input degrees degs, zeros when not stored."""
+        got = self.brackets.get(degs)
+        return got if got is not None else xla.zeros(*self.shape(*degs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedL3Algebra):
             return NotImplemented
-        return structurally_equal(self, other)
+        return (
+            self.dims == other.dims
+            and self.brackets.keys() == other.brackets.keys()
+            and all(xla.arrays_equal(t, other.brackets[degs]) for degs, t in self.brackets.items())
+        )
 
     def __hash__(self) -> int:  # pragma: no cover
         return hash(tuple(sorted(self.dims.items())))
 
 
-def structurally_equal(a: GradedL3Algebra, b: GradedL3Algebra) -> bool:
-    if a.dims != b.dims:
-        return False
-    for k in set(a.l1) | set(b.l1):
-        if not xla.arrays_equal(a.l1_mat(k), b.l1_mat(k)):
-            return False
-    for key in set(a.l2) | set(b.l2):
-        if not xla.arrays_equal(a.l2_tensor(*key), b.l2_tensor(*key)):
-            return False
-    for key in set(a.l3) | set(b.l3):
-        if not xla.arrays_equal(a.l3_tensor(*key), b.l3_tensor(*key)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Koszul machinery and the relation checker
 # ---------------------------------------------------------------------------
-
-def _bracket_tensor(L: GradedL3Algebra, degs: tuple[int, ...]) -> Optional[np.ndarray]:
-    """The stored k-ary bracket at the given input degrees, or None when it
-    is the zero map (missing, or with a zero-dimensional target)."""
-    k = len(degs)
-    if k == 1:
-        got = L.l1.get(degs[0])
-        return got
-    if k == 2:
-        return L.l2.get((degs[0], degs[1]))
-    if k == 3:
-        return L.l3.get((degs[0], degs[1], degs[2]))
-    return None
-
 
 def _relation_residual(L: GradedL3Algebra, degs: tuple[int, ...]) -> Optional[np.ndarray]:
     """Generalized Jacobi residual at arity n = len(degs) over the degree
@@ -190,11 +156,11 @@ def _relation_residual(L: GradedL3Algebra, degs: tuple[int, ...]) -> Optional[np
         for sel in itertools.combinations(range(n), i):
             rest = tuple(r for r in range(n) if r not in sel)
             inner_degs = tuple(degs[s] for s in sel)
-            inner = _bracket_tensor(L, inner_degs)
+            inner = L.brackets.get(inner_degs)
             if inner is None:
                 continue
             inner_out = sum(inner_degs) + 2 - i
-            outer = _bracket_tensor(L, (inner_out,) + tuple(degs[r] for r in rest))
+            outer = L.brackets.get((inner_out,) + tuple(degs[r] for r in rest))
             if outer is None:
                 continue
             composite = xla.plug(outer, 1, inner)
@@ -221,34 +187,22 @@ def check_graded(L: GradedL3Algebra, *, stop_after: Optional[int] = None) -> Che
     report = CheckReport()
     degrees = L.degrees
 
-    for (a, b) in sorted(set(L.l2) | {(y, x) for (x, y) in L.l2}):
-        lhs = L.l2_tensor(a, b)
-        sign = Fraction((-1) ** (a * b))
-        rhs = np.swapaxes(L.l2_tensor(b, a), 1, 2)
-        if collect_tensor_violations(
-            report, f"antisym.l2{(a, b)}", lhs + rhs * sign, stop_after=stop_after
-        ):
-            return report
-
-    l3_keys = set(L.l3)
-    closure = set(l3_keys)
-    for key in l3_keys:
-        for perm in itertools.permutations(key):
-            closure.add(perm)
-    for (a, b, c) in sorted(closure):
-        base = L.l3_tensor(a, b, c)
-        swapped12 = np.swapaxes(L.l3_tensor(b, a, c), 1, 2)
-        sign12 = Fraction((-1) ** (a * b))
-        if collect_tensor_violations(
-            report, f"antisym.l3.swap12{(a, b, c)}", swapped12 + base * sign12, stop_after=stop_after
-        ):
-            return report
-        swapped23 = np.swapaxes(L.l3_tensor(a, c, b), 2, 3)
-        sign23 = Fraction((-1) ** (b * c))
-        if collect_tensor_violations(
-            report, f"antisym.l3.swap23{(a, b, c)}", swapped23 + base * sign23, stop_after=stop_after
-        ):
-            return report
+    # each adjacent swap of each permutation of a stored key; arity 2
+    # reports l2(a,b) + s swap(l2(b,a)), arity 3 swap(l3(...)) + s l3(a,b,c)
+    for n in (2, 3):
+        keys = {perm for degs in L.brackets if len(degs) == n for perm in itertools.permutations(degs)}
+        for degs in sorted(keys):
+            base = L.bracket(*degs)
+            for i in range(n - 1):
+                a, b = degs[i], degs[i + 1]
+                swapped = np.swapaxes(L.bracket(*degs[:i], b, a, *degs[i + 2:]), i + 1, i + 2)
+                sign = Fraction((-1) ** (a * b))
+                if n == 2:
+                    name, residual = f"antisym.l2{degs}", base + swapped * sign
+                else:
+                    name, residual = f"antisym.l3.swap{i + 1}{i + 2}{degs}", swapped + base * sign
+                if collect_tensor_violations(report, name, residual, stop_after=stop_after):
+                    return report
 
     max_arity = 3 if L.is_dgla else 5
     for n in range(1, max_arity + 1):
@@ -267,18 +221,37 @@ def check_graded(L: GradedL3Algebra, *, stop_after: Optional[int] = None) -> Che
 # Maurer-Cartan elements and twisting
 # ---------------------------------------------------------------------------
 
-def mc_residual(L: GradedL3Algebra, gamma: np.ndarray) -> np.ndarray:
-    """d gamma + 1/2 [gamma, gamma] + 1/6 [gamma, gamma, gamma] in degree 2."""
+def _twisted(L: GradedL3Algebra, gamma: np.ndarray, degs: tuple[int, ...]) -> np.ndarray:
+    """The bracket twisted by gamma on the input degrees degs (arity 0 to 3),
+
+        l^gamma(x...) = sum_m 1/m! l(gamma, ..., gamma, x...)
+
+    with gamma in the first m slots, summed over the stored brackets
+    ``(1,) * m + degs``; shape ``L.shape(*degs)``.  Arity 0 is the
+    Maurer-Cartan residual."""
+    total = None
+    for m in range(4 - len(degs)):
+        term = L.brackets.get((1,) * m + degs)
+        if term is None:
+            continue
+        for _ in range(m):
+            term = np.tensordot(term, gamma, axes=([1], [0]))
+        if m > 1:
+            term = term * Fraction(1, math.factorial(m))
+        total = term if total is None else total + term
+    return xla.zeros(*L.shape(*degs)) if total is None else xla.freeze(total)
+
+
+def _check_gamma(L: GradedL3Algebra, gamma: np.ndarray) -> np.ndarray:
     gamma = np.asarray(gamma)
     if gamma.shape != (L.dim(1),):
         raise DegreeError(f"gamma must live in degree 1 (dimension {L.dim(1)})")
-    out = xla.zeros(L.dim(2)).copy()
-    out += np.dot(L.l1_mat(1), gamma)
-    if (1, 1) in L.l2:
-        out += xla.apply_multilinear(L.l2[(1, 1)], gamma, gamma) * Fraction(1, 2)
-    if (1, 1, 1) in L.l3:
-        out += xla.apply_multilinear(L.l3[(1, 1, 1)], gamma, gamma, gamma) * Fraction(1, 6)
-    return xla.freeze(out)
+    return gamma
+
+
+def mc_residual(L: GradedL3Algebra, gamma: np.ndarray) -> np.ndarray:
+    """d gamma + 1/2 [gamma, gamma] + 1/6 [gamma, gamma, gamma] in degree 2."""
+    return _twisted(L, _check_gamma(L, gamma), ())
 
 
 def is_mc(L: GradedL3Algebra, gamma: np.ndarray) -> bool:
@@ -292,58 +265,31 @@ def twist(L: GradedL3Algebra, gamma: np.ndarray) -> GradedL3Algebra:
         [.,.]_g = [.,.] + [g, ., .]
         [.,.,.]_g = [.,.,.]
 
-    (the series terminate since all higher brackets vanish).  The result
-    satisfies the same relations, which :func:`check_graded` verifies."""
+    (the series terminate since all higher brackets vanish), on every degree
+    tuple a stored bracket reaches.  The result satisfies the same
+    relations, which :func:`check_graded` verifies."""
     if not is_mc(L, gamma):
         raise MaurerCartanError(f"nonzero Maurer-Cartan residual: {mc_residual(L, gamma)}")
     gamma = np.asarray(gamma)
-    half = Fraction(1, 2)
-    l1 = {}
-    for k in L.degrees:
-        if L.dim(k + 1) == 0:
-            continue
-        mat = np.array(L.l1_mat(k), dtype=object, copy=True)
-        if (1, k) in L.l2:
-            mat = mat + np.tensordot(L.l2[(1, k)], gamma, axes=([1], [0]))
-        if (1, 1, k) in L.l3:
-            contracted = np.tensordot(L.l3[(1, 1, k)], gamma, axes=([1], [0]))
-            mat = mat + np.tensordot(contracted, gamma, axes=([1], [0])) * half
-        l1[k] = mat
-    l2 = {}
-    for a in L.degrees:
-        for b in L.degrees:
-            if L.dim(a + b) == 0:
-                continue
-            t = np.array(L.l2_tensor(a, b), dtype=object, copy=True)
-            if (1, a, b) in L.l3:
-                t = t + np.tensordot(L.l3[(1, a, b)], gamma, axes=([1], [0]))
-            l2[(a, b)] = t
-    return GradedL3Algebra(dims=dict(L.dims), l1=l1, l2=l2, l3=dict(L.l3))
+    reached = {degs[m:] for degs in L.brackets for m in range(len(degs)) if degs[:m] == (1,) * m}
+    return GradedL3Algebra(dims=dict(L.dims), brackets={degs: _twisted(L, gamma, degs) for degs in reached})
 
 
 def symmetry_action_residual(L: GradedL3Algebra, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The infinitesimal action of x in degree 0 on gamma:
     d x + [gamma, x] + 1/2 [gamma, gamma, x], a vector in degree 1."""
-    gamma = np.asarray(gamma)
     x = np.asarray(x)
     if x.shape != (L.dim(0),):
         raise DegreeError(f"x must live in degree 0 (dimension {L.dim(0)})")
-    if gamma.shape != (L.dim(1),):
-        raise DegreeError(f"gamma must live in degree 1 (dimension {L.dim(1)})")
-    out = xla.zeros(L.dim(1)).copy()
-    out += np.dot(L.l1_mat(0), x)
-    if (1, 0) in L.l2:
-        out += xla.apply_multilinear(L.l2[(1, 0)], gamma, x)
-    if (1, 1, 0) in L.l3:
-        out += xla.apply_multilinear(L.l3[(1, 1, 0)], gamma, gamma, x) * Fraction(1, 2)
-    return xla.freeze(out)
+    # the zero vector keeps the entries exact when degree 0 is empty
+    return xla.freeze(xla.zeros(L.dim(1)) + np.dot(_twisted(L, _check_gamma(L, gamma), (0,)), x))
 
 
 def truncation_basis(L: GradedL3Algebra, gamma: np.ndarray) -> Subspace:
     """Basis of the degree-0 infinitesimal stabilizer of gamma: the kernel of
     the twisted differential on the degree-0 component."""
     tw = twist(L, gamma)
-    return xla.kernel_basis(tw.l1_mat(0))
+    return xla.kernel_basis(tw.bracket(0))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +309,7 @@ def _stabilizer_bracket(tw: GradedL3Algebra, K: Subspace) -> np.ndarray:
     """The twisted degree-0 bracket of basis elements of the stabilizer K,
     in K coordinates: shape (k, k, k)."""
     k = K.dim
-    values = xla.precompose(xla.precompose(tw.l2_tensor(0, 0), 1, K.basis), 2, K.basis)
+    values = xla.precompose(xla.precompose(tw.bracket(0, 0), 1, K.basis), 2, K.basis)
     flat = _coords_in(K, values.reshape(K.ambient_dim, k * k), "bracket of stabilizer elements")
     return xla.freeze(flat.reshape(k, k, k))
 
@@ -375,14 +321,14 @@ def inner_symmetries_n2(L: GradedL3Algebra, gamma: np.ndarray) -> EL2Algebra:
     if any(k <= -2 and d > 0 for k, d in L.dims.items()):
         raise DegreeError("components below degree -1 must vanish for this construction")
     tw = twist(L, gamma)  # raises MaurerCartanError when gamma is not MC
-    K = xla.kernel_basis(tw.l1_mat(0))
+    K = xla.kernel_basis(tw.bracket(0))
     n0, n1 = K.dim, L.dim(-1)
 
-    d = _coords_in(K, tw.l1_mat(-1), "image of the twisted differential")
+    d = _coords_in(K, tw.bracket(-1), "image of the twisted differential")
     b00 = _stabilizer_bracket(tw, K)
-    b01 = xla.precompose(tw.l2_tensor(0, -1), 1, K.basis)
-    b10 = xla.precompose(tw.l2_tensor(-1, 0), 2, K.basis)
-    jac3 = tw.l3_tensor(0, 0, 0)
+    b01 = xla.precompose(tw.bracket(0, -1), 1, K.basis)
+    b10 = xla.precompose(tw.bracket(-1, 0), 2, K.basis)
+    jac3 = tw.bracket(0, 0, 0)
     jac = xla.precompose(xla.precompose(xla.precompose(jac3, 1, K.basis), 2, K.basis), 3, K.basis)
 
     algebra = EL2Algebra(TwoTermComplex(n0, n1, d), b00, b01, b10, xla.zeros(n1, n0, n0), jac)
@@ -425,12 +371,12 @@ def inner_symmetries_n3(L: GradedL3Algebra, gamma: np.ndarray) -> InnerSymmetrie
         raise DegreeError("components below degree -2 must vanish for this construction")
     tw = twist(L, gamma)
     n0, n1 = L.dim(-1), L.dim(-2)
-    d = tw.l1_mat(-2)
-    d_up = tw.l1_mat(-1)  # L^-1 -> L^0
+    d = tw.bracket(-2)
+    d_up = tw.bracket(-1)  # L^-1 -> L^0
 
-    b00 = xla.precompose(tw.l2_tensor(0, -1), 1, d_up)
-    b01 = xla.precompose(tw.l2_tensor(0, -2), 1, d_up)
-    alt = tw.l2_tensor(-1, -1)
+    b00 = xla.precompose(tw.bracket(0, -1), 1, d_up)
+    b01 = xla.precompose(tw.bracket(0, -2), 1, d_up)
+    alt = tw.bracket(-1, -1)
     algebra = EL2Algebra(
         TwoTermComplex(n0, n1, d), b00, b01, xla.zeros(n1, n1, n0),
         alt, xla.zeros(n1, n0, n0, n0),
@@ -441,7 +387,7 @@ def inner_symmetries_n3(L: GradedL3Algebra, gamma: np.ndarray) -> InnerSymmetrie
     if not is_hemistrict(algebra):
         raise InvalidStructureError("derived-bracket structure is not hemistrict")
 
-    K = xla.kernel_basis(tw.l1_mat(0))
+    K = xla.kernel_basis(tw.bracket(0))
     k = K.dim
     target = EL2Algebra(
         TwoTermComplex(k, 0, xla.zeros(k, 0)), _stabilizer_bracket(tw, K),
@@ -454,8 +400,8 @@ def inner_symmetries_n3(L: GradedL3Algebra, gamma: np.ndarray) -> InnerSymmetrie
 
     action = ActionData(
         stabilizer=K,
-        on_c0=xla.precompose(tw.l2_tensor(0, -1), 1, K.basis),
-        on_c1=xla.precompose(tw.l2_tensor(0, -2), 1, K.basis),
+        on_c0=xla.precompose(tw.bracket(0, -1), 1, K.basis),
+        on_c1=xla.precompose(tw.bracket(0, -2), 1, K.basis),
     )
     return InnerSymmetriesN3(algebra, boundary, action)
 

@@ -16,9 +16,9 @@ A record kind's payload keys are its constructor's fields, declared once
 on the type (a :class:`exactla.TensorRecord`): :data:`KINDS` maps each kind
 to its type, and one codec encodes a record field by field and decodes its
 nested records and dimensions first, then each tensor against the shape
-``shapes()`` reads off them.  ``graded_l3`` (degree-string keys) and
-``cocycle_pair`` (payload ``representation``, ``s``, ``j``) keep their own
-layouts.
+``shapes()`` reads off them.  Only ``graded_l3`` keeps its own layout:
+degree-string keys, its bracket table grouped by arity under ``l1``, ``l2``
+and ``l3``.
 
 Parse errors report the JSON path of the offending value.  Structural axiom
 violations (a Lie algebra document failing the Jacobi identity, say) surface
@@ -70,16 +70,25 @@ class ParsedDocument:
     obj: Any
 
 
-@dataclass(frozen=True)
-class _CocycleDocument:
+@dataclass(frozen=True, eq=False)
+class _CocycleDocument(TensorRecord):
     """A cocycle pair with the representation it lives over."""
 
-    module: RepresentationFD
-    pair: CocyclePair
+    representation: RepresentationFD
+    s: np.ndarray
+    j: np.ndarray
+
+    def shapes(self):
+        m, n = self.representation.dim, self.representation.algebra.dim
+        return {"s": (m, n, n), "j": (m, n, n, n)}
+
+    @property
+    def pair(self) -> CocyclePair:
+        return CocyclePair(self.s, self.j)
 
 
 def cocycle_document(module: RepresentationFD, pair: CocyclePair) -> _CocycleDocument:
-    return _CocycleDocument(module, pair)
+    return _CocycleDocument(module, pair.s, pair.j)
 
 
 KINDS = {
@@ -123,12 +132,14 @@ def _enc_array(a: np.ndarray) -> dict:
 
 
 def _enc_graded(L: GradedL3Algebra) -> dict:
-    return {
-        "dims": {str(k): v for k, v in sorted(L.dims.items())},
-        "l1": {str(k): _enc_array(v) for k, v in sorted(L.l1.items())},
-        "l2": {f"{a},{b}": _enc_array(v) for (a, b), v in sorted(L.l2.items())},
-        "l3": {f"{a},{b},{c}": _enc_array(v) for (a, b, c), v in sorted(L.l3.items())},
-    }
+    """Degree-string keys, the brackets grouped by arity under l1, l2, l3."""
+    payload = {"dims": {str(k): v for k, v in sorted(L.dims.items())}}
+    for arity in (1, 2, 3):
+        payload[f"l{arity}"] = {
+            ",".join(map(str, degs)): _enc_array(v)
+            for degs, v in sorted(L.brackets.items()) if len(degs) == arity
+        }
+    return payload
 
 
 def _enc_value(v: Any) -> Any:
@@ -146,12 +157,6 @@ def to_payload(obj: Any) -> tuple[str, dict]:
     kind = _KIND_OF.get(type(obj))
     if kind is None:
         raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
-    if kind == "cocycle_pair":
-        return kind, {
-            "representation": _enc_value(obj.module),
-            "s": _enc_array(obj.pair.s),
-            "j": _enc_array(obj.pair.j),
-        }
     return kind, _enc_value(obj)
 
 
@@ -244,11 +249,10 @@ def _dec_graded(v: Any, path: str) -> GradedL3Algebra:
     for arity, name in enumerate(("l1", "l2", "l3"), 1):
         raw = v.get(name) or {}
         _expect(isinstance(raw, dict), f"{name} must be an object", f"{path}.{name}")
-        table = brackets[name] = {}
         for k, arr in raw.items():
             degs = _dec_degree_key(k, arity, f"{path}.{name}")
-            table[degs if arity > 1 else degs[0]] = _dec_array(arr, f"{path}.{name}.{k}", tmp.shape(*degs))
-    return GradedL3Algebra(dims=dims, **brackets)
+            brackets[degs] = _dec_array(arr, f"{path}.{name}.{k}", tmp.shape(*degs))
+    return GradedL3Algebra(dims, brackets)
 
 
 def _dec_value(cls: type, v: Any, path: str) -> Any:
@@ -270,21 +274,10 @@ def _dec_value(cls: type, v: Any, path: str) -> Any:
     return cls(**values)
 
 
-def _dec_cocycle(v: Any, path: str) -> _CocycleDocument:
-    _expect(isinstance(v, dict), "payload must be an object", path)
-    rep = _dec_value(RepresentationFD, v.get("representation"), path + ".representation")
-    n, dm = rep.algebra.dim, rep.dim
-    s = _dec_array(v.get("s"), path + ".s", (dm, n, n))
-    j = _dec_array(v.get("j"), path + ".j", (dm, n, n, n))
-    return _CocycleDocument(rep, CocyclePair(s, j))
-
-
 def from_payload(kind: str, payload: Any, path: str = "$.payload") -> Any:
     cls = KINDS.get(kind)
     if cls is None:
         raise ParseError(f"unknown kind {kind!r}", "$.kind")
-    if cls is _CocycleDocument:
-        return _dec_cocycle(payload, path)
     return _dec_value(cls, payload, path)
 
 

@@ -45,6 +45,5 @@ def test_graded_fixture_digests():
 @pytest.mark.parametrize("name, obj", list(_graded_fixtures()))
 def test_graded_fixture_entries_are_fractions(name, obj):
     graded = obj.graded if isinstance(obj, documents.MCProblem) else obj
-    for table in (graded.l1, graded.l2, graded.l3):
-        for arr in table.values():
-            assert all(type(x) is xla.Rat for x in arr.flat), name
+    for arr in graded.brackets.values():
+        assert all(type(x) is xla.Rat for x in arr.flat), name

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -31,7 +32,7 @@ def test_check_graded_dgla_fixtures(dgla_fixtures):
 def test_check_graded_trivial_and_action():
     # l2 = l3 = 0 with a squaring-to-zero differential
     d = xla.matrix([[0, 1], [0, 0]])
-    L = defo.GradedL3Algebra(dims={0: 2, 1: 2}, l1={0: d}, l2={}, l3={})
+    L = defo.GradedL3Algebra(dims={0: 2, 1: 2}, brackets={(0,): d})
     assert defo.check_graded(L).passed
     # an honest action algebra in degrees 0, -1
     L = catalog.action_dgla(catalog.adjoint_rep(catalog.so3()))
@@ -42,9 +43,9 @@ def test_check_graded_trivial_and_action():
 
 def test_check_graded_detects_sign_flip():
     L = catalog.action_dgla(catalog.adjoint_rep(catalog.so3()))
-    l2 = {k: np.array(v, dtype=object, copy=True) for k, v in L.l2.items()}
-    l2[(0, 0)][2, 0, 1] = -l2[(0, 0)][2, 0, 1]
-    bad = defo.GradedL3Algebra(dims=L.dims, l1={}, l2=l2, l3={})
+    brackets = {k: np.array(v, dtype=object, copy=True) for k, v in L.brackets.items()}
+    brackets[(0, 0)][2, 0, 1] = -brackets[(0, 0)][2, 0, 1]
+    bad = defo.GradedL3Algebra(dims=L.dims, brackets=brackets)
     assert not defo.check_graded(bad).passed
 
 
@@ -54,9 +55,9 @@ def test_l3_fixture_relations():
     assert not L.is_dgla
     assert defo.check_graded(L).passed
     # a single-entry perturbation breaks graded antisymmetry
-    l3 = {k: np.array(v, dtype=object, copy=True) for k, v in L.l3.items()}
-    l3[(0, 0, 0)][0, 0, 1, 2] += F(1)
-    bad = defo.GradedL3Algebra(dims=L.dims, l1={}, l2=dict(L.l2), l3=l3)
+    brackets = {k: np.array(v, dtype=object, copy=True) for k, v in L.brackets.items()}
+    brackets[(0, 0, 0)][0, 0, 1, 2] += F(1)
+    bad = defo.GradedL3Algebra(dims=L.dims, brackets=brackets)
     report = defo.check_graded(bad)
     assert not report.passed
     assert any(v.equation.startswith("antisym.l3") for v in report.violations)
@@ -68,7 +69,7 @@ def test_mc_residual_cases(dgla_fixtures):
         assert xla.is_zero(defo.mc_residual(L, gamma)), name
     # an abelian algebra has residual d gamma
     d = xla.matrix([[1], [0]])
-    L = defo.GradedL3Algebra(dims={1: 1, 2: 2}, l1={1: d}, l2={}, l3={})
+    L = defo.GradedL3Algebra(dims={1: 1, 2: 2}, brackets={(1,): d})
     gamma = xla.vector([3])
     assert xla.arrays_equal(defo.mc_residual(L, gamma), xla.vector([3, 0]))
 
@@ -78,8 +79,8 @@ def test_mc_balancing_fixture():
     nontrivially, next to a non-flat one."""
     L, good, bad = catalog.mc_balancing_dgla()
     assert defo.check_graded(L).passed
-    d_term = np.dot(L.l1_mat(1), good)
-    br_term = xla.apply_multilinear(L.l2[(1, 1)], good, good) * F(1, 2)
+    d_term = np.dot(L.bracket(1), good)
+    br_term = xla.apply_multilinear(L.brackets[(1, 1)], good, good) * F(1, 2)
     assert not xla.is_zero(d_term) and not xla.is_zero(br_term)
     assert xla.is_zero(defo.mc_residual(L, good))
     assert not xla.is_zero(defo.mc_residual(L, bad))
@@ -103,7 +104,7 @@ def test_twisted_differential_squares(dgla_fixtures):
     for name, L, gamma in dgla_fixtures:
         tw = defo.twist(L, gamma)
         for k in tw.degrees:
-            prod = np.dot(tw.l1_mat(k + 1), tw.l1_mat(k))
+            prod = np.dot(tw.bracket(k + 1), tw.bracket(k))
             assert xla.is_zero(prod), name
 
 
@@ -121,16 +122,16 @@ def test_twisted_square_is_bracket_with_residual():
         for k in L.degrees:
             if L.dim(k) == 0 or L.dim(k + 2) == 0:
                 continue
-            d1 = np.array(L.l1_mat(k), dtype=object, copy=True)
-            if (1, k) in L.l2:
-                d1 = d1 + np.tensordot(L.l2[(1, k)], gamma, axes=([1], [0]))
-            d2 = np.array(L.l1_mat(k + 1), dtype=object, copy=True)
-            if (1, k + 1) in L.l2:
-                d2 = d2 + np.tensordot(L.l2[(1, k + 1)], gamma, axes=([1], [0]))
+            d1 = np.array(L.bracket(k), dtype=object, copy=True)
+            if (1, k) in L.brackets:
+                d1 = d1 + np.tensordot(L.brackets[(1, k)], gamma, axes=([1], [0]))
+            d2 = np.array(L.bracket(k + 1), dtype=object, copy=True)
+            if (1, k + 1) in L.brackets:
+                d2 = d2 + np.tensordot(L.brackets[(1, k + 1)], gamma, axes=([1], [0]))
             square = np.dot(d2, d1)
             action = (
-                np.tensordot(L.l2[(2, k)], residual, axes=([1], [0]))
-                if (2, k) in L.l2
+                np.tensordot(L.brackets[(2, k)], residual, axes=([1], [0]))
+                if (2, k) in L.brackets
                 else xla.zeros(L.dim(k + 2), L.dim(k))
             )
             assert xla.arrays_equal(square, action)
@@ -148,15 +149,15 @@ def test_twist_deforms_binary_bracket_via_trilinear():
         (0, 1, 0): xla.freeze(-np.moveaxis(A.reshape(2, 2, 1, 2), 1, 1)),
         (0, 0, 1): xla.freeze(A.reshape(2, 2, 2, 1).copy()),
     }
-    L = defo.GradedL3Algebra(dims=dims, l1={}, l2={}, l3=l3)
+    L = defo.GradedL3Algebra(dims=dims, brackets=l3)
     report = defo.check_graded(L)
     assert report.passed, report.render()
     gamma = xla.vector([1])
     assert xla.is_zero(defo.mc_residual(L, gamma))
     tw = defo.twist(L, gamma)
     assert defo.check_graded(tw).passed, defo.check_graded(tw).render()
-    assert (0, 0) in tw.l2  # the twisted binary bracket picked up l3(gamma, ., .)
-    assert xla.arrays_equal(tw.l2[(0, 0)], A)
+    assert (0, 0) in tw.brackets  # the twisted binary bracket picked up l3(gamma, ., .)
+    assert xla.arrays_equal(tw.brackets[(0, 0)], A)
     out = defo.inner_symmetries_n2(tw, xla.zeros(1))
     assert el2.check_el2(out).passed
     # building the symmetry structure of gamma directly agrees with twisting
@@ -175,7 +176,7 @@ def test_symmetry_action_residual(dgla_fixtures):
             assert xla.is_zero(res), name
     # abelian case reduces to the differential
     d = xla.matrix([[2, 0]])
-    L = defo.GradedL3Algebra(dims={0: 2, 1: 1}, l1={0: d}, l2={}, l3={})
+    L = defo.GradedL3Algebra(dims={0: 2, 1: 1}, brackets={(0,): d})
     x = xla.vector([1, 5])
     assert xla.arrays_equal(
         defo.symmetry_action_residual(L, xla.zeros(1), x), xla.vector([2])
@@ -209,7 +210,7 @@ def test_inner_symmetries_n2_families():
 
 
 def test_inner_symmetries_n2_degree_guard():
-    L = defo.GradedL3Algebra(dims={-2: 1, -1: 1, 0: 1}, l1={}, l2={}, l3={})
+    L = defo.GradedL3Algebra(dims={-2: 1, -1: 1, 0: 1})
     with pytest.raises(defo.DegreeError):
         defo.inner_symmetries_n2(L, xla.zeros(0))
 
@@ -226,7 +227,7 @@ def test_inner_symmetries_n3_fixtures(dgla_fixtures):
 
 
 def test_inner_symmetries_n3_abelian():
-    L = defo.GradedL3Algebra(dims={-2: 1, -1: 2, 0: 1}, l1={}, l2={}, l3={})
+    L = defo.GradedL3Algebra(dims={-2: 1, -1: 2, 0: 1})
     report = defo.theorem_n3_report(L, xla.zeros(0))
     assert report.passed
 
@@ -249,14 +250,33 @@ def test_inner_symmetries_n3_guards():
     with_l3 = catalog.two_term_l3_dgla(so3, catalog.killing_form(so3))
     with pytest.raises(el2.InvalidStructureError):
         defo.inner_symmetries_n3(with_l3, xla.zeros(0))
-    too_deep = defo.GradedL3Algebra(dims={-3: 1, -2: 1, -1: 1, 0: 1}, l1={}, l2={}, l3={})
+    too_deep = defo.GradedL3Algebra(dims={-3: 1, -2: 1, -1: 1, 0: 1})
     with pytest.raises(defo.DegreeError):
         defo.inner_symmetries_n3(too_deep, xla.zeros(0))
 
 
+def test_bracket_table_validation():
+    assert [f.name for f in dataclasses.fields(defo.GradedL3Algebra)] == ["dims", "brackets"]
+    d = xla.matrix([[2]])
+    L = defo.GradedL3Algebra(dims={0: 1, 1: 1, 2: 0}, brackets={(0,): d})
+    assert L.dims == {0: 1, 1: 1} and L.is_dgla
+    assert L.bracket(0) is L.brackets[(0,)] and xla.is_zero(L.bracket(1, 1))
+    assert L.bracket(1, 1, 0).shape == (1, 1, 1, 1)
+    for bad in (
+        {0: d},                              # not a tuple
+        {(): xla.zeros(0)},                  # arity 0
+        {(0, 0, 0, 0): xla.zeros(0, 1, 1, 1, 1)},  # arity 4
+        {(0,): xla.zeros(2, 1)},             # wrong shape
+    ):
+        with pytest.raises(xla.ShapeError):
+            defo.GradedL3Algebra(dims={0: 1, 1: 1}, brackets=bad)
+    with pytest.raises(xla.ShapeError):
+        defo.GradedL3Algebra(dims={0: 1, 1: -1})
+
+
 def test_graded_equality_and_serialization_shapes():
     L, gamma = catalog.nilpotent_cdga_dgla()
-    same = defo.GradedL3Algebra(dims=dict(L.dims), l1=dict(L.l1), l2=dict(L.l2), l3={})
+    same = defo.GradedL3Algebra(dims=dict(L.dims), brackets=dict(L.brackets))
     assert L == same
     other = defo.twist(L, gamma)
     assert L != other

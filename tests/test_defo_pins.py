@@ -28,7 +28,7 @@ def trilinear_example():
         (0, 1, 0): xla.freeze(-np.moveaxis(A.reshape(2, 2, 1, 2), 1, 1)),
         (0, 0, 1): xla.freeze(A.reshape(2, 2, 2, 1).copy()),
     }
-    return defo.GradedL3Algebra(dims={0: 2, 1: 1}, l1={}, l2={}, l3=l3), xla.vector([1])
+    return defo.GradedL3Algebra(dims={0: 2, 1: 1}, brackets=l3), xla.vector([1])
 
 
 def mc_fixtures():
@@ -62,15 +62,13 @@ def test_twist_digests(name, L, gamma):
     assert sha(documents.serialize(defo.twist(L, gamma))) == TWIST_DIGESTS[name]
 
 
-def _with_entries(L, table, key, edits):
-    """Copy of L with entries of one stored bracket shifted: ``edits`` maps
-    index tuples to the amount added."""
-    tables = {name: dict(getattr(L, name)) for name in ("l1", "l2", "l3")}
-    arr = np.array(tables[table].get(key, xla.zeros(*L.shape(*key))), dtype=object, copy=True)
+def _with_entries(L, key, edits):
+    """Copy of L with entries of one bracket shifted: ``edits`` maps index
+    tuples to the amount added."""
+    arr = np.array(L.bracket(*key), dtype=object, copy=True)
     for idx, delta in edits.items():
         arr[idx] += F(delta)
-    tables[table][key] = arr
-    return defo.GradedL3Algebra(dims=L.dims, **tables)
+    return defo.GradedL3Algebra(dims=L.dims, brackets={**L.brackets, key: arr})
 
 
 def planted_defects():
@@ -81,21 +79,21 @@ def planted_defects():
     trilinear, _ = trilinear_example()
     return {
         # even x even: one entry of the so3 bracket with its sign flipped
-        "action-so3/l2(0,0)": _with_entries(action, "l2", (0, 0), {(2, 0, 1): -2}),
+        "action-so3/l2(0,0)": _with_entries(action, (0, 0), {(2, 0, 1): -2}),
         # odd x odd: the two residual orientations differ by a sign
-        "big3/l2(-1,-1)": _with_entries(big3, "l2", (-1, -1), {(0, 0, 1): 1}),
+        "big3/l2(-1,-1)": _with_entries(big3, (-1, -1), {(0, 0, 1): 1}),
         # one l3 entry: it enters both adjacent swaps
-        "two-term-l3/l3-entry": _with_entries(l3dgla, "l3", (0, 0, 0), {(0, 0, 1, 2): 1}),
+        "two-term-l3/l3-entry": _with_entries(l3dgla, (0, 0, 0), {(0, 0, 1, 2): 1}),
         # antisymmetric in the first two slots only: trips swap23 alone
-        "two-term-l3/swap23": _with_entries(l3dgla, "l3", (0, 0, 0), {(0, 0, 1, 2): 1, (0, 1, 0, 2): -1}),
+        "two-term-l3/swap23": _with_entries(l3dgla, (0, 0, 0), {(0, 0, 1, 2): 1, (0, 1, 0, 2): -1}),
         # antisymmetric in the last two slots only: trips swap12 alone
-        "two-term-l3/swap12": _with_entries(l3dgla, "l3", (0, 0, 0), {(0, 0, 1, 2): 1, (0, 0, 2, 1): -1}),
+        "two-term-l3/swap12": _with_entries(l3dgla, (0, 0, 0), {(0, 0, 1, 2): 1, (0, 0, 2, 1): -1}),
         # a trilinear bracket whose permuted keys are missing
-        "trilinear/l3(1,1,0)": _with_entries(trilinear, "l3", (1, 1, 0), {(0, 0, 0, 1): 1}),
+        "trilinear/l3(1,1,0)": _with_entries(trilinear, (1, 1, 0), {(0, 0, 0, 1): 1}),
         # a trilinear bracket on two odd inputs of dimension 3, not symmetric in them
-        "big3/l3(-1,-1,1)": _with_entries(big3, "l3", (-1, -1, 1), {(0, 0, 1, 0): 1}),
+        "big3/l3(-1,-1,1)": _with_entries(big3, (-1, -1, 1), {(0, 0, 1, 0): 1}),
         # graded antisymmetric, but the Jacobi identity fails
-        "action-so3/jacobi": _with_entries(action, "l2", (0, 0), {(0, 0, 1): 1, (0, 1, 0): -1}),
+        "action-so3/jacobi": _with_entries(action, (0, 0), {(0, 0, 1): 1, (0, 1, 0): -1}),
     }
 
 

@@ -408,6 +408,20 @@ def test_cli_mc_gamma_flag(tmp_path, capsys):
     assert cli.main(["mc", path, "--gamma", gamma_arg]) == 0
     capsys.readouterr()
     assert cli.main(["mc", path, "--gamma", "bogus"]) == 2
+    capsys.readouterr()
+    for text, entry in (("1,0,0,,0,1,0,0,0,1", "entry 4 of 10"),
+                        (gamma_arg + ",", "entry 10 of 10"), ("," + gamma_arg, "entry 1 of 10")):
+        assert cli.main(["mc", path, "--gamma", text]) == 2
+        assert f"--gamma {entry} is empty" in capsys.readouterr().err
+
+
+def test_cli_mc_large_dimensions_without_brackets(tmp_path, capsys):
+    # a dense 400000 x 400000 differential does not fit in memory: only the
+    # stored brackets enter the Maurer-Cartan residual
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "graded_l3", "payload": {"dims": {"1": 400000, "2": 400000}}}))
+    assert cli.main(["mc", str(path)]) == 0
+    assert capsys.readouterr().out == "maurer-cartan residual: zero\n"
 
 
 def test_cli_inner_sym(tmp_path, capsys):

@@ -76,9 +76,9 @@ def _broken_checks():
     bad_2morphism = morph.ELTwoMorphism(square_ident, square_ident, theta)
     bad_bracket = perturb(square, "b01", 0).bracket
     action = catalog.action_dgla(catalog.adjoint_rep(catalog.so3()))
-    l2 = {k: np.array(v, copy=True) for k, v in action.l2.items()}
-    l2[(0, 0)][2, 0, 1] = -l2[(0, 0)][2, 0, 1]
-    bad_graded = defo.GradedL3Algebra(dims=action.dims, l1={}, l2=l2, l3={})
+    brackets = {k: np.array(v, copy=True) for k, v in action.brackets.items()}
+    brackets[(0, 0)][2, 0, 1] = -brackets[(0, 0)][2, 0, 1]
+    bad_graded = defo.GradedL3Algebra(dims=action.dims, brackets=brackets)
     return {
         "check_el2": lambda s: el2.check_el2(bad, stop_after=s),
         "categorical_coherence_check": lambda s: el2.categorical_coherence_check(bad, stop_after=s),
