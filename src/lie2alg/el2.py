@@ -26,7 +26,10 @@ denominator, so the residuals are computed in Python ints instead of
 Fractions.  It multiplies the residual of each identity by a fixed power of
 den, so the copy fails at exactly the basis tuples where the input fails, and
 dividing each violating residual by that power gives the report of the
-Fraction input.
+Fraction input.  ``check_el2`` first evaluates each identity on int64
+residues of the copy modulo a few primes (``exactla.residue_images``), which
+proves the passing ones zero, and evaluates only the failing ones on Python
+ints.
 
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
 Jacobiator arrow at (x, y, z) is ([x,[y,z]], -jac(x,y,z)), and the bracket of
@@ -38,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -45,7 +49,7 @@ import numpy as np
 from . import exactla as xla
 from .dkcore import BilinearBracket, TwoTermComplex, chain_b01, chain_b10, chain_derived
 from .exactla import ShapeError, TensorRecord
-from .report import CheckReport, collect_tensor_violations
+from .report import CheckReport, collect_tensor_violations, require_stop_after
 
 
 class InvalidStructureError(ValueError):
@@ -146,7 +150,7 @@ def _leibniz_defect(c: np.ndarray) -> np.ndarray:
     """[x,[y,z]] - [[x,y],z] - [y,[x,z]] as a tensor over (x, y, z)."""
     t1 = np.tensordot(c, c, axes=([2], [0]))                     # (k, i, j, l)
     t2 = np.transpose(np.tensordot(c, c, axes=([1], [0])), (0, 2, 3, 1))
-    t3 = np.transpose(np.tensordot(c, c, axes=([2], [0])), (0, 2, 1, 3))
+    t3 = np.transpose(t1, (0, 2, 1, 3))
     return t1 - t2 - t3
 
 
@@ -221,7 +225,7 @@ def _residual_jacobi001(e: EL2Algebra) -> np.ndarray:
     # [x,[y,c]] - [[x,y],c] - [y,[x,c]] - jac(x, y, dc), axes (x, y, c)
     t1 = np.tensordot(e.b01, e.b01, axes=([2], [0]))
     t2 = np.transpose(np.tensordot(e.b01, e.b00, axes=([1], [0])), (0, 2, 3, 1))
-    t3 = np.transpose(np.tensordot(e.b01, e.b01, axes=([2], [0])), (0, 2, 1, 3))
+    t3 = np.transpose(t1, (0, 2, 1, 3))
     rhs = np.tensordot(e.jac, e.complex.d, axes=([3], [0]))
     return t1 - t2 - t3 - rhs
 
@@ -230,17 +234,22 @@ def _residual_bracket_jacobiator(e: EL2Algebra) -> np.ndarray:
     # [x,<y,z,w>] + <x,[y,z],w> + <x,z,[y,w]> + [<x,y,z>,w] + [z,<x,y,w>]
     #   = <x,y,[z,w]> + <[x,y],z,w> + [y,<x,z,w>] + <y,[x,z],w> + <y,z,[x,w]>
     # residual axes (x, y, z, w)
+    # five distinct contractions; t1/t5/t8, t2/t9 and t3/t6/t10 are axis
+    # permutations of one each
     b00, b01, b10, jac = e.b00, e.b01, e.b10, e.jac
-    t1 = np.tensordot(b01, jac, axes=([2], [0]))                               # (k,x,y,z,w)
-    t2 = np.transpose(np.tensordot(jac, b00, axes=([2], [0])), (0, 1, 3, 4, 2))
-    t3 = np.transpose(np.tensordot(jac, b00, axes=([3], [0])), (0, 1, 3, 2, 4))
+    bracket_jac = np.tensordot(b01, jac, axes=([2], [0]))
+    jac_in2 = np.tensordot(jac, b00, axes=([2], [0]))
+    jac_in3 = np.tensordot(jac, b00, axes=([3], [0]))
+    t1 = bracket_jac                                                           # (k,x,y,z,w)
+    t2 = np.transpose(jac_in2, (0, 1, 3, 4, 2))
+    t3 = np.transpose(jac_in3, (0, 1, 3, 2, 4))
     t4 = np.moveaxis(np.tensordot(b10, jac, axes=([1], [0])), 1, 4)
-    t5 = np.moveaxis(np.tensordot(b01, jac, axes=([2], [0])), 1, 3)
-    t6 = np.tensordot(jac, b00, axes=([3], [0]))
+    t5 = np.moveaxis(bracket_jac, 1, 3)
+    t6 = jac_in3
     t7 = np.moveaxis(np.tensordot(jac, b00, axes=([1], [0])), (3, 4), (1, 2))
-    t8 = np.tensordot(b01, jac, axes=([2], [0])).swapaxes(1, 2)
-    t9 = np.transpose(np.tensordot(jac, b00, axes=([2], [0])), (0, 3, 1, 4, 2))
-    t10 = np.moveaxis(np.tensordot(jac, b00, axes=([3], [0])), 3, 1)
+    t8 = bracket_jac.swapaxes(1, 2)
+    t9 = np.transpose(jac_in2, (0, 3, 1, 4, 2))
+    t10 = np.moveaxis(jac_in3, 3, 1)
     return (t1 + t2 + t3 + t4 + t5) - (t6 + t7 + t8 + t9 + t10)
 
 
@@ -334,8 +343,29 @@ def check_el2(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport
     cross-validation under ``red.*`` names, and whether the alternator happens
     to be symmetric is reported as an informational note (it is never
     required).
+
+    Verdicts are exact.  Every residual of the integer copy is at most
+    :func:`_residual_bound` in absolute value, so an identity whose residual
+    is zero modulo primes whose product exceeds that bound
+    (:func:`exactla.residue_images`) is zero, and is never evaluated on
+    Python ints.  Every other identity is evaluated once on Python ints and
+    reported as ``_check_el2_body`` reports it.  When no such primes are
+    available, every identity is evaluated on Python ints.
     """
-    return _check_el2_body(*_integer_copy(e), stop_after)
+    require_stop_after(stop_after)
+    ints, den = _integer_copy(e)
+    images = _residue_images(ints)
+    if images is None:
+        return _check_el2_body(ints, den, stop_after)
+    report = CheckReport()
+    for name, fn in EL2_EQUATIONS + EL2_REDUNDANT_EQUATIONS:
+        if not any(np.count_nonzero(fn(image) % p) for p, image in images):
+            continue
+        scale = den ** RESIDUAL_POWERS[name]
+        if collect_tensor_violations(report, name, fn(ints), stop_after=stop_after, scale=scale):
+            return report
+    report.notes.append(_alternator_note(ints))
+    return report
 
 
 def _check_el2_body(e: EL2Algebra, den: int, stop_after: Optional[int]) -> CheckReport:
@@ -345,9 +375,44 @@ def _check_el2_body(e: EL2Algebra, den: int, stop_after: Optional[int]) -> Check
         scale = den ** RESIDUAL_POWERS[name]
         if collect_tensor_violations(report, name, fn(e), stop_after=stop_after, scale=scale):
             return report
-    symmetric = xla.arrays_equal(e.alt, e.alt.swapaxes(1, 2))
-    report.notes.append(f"alternator symmetric: {'yes' if symmetric else 'no'}")
+    report.notes.append(_alternator_note(e))
     return report
+
+
+def _alternator_note(e: EL2Algebra) -> str:
+    symmetric = xla.arrays_equal(e.alt, e.alt.swapaxes(1, 2))
+    return f"alternator symmetric: {'yes' if symmetric else 'no'}"
+
+
+# Every residual is a signed sum of at most this many terms, each an entry or
+# a contraction over one index of two entries (coh.bracket-jacobiator has ten).
+RESIDUAL_TERMS = 10
+
+
+def _width(e: EL2Algebra) -> int:
+    """The length of the longest contraction: max(n0, n1, 1)."""
+    return max(e.complex.n0, e.complex.n1, 1)
+
+
+def _residual_bound(e: EL2Algebra) -> int:
+    """``RESIDUAL_TERMS * n * M**2`` for an integer copy with largest entry
+    M in absolute value and width n: no residual entry exceeds it."""
+    m = max((abs(x) for t in _tensors(e) for x in t.flat), default=0)
+    return RESIDUAL_TERMS * _width(e) * m * m
+
+
+def _residue_images(e: EL2Algebra) -> Optional[list[tuple[int, SimpleNamespace]]]:
+    """The integer copy ``e`` modulo each prime that certifies its residuals,
+    as ``(p, image)`` pairs: each image holds the int64 tensors the residual
+    functions read (``complex.d``, ``b00``, ..., ``jac``).  None when the
+    residuals must be evaluated on Python ints."""
+    images = xla.residue_images(_tensors(e), _residual_bound(e), RESIDUAL_TERMS * _width(e))
+    if images is None:
+        return None
+    return [
+        (p, SimpleNamespace(complex=SimpleNamespace(d=d), b00=b00, b01=b01, b10=b10, alt=alt, jac=jac))
+        for p, (d, b00, b01, b10, alt, jac) in images
+    ]
 
 
 def is_semistrict(e: EL2Algebra) -> bool:

@@ -29,6 +29,20 @@ identity's residual one known power of the denominator and divides only
 the violating residuals (``report.collect_tensor_violations``).  Verdicts,
 values, residuals and entry types are the ones Fraction evaluation gives.
 
+A check can decide most of its verdicts without Python ints at all
+(:func:`residue_images`).  Given a bound B on the absolute value of every
+residual, it evaluates the residuals on int64 images of the integer
+tensors modulo the fewest primes of :data:`RESIDUE_PRIMES` whose product
+exceeds B, reducing once at the end.  A residual that is zero modulo each
+of them is zero, by the Chinese remainder theorem, since its absolute value
+is below their product; only an identity that is nonzero modulo some prime
+is evaluated again, once, on Python ints, for its exact residual.  The
+int64 evaluation is exact when each residual is a signed sum of at most
+``terms`` products of two entries with ``terms * p**2 < 2**63``; when that
+fails, or the table's product does not exceed B, there are no images and
+the check evaluates on Python ints.  ``el2.check_el2`` decides its verdicts
+this way.
+
 Row reduction is fraction-free for the same reason: :func:`rref` clears
 denominators row by row, eliminates on Python ints (Bareiss) and divides once
 at the end.  The reduced row-echelon form of a row space is unique, so the
@@ -214,6 +228,48 @@ def unscaled(a: np.ndarray, den: int) -> np.ndarray:
     out = np.empty(arr.shape, dtype=object)
     out.reshape(-1)[:] = [Fraction(x, den) for x in arr.flat]
     return freeze(out)
+
+
+# The 64 largest primes below 2**26, in decreasing order; their product has
+# 1664 bits.
+RESIDUE_PRIMES: tuple[int, ...] = (
+    67108859, 67108837, 67108819, 67108777, 67108763, 67108757, 67108753, 67108747,
+    67108739, 67108729, 67108721, 67108709, 67108693, 67108669, 67108667, 67108661,
+    67108649, 67108633, 67108597, 67108579, 67108529, 67108511, 67108507, 67108493,
+    67108471, 67108463, 67108453, 67108439, 67108387, 67108373, 67108369, 67108351,
+    67108331, 67108313, 67108303, 67108289, 67108271, 67108219, 67108207, 67108201,
+    67108199, 67108187, 67108183, 67108177, 67108127, 67108109, 67108081, 67108049,
+    67108039, 67108037, 67108033, 67108009, 67108007, 67108003, 67107983, 67107977,
+    67107967, 67107941, 67107919, 67107913, 67107883, 67107881, 67107871, 67107863,
+)
+
+
+def residue_images(
+    arrays: Sequence[np.ndarray], bound: int, terms: int
+) -> Optional[list[tuple[int, list[np.ndarray]]]]:
+    """The integer ``arrays`` modulo each of the fewest leading
+    :data:`RESIDUE_PRIMES` whose product exceeds ``bound``: one
+    ``(p, images)`` pair per prime, each image an int64 array with entries in
+    ``[0, p)``.
+
+    An integer of absolute value at most ``bound`` that is zero modulo each
+    of these primes is zero.  A signed sum of at most ``terms`` products of
+    two images stays below 2**63 in absolute value, so it is evaluated
+    exactly in int64 and reduced once at the end.  None when ``terms * p**2``
+    could reach 2**63, or when the product of the whole table does not
+    exceed ``bound``; the caller then evaluates on Python ints.
+    """
+    if terms * RESIDUE_PRIMES[0] ** 2 >= 2**63:
+        return None
+    primes, product = [], 1
+    for p in RESIDUE_PRIMES:
+        if product > bound:
+            break
+        primes.append(p)
+        product *= p
+    if product <= bound:
+        return None
+    return [(p, [(np.asarray(a) % p).astype(np.int64) for a in arrays]) for p in primes]
 
 
 def is_zero(a: np.ndarray) -> bool:

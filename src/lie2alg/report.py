@@ -9,7 +9,6 @@ lexicographic order, so the first violation of a broken structure is stable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -108,15 +107,15 @@ def collect_tensor_violations(
     """
     require_stop_after(stop_after)
     residual = np.asarray(residual)
-    if any(x != 0 for x in residual.flat):
+    if np.count_nonzero(residual):
         if residual.ndim <= 1:
             report.violations.append(Violation(equation, (), exact_residual(residual.flat, scale)))
         else:
-            in_shape = residual.shape[1:]
-            for idx in itertools.product(*(range(s) for s in in_shape)):
+            # argwhere lists the violating columns in C order, i.e. lexicographically
+            for idx in np.argwhere(np.count_nonzero(residual, axis=0)).tolist():
+                idx = tuple(idx)
                 column = residual[(slice(None),) + idx]
-                if any(x != 0 for x in column):
-                    report.violations.append(Violation(equation, idx, exact_residual(column, scale)))
-                    if stop_after is not None and len(report.violations) >= stop_after:
-                        return True
+                report.violations.append(Violation(equation, idx, exact_residual(column, scale)))
+                if stop_after is not None and len(report.violations) >= stop_after:
+                    return True
     return stop_after is not None and len(report.violations) >= stop_after

@@ -18,8 +18,10 @@ references kept here.
 
 import contextlib
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -360,13 +362,25 @@ def test_planted_structure_defect(coprime_structure, name):
     assert not any(r.passed for r in reports)
 
 
-def test_failing_check_evaluates_each_identity_once(coprime_structure, monkeypatch):
+def test_failing_check_evaluates_only_failing_identities_on_ints(coprime_structure, monkeypatch):
+    """An identity reaches the integer copy exactly once when its residue
+    modulo some prime is nonzero, and never when it is zero modulo every
+    prime."""
     _, _, _, e = coprime_structure
-    calls = {}
+    bad = plant(e, "jac", 5, F(1, 23))
+    images = el2._residue_images(el2._integer_copy(bad)[0])
+    assert len(images) >= 3
+    nonzero = {
+        name for name, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS
+        if any(np.any(fn(image) % p) for p, image in images)
+    }
+    assert 0 < len(nonzero) < len(el2.RESIDUAL_POWERS)
+    on_ints, on_residues = {}, {}
 
     def counted(table):
         def wrap(name, fn):
             def counting(x):
+                calls = on_ints if x.b00.dtype == object else on_residues
                 calls[name] = calls.get(name, 0) + 1
                 return fn(x)
             return name, counting
@@ -374,9 +388,10 @@ def test_failing_check_evaluates_each_identity_once(coprime_structure, monkeypat
 
     monkeypatch.setattr(el2, "EL2_EQUATIONS", counted(el2.EL2_EQUATIONS))
     monkeypatch.setattr(el2, "EL2_REDUNDANT_EQUATIONS", counted(el2.EL2_REDUNDANT_EQUATIONS))
-    report = el2.check_el2(plant(e, "jac", 5, F(1, 23)))
-    assert not report.passed
-    assert calls == dict.fromkeys(el2.RESIDUAL_POWERS, 1)
+    report = el2.check_el2(bad)
+    assert set(report.equations_violated()) == nonzero
+    assert on_ints == dict.fromkeys(nonzero, 1)
+    assert set(on_residues) == set(el2.RESIDUAL_POWERS)
 
 
 def test_planted_f2_and_theta_defects(coprime_structure):
@@ -425,8 +440,8 @@ entries = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
 @st.composite
-def moved_structures(draw):
-    base = draw(st.sampled_from(BASES))
+def moved_structures(draw, bases=BASES):
+    base = draw(st.sampled_from(bases))
     maps = []
     for n in (base.complex.n0, base.complex.n1):
         m = xla.matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
@@ -596,3 +611,145 @@ def test_crossed_module_report_matches_fraction_reference(where):
         want = crossed_module_reference(planted)
         assert got.passed == (where == "none")
         assert_same_report(got, want)
+
+
+# ---------------------------------------------------------------------------
+# verdicts certified by residues modulo a few primes
+# ---------------------------------------------------------------------------
+
+def test_residue_primes_are_the_largest_below_2_26():
+    def is_prime(n):
+        return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    table = xla.RESIDUE_PRIMES
+    assert len(table) == 64 and table[0] < 2**26
+    assert [n for n in range(2**26 - 1, table[-1] - 1, -1) if is_prime(n)] == list(table)
+
+
+def test_residue_images_guard():
+    a = np.array([[3, -5], [2**200 + 1, 0]], dtype=object)
+    first = xla.RESIDUE_PRIMES[0]
+    assert xla.residue_images([a], 0, 1) == []     # |r| <= 0 needs no prime
+    images = xla.residue_images([a, a[0]], 1, 1)
+    assert [p for p, _ in images] == [first]
+    image = images[0][1][0]
+    assert image.dtype == np.int64 and image.tolist() == [[3, first - 5], [(2**200 + 1) % first, 0]]
+    # the width guard: ten terms of n products stay below 2**63 up to n = 204
+    assert el2.RESIDUAL_TERMS == 10
+    assert xla.residue_images([a], 1, 10 * 204) is not None
+    assert xla.residue_images([a], 1, 10 * 205) is None
+    # the fewest leading primes whose product exceeds the bound
+    two = math.prod(xla.RESIDUE_PRIMES[:2])
+    assert len(xla.residue_images([a], two - 1, 10)) == 2
+    assert len(xla.residue_images([a], two, 10)) == 3
+    whole = math.prod(xla.RESIDUE_PRIMES)
+    assert len(xla.residue_images([a], whole - 1, 10)) == 64
+    assert xla.residue_images([a], whole, 10) is None
+
+
+def test_check_el2_falls_back_beyond_the_prime_table():
+    huge = F(2**900 + 1, 3)
+    e = plant(el2.zero_el2(3, 1), "jac", 5, huge)
+    assert el2._residue_images(el2._integer_copy(e)[0]) is None
+    assert_matches_reference(e)
+    assert not el2.check_el2(e).passed
+
+
+class Magnitude:
+    """An upper bound on |x| carried through arithmetic: a sum or difference
+    adds the bounds, a product multiplies them, negation keeps it."""
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def __add__(self, other):
+        return Magnitude(self.bound + magnitude(other))
+
+    def __mul__(self, other):
+        return Magnitude(self.bound * magnitude(other))
+
+    def __neg__(self):
+        return self
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+
+
+def magnitude(x):
+    return x.bound if isinstance(x, Magnitude) else abs(x)
+
+
+@pytest.mark.parametrize("n0, n1", [(3, 3), (2, 4), (4, 2), (1, 1), (0, 3), (3, 0)])
+def test_residual_bound_covers_every_identity(n0, n1):
+    largest = 7
+    shapes = [t.shape for t in el2._tensors(el2.zero_el2(n0, n1))]
+    ints = [np.full(shape, -largest, dtype=object) for shape in shapes]
+    mags = [np.full(shape, Magnitude(largest), dtype=object) for shape in shapes]
+
+    def record(d, b00, b01, b10, alt, jac):
+        return SimpleNamespace(complex=SimpleNamespace(n0=n0, n1=n1, d=d), b00=b00, b01=b01,
+                               b10=b10, alt=alt, jac=jac)
+
+    bound = el2._residual_bound(record(*ints))
+    assert bound == (10 * max(n0, n1, 1) * largest**2 if n0 else 0)   # n0 = 0: every tensor is empty
+    worst = max(
+        (magnitude(x) for _, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS
+         for x in np.asarray(fn(record(*mags))).flat),
+        default=0,
+    )
+    assert worst <= bound
+    if n0 == n1:
+        assert worst == bound   # coh.bracket-jacobiator attains it
+
+
+def test_screen_with_too_few_primes_passes_a_defect(monkeypatch):
+    """A residual equal to the product of the first k primes is zero modulo
+    each of them: with the bound forced one prime short of it, the screen
+    passes a broken structure, and the real checker reports it."""
+    k = 3
+    product = math.prod(xla.RESIDUE_PRIMES[:k])
+    bad = plant(el2.zero_el2(3, 1), "jac", 5, F(product))     # jac[0, 0, 1, 2]
+    ints, den = el2._integer_copy(bad)
+    assert den == 1
+    residual = el2._residual_jacobiator_sym12(ints)
+    assert residual[0, 0, 1, 2] == product and set(np.unique(residual)) == {0, product}
+    want = el2._check_el2_body(bad, 1, None)
+    assert want.equations_violated() == ("coh.jacobiator-sym12", "coh.jacobiator-sym23")
+    assert len(el2._residue_images(ints)) > k
+    assert_matches_reference(bad)
+    monkeypatch.setattr(el2, "_residual_bound", lambda e: product - 1)
+    assert len(el2._residue_images(ints)) == k
+    assert el2.check_el2(bad).passed
+
+
+def assert_matches_reference(e):
+    """``check_el2`` gives the report of the exact body run on the Fraction
+    input, for every ``stop_after``, with only Python ints reaching a
+    report."""
+    for stop_after in (None, 1, 3):
+        want = el2._check_el2_body(e, 1, stop_after)
+        with int_columns_only():
+            got = el2.check_el2(e, stop_after=stop_after)
+        assert_same_report(got, want)
+        assert got.notes == want.notes
+
+
+SHAPE_BASES = BASES + (lie_only(catalog.sl2()), el2.zero_el2(0, 2, xla.zeros(0, 2)))
+# Moving along Q on both degrees divides the brackets and the alternator by
+# Q and the Jacobiator by Q**2, so a nonempty integer copy has entries of
+# at least 31 bits and its bound needs at least three primes.
+Q = 2**31 - 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(moved_structures(SHAPE_BASES), st.sampled_from(["none", "d", "b00", "b01", "b10", "alt", "jac"]),
+       st.integers(0, 200), entries.filter(lambda x: x != 0))
+def test_check_el2_matches_exact_reference(moved, defect, flat_idx, delta):
+    base, phi0, phi1 = moved
+    n0, n1 = base.complex.n0, base.complex.n1
+    e = el2.transport(el2.transport(base, phi0, phi1), xla.identity(n0) * Q, xla.identity(n1) * Q)
+    if defect != "none" and dict(zip(("d", "b00", "b01", "b10", "alt", "jac"), el2._tensors(e)))[defect].size:
+        e = plant(e, defect, flat_idx, delta)
+    images = el2._residue_images(el2._integer_copy(e)[0])
+    assert len(images) >= 3 or n0 == 0     # n0 = 0: every tensor is empty
+    assert_matches_reference(e)

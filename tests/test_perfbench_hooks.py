@@ -4,10 +4,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from lie2alg import catalog, el2, exactla as xla
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_tracer_hooks_resolve(monkeypatch):
+@pytest.fixture
+def tracer(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
@@ -15,7 +20,25 @@ def test_tracer_hooks_resolve(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert tracer.unresolved == []
-        assert tracer.identities
+        yield tracer
     finally:
         tracer.uninstall()
+
+
+def test_tracer_hooks_resolve(tracer):
+    assert tracer.unresolved == []
+    assert tracer.identities
+
+
+def test_tracer_records_every_identity_of_check_el2(tracer):
+    """Each identity is evaluated once per prime of the residue screen."""
+    g = catalog.sl2()
+    e = el2.transport(el2.string_2_algebra(g, catalog.killing_form(g)),
+                      xla.identity(3) * xla.Rat(5, 3), xla.identity(1) * xla.Rat(2, 7))
+    primes = len(el2._residue_images(el2._integer_copy(e)[0]))
+    assert primes >= 2
+    assert el2.check_el2(e).passed
+    names = [rec[0] for rec in tracer.spans]
+    assert names.count("el2.check_el2") == 1
+    for identity in tracer.identities:
+        assert names.count(f"el2.identity.{identity}") == primes, identity

@@ -107,3 +107,14 @@ def test_check_graded_rejects_stop_after_below_one_on_an_empty_algebra():
     for stop_after in (0, -1):
         with pytest.raises(ValueError, match="stop_after must be at least 1"):
             defo.check_graded(empty, stop_after=stop_after)
+
+
+def test_check_el2_rejects_stop_after_below_one_on_a_valid_structure():
+    """A valid structure passes the residue screen without reaching
+    ``collect_tensor_violations``, so the guard must run before it."""
+    g = catalog.sl2()
+    quad = el2.from_quadratic_lie(g, catalog.killing_form(g))
+    assert el2.check_el2(quad).passed
+    for stop_after in (0, -1):
+        with pytest.raises(ValueError, match="stop_after must be at least 1"):
+            el2.check_el2(quad, stop_after=stop_after)
