@@ -86,10 +86,8 @@ def cmd_check(args) -> int:
     if kind == "mc_problem":
         report = defo.check_graded(obj.graded)
         residual = defo.mc_residual(obj.graded, obj.gamma)
-        report.notes.append(
-            "maurer-cartan residual: "
-            + ("zero" if xla.is_zero(residual) else "(" + ", ".join(xla.rat_str(x) for x in residual) + ")")
-        )
+        text = "zero" if xla.is_zero(residual) else xla.tuple_str(residual)
+        report.notes.append(f"maurer-cartan residual: {text}")
         return _report_exit(report, args.max_violations)
     raise ParseError(f"no checker for kind {kind!r}")  # pragma: no cover
 
@@ -133,20 +131,16 @@ def cmd_cohomology(args) -> int:
     print(f"dim BL3 = {space.coboundaries.dim}")
     print(f"dim HL3 = {space.dim}")
     for k, pair in enumerate(space.representatives):
-        s_txt = ", ".join(xla.rat_str(x) for x in pair.s.reshape(-1))
-        j_txt = ", ".join(xla.rat_str(x) for x in pair.j.reshape(-1))
-        print(f"representative {k}: s = ({s_txt}) j = ({j_txt})")
+        print(f"representative {k}: s = {xla.tuple_str(pair.s)} j = {xla.tuple_str(pair.j)}")
     if not args.ce:
         return PASS
     print(f"dim H3 = {seq.ce.dim}")
     for k, phi in enumerate(seq.ce.representatives):
-        txt = ", ".join(xla.rat_str(x) for x in phi.reshape(-1))
-        print(f"H3 representative {k}: ({txt})")
+        print(f"H3 representative {k}: {xla.tuple_str(phi)}")
     if space.dim:
         print("ss map on HL3 representatives (columns) in H3 coordinates:")
         for k in range(space.dim):
-            txt = ", ".join(xla.rat_str(x) for x in seq.ss_matrix[:, k])
-            print(f"  ss[rep {k}] = ({txt})")
+            print(f"  ss[rep {k}] = {xla.tuple_str(seq.ss_matrix[:, k])}")
     print(seq.render())
     return PASS if seq.passed else VIOLATION
 
@@ -166,11 +160,11 @@ def cmd_classify(args) -> int:
         return VIOLATION
     g, m, pair = cohom.extract_class(skeletal)
     print(f"algebra dimension: {g.dim}")
-    print("structure constants: (" + ", ".join(xla.rat_str(x) for x in g.c.reshape(-1)) + ")")
+    print("structure constants: " + xla.tuple_str(g.c))
     print(f"module dimension: {m.dim}")
-    print("action tensor: (" + ", ".join(xla.rat_str(x) for x in m.rho.reshape(-1)) + ")")
-    print("class representative s: (" + ", ".join(xla.rat_str(x) for x in pair.s.reshape(-1)) + ")")
-    print("class representative j: (" + ", ".join(xla.rat_str(x) for x in pair.j.reshape(-1)) + ")")
+    print("action tensor: " + xla.tuple_str(m.rho))
+    print("class representative s: " + xla.tuple_str(pair.s))
+    print("class representative j: " + xla.tuple_str(pair.j))
     # transfer_to_skeletal has checked the inclusion's morphism axioms and
     # quasi-isomorphism, and raises TransferError when either fails
     print("equivalence certificate: morphism axioms pass, quasi-isomorphism yes")
@@ -200,7 +194,7 @@ def cmd_mc(args) -> int:
             twisted = defo.twist(graded, gamma)
             _emit(args.output, documents.serialize(twisted, name="twisted structure"))
         return PASS
-    print("maurer-cartan residual: (" + ", ".join(xla.rat_str(x) for x in residual) + ")")
+    print("maurer-cartan residual: " + xla.tuple_str(residual))
     return VIOLATION
 
 

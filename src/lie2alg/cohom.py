@@ -43,13 +43,11 @@ from .el2 import (
     extract_skeletal_data,
 )
 from .exactla import ShapeError, Subspace, TensorRecord
-from .report import CheckReport, collect_tensor_violations
+from .report import CheckReport, ReportError, check_identities
 
 
-class CocycleError(ValueError):
-    def __init__(self, message: str, report: Optional[CheckReport] = None):
-        super().__init__(message if report is None else f"{message}\n{report.render()}")
-        self.report = report
+class CocycleError(ReportError):
+    """A cochain pair fails the cocycle equations; carries their report."""
 
 
 class TransferError(ValueError):
@@ -176,9 +174,7 @@ def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bo
         xla.scaled_ints(g.c, den), xla.scaled_ints(m.rho, den),
         xla.scaled_ints(p.s, den), xla.scaled_ints(p.j, den**2),
     )
-    report = CheckReport()
-    for name, residual, scale in zip(_COCYCLE_EQUATIONS, residuals, (den**3, den**2, den**2, den**2)):
-        collect_tensor_violations(report, name, residual, scale=scale)
+    report = check_identities(zip(_COCYCLE_EQUATIONS, residuals, (3, 2, 2, 2)), den=den)
     return report.passed, report
 
 

@@ -49,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from . import exactla as xla, morph as morph_mod
 from .dkcore import TwoTermComplex
 from .el2 import EL2Algebra, InvalidStructureError, check_el2, is_hemistrict
 from .exactla import ShapeError, Subspace
-from .report import CheckReport, Violation, collect_tensor_violations, require_stop_after
+from .report import CheckReport, Violation, check_identities
 
 
 class DegreeError(ValueError):
@@ -179,14 +179,13 @@ def check_graded(L: GradedL3Algebra, *, stop_after: Optional[int] = None) -> Che
     identities through arity 5, evaluated per degree tuple on basis tuples.
 
     For an algebra with no trilinear bracket the arity 4 and 5 relations
-    vanish identically and are skipped.  ``stop_after`` is checked before
-    anything is evaluated: an algebra with no brackets never reaches
-    ``collect_tensor_violations``.
+    vanish identically and are skipped.
     """
-    require_stop_after(stop_after)
-    report = CheckReport()
-    degrees = L.degrees
+    return check_identities(_graded_identities(L), stop_after=stop_after)
 
+
+def _graded_identities(L: GradedL3Algebra) -> Iterator[tuple[str, np.ndarray, int]]:
+    """Each identity of :func:`check_graded` as (name, residual, 0)."""
     # each adjacent swap of each permutation of a stored key; arity 2
     # reports l2(a,b) + s swap(l2(b,a)), arity 3 swap(l3(...)) + s l3(a,b,c)
     for n in (2, 3):
@@ -198,23 +197,16 @@ def check_graded(L: GradedL3Algebra, *, stop_after: Optional[int] = None) -> Che
                 swapped = np.swapaxes(L.bracket(*degs[:i], b, a, *degs[i + 2:]), i + 1, i + 2)
                 sign = Fraction((-1) ** (a * b))
                 if n == 2:
-                    name, residual = f"antisym.l2{degs}", base + swapped * sign
+                    yield f"antisym.l2{degs}", base + swapped * sign, 0
                 else:
-                    name, residual = f"antisym.l3.swap{i + 1}{i + 2}{degs}", swapped + base * sign
-                if collect_tensor_violations(report, name, residual, stop_after=stop_after):
-                    return report
+                    yield f"antisym.l3.swap{i + 1}{i + 2}{degs}", swapped + base * sign, 0
 
     max_arity = 3 if L.is_dgla else 5
     for n in range(1, max_arity + 1):
-        for degs in itertools.product(degrees, repeat=n):
+        for degs in itertools.product(L.degrees, repeat=n):
             residual = _relation_residual(L, degs)
-            if residual is None:
-                continue
-            if collect_tensor_violations(
-                report, f"jacobi.n{n}{degs}", residual, stop_after=stop_after
-            ):
-                return report
-    return report
+            if residual is not None:
+                yield f"jacobi.n{n}{degs}", residual, 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +260,9 @@ def twist(L: GradedL3Algebra, gamma: np.ndarray) -> GradedL3Algebra:
     (the series terminate since all higher brackets vanish), on every degree
     tuple a stored bracket reaches.  The result satisfies the same
     relations, which :func:`check_graded` verifies."""
-    if not is_mc(L, gamma):
-        raise MaurerCartanError(f"nonzero Maurer-Cartan residual: {mc_residual(L, gamma)}")
+    residual = mc_residual(L, gamma)
+    if not xla.is_zero(residual):
+        raise MaurerCartanError(f"nonzero Maurer-Cartan residual: {xla.tuple_str(residual)}")
     gamma = np.asarray(gamma)
     reached = {degs[m:] for degs in L.brackets for m in range(len(degs)) if degs[:m] == (1,) * m}
     return GradedL3Algebra(dims=dict(L.dims), brackets={degs: _twisted(L, gamma, degs) for degs in reached})
@@ -463,6 +456,4 @@ def crossed_module_identities_report(data: InnerSymmetriesN3) -> CheckReport:
         ("crossed.derived.objects", np.moveaxis(np.tensordot(on0, f0, axes=([1], [0])), 2, 1) - b00, 2),
         ("crossed.derived.parts", np.moveaxis(np.tensordot(on1, f0, axes=([1], [0])), 2, 1) - b01, 2),
     )
-    for name, residual, power in identities:
-        collect_tensor_violations(report, name, residual, scale=den**power)
-    return report
+    return check_identities(identities, den=den, report=report)

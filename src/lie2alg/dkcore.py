@@ -25,7 +25,7 @@ import numpy as np
 
 from . import exactla as xla
 from .exactla import Subspace, TensorRecord
-from .report import CheckReport, collect_tensor_violations
+from .report import CheckReport, check_identities
 
 
 class CompositionError(ValueError):
@@ -230,18 +230,14 @@ def crossed_module_report(bracket: BilinearBracket, stop_after: Optional[int] = 
         d[x,b] = [x,db]   d[a,y] = [da,y]   [da,b] = [a,db]   d[a,b] = [da,db]
     """
     r_b01 = chain_b01(bracket)
-    residuals = (
-        ("d[x,b]=[x,db]", r_b01),
-        ("d[a,y]=[da,y]", chain_b10(bracket)),
-        ("[da,b]=[a,db]", chain_derived(bracket)),
+    identities = (
+        ("d[x,b]=[x,db]", r_b01, 0),
+        ("d[a,y]=[da,y]", chain_b10(bracket), 0),
+        ("[da,b]=[a,db]", chain_derived(bracket), 0),
         # the first identity at x = da: d[da,b] - [da,db]
-        ("d[a,b]=[da,db]", xla.precompose(r_b01, 1, bracket.complex.d)),
+        ("d[a,b]=[da,db]", xla.precompose(r_b01, 1, bracket.complex.d), 0),
     )
-    report = CheckReport()
-    for name, residual in residuals:
-        if collect_tensor_violations(report, name, residual, stop_after=stop_after):
-            break
-    return report
+    return check_identities(identities, stop_after=stop_after)
 
 
 # ---------------------------------------------------------------------------

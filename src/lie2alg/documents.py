@@ -193,7 +193,7 @@ def _dec_array(v: Any, path: str, expect_shape=None) -> np.ndarray:
     _expect("shape" in v and "entries" in v, "array needs 'shape' and 'entries'", path)
     shape = v["shape"]
     _expect(
-        isinstance(shape, list) and all(isinstance(s, int) and s >= 0 for s in shape),
+        isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape),  # bool is an int
         "shape must be a list of non-negative integers",
         path + ".shape",
     )

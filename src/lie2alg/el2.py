@@ -26,9 +26,11 @@ denominator, so the residuals are computed in Python ints instead of
 Fractions.  It multiplies the residual of each identity by a fixed power of
 den, so the copy fails at exactly the basis tuples where the input fails, and
 dividing each violating residual by that power gives the report of the
-Fraction input.  ``check_el2`` first evaluates each identity on int64
-residues of the copy modulo a few primes (``exactla.residue_images``), which
-proves the passing ones zero, and evaluates only the failing ones on Python
+Fraction input.  Each checker yields its identities with their powers, in
+order, to ``report.check_identities``, which builds the report and stops at
+``stop_after``.  ``check_el2`` yields an identity only when it is nonzero
+modulo one of a few primes (``exactla.residue_images``), a screen that
+proves the others zero, so only the failing ones are evaluated on Python
 ints.
 
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
@@ -49,15 +51,11 @@ import numpy as np
 from . import exactla as xla
 from .dkcore import BilinearBracket, TwoTermComplex, chain_b01, chain_b10, chain_derived
 from .exactla import ShapeError, TensorRecord
-from .report import CheckReport, collect_tensor_violations, require_stop_after
+from .report import CheckReport, ReportError, check_identities
 
 
-class InvalidStructureError(ValueError):
+class InvalidStructureError(ReportError):
     """A constructor precondition failed; carries the offending report."""
-
-    def __init__(self, message: str, report: Optional[CheckReport] = None):
-        super().__init__(message if report is None else f"{message}\n{report.render()}")
-        self.report = report
 
 
 class PairingError(ValueError):
@@ -119,9 +117,9 @@ class LieAlgebraFD(TensorRecord):
     def validate(self) -> None:
         den = xla.common_denominator(self.c)
         c = xla.scaled_ints(self.c, den)
-        report = CheckReport()
-        collect_tensor_violations(report, "skew-symmetry", c + c.swapaxes(1, 2), scale=den)
-        collect_tensor_violations(report, "jacobi", _leibniz_defect(c), scale=den**2)
+        report = check_identities(
+            [("skew-symmetry", c + c.swapaxes(1, 2), 1), ("jacobi", _leibniz_defect(c), 2)], den=den
+        )
         if not report.passed:
             raise InvalidStructureError("not a Lie algebra", report)
 
@@ -138,10 +136,7 @@ class LeibnizAlgebraFD(TensorRecord):
 
     def validate(self) -> None:
         den = xla.common_denominator(self.c)
-        report = CheckReport()
-        collect_tensor_violations(
-            report, "leibniz", _leibniz_defect(xla.scaled_ints(self.c, den)), scale=den**2
-        )
+        report = check_identities([("leibniz", _leibniz_defect(xla.scaled_ints(self.c, den)), 2)], den=den)
         if not report.passed:
             raise InvalidStructureError("not a Leibniz algebra", report)
 
@@ -173,8 +168,7 @@ class RepresentationFD(TensorRecord):
         lhs = np.transpose(np.tensordot(rho, c, axes=([1], [0])), (0, 2, 3, 1))
         comp = np.tensordot(rho, rho, axes=([2], [0]))           # (m, x, y, a)
         rhs = comp - comp.swapaxes(1, 2)
-        report = CheckReport()
-        collect_tensor_violations(report, "module-axiom", lhs - rhs, scale=den**2)
+        report = check_identities([("module-axiom", lhs - rhs, 2)], den=den)
         if not report.passed:
             raise InvalidStructureError("not a representation", report)
 
@@ -348,35 +342,30 @@ def check_el2(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport
     :func:`_residual_bound` in absolute value, so an identity whose residual
     is zero modulo primes whose product exceeds that bound
     (:func:`exactla.residue_images`) is zero, and is never evaluated on
-    Python ints.  Every other identity is evaluated once on Python ints and
-    reported as ``_check_el2_body`` reports it.  When no such primes are
-    available, every identity is evaluated on Python ints.
+    Python ints.  Every other identity is evaluated once on Python ints.
+    When no such primes are available, every identity is evaluated on
+    Python ints.  Either way the report is the one ``_check_el2_body`` gives
+    without the screen.
     """
-    require_stop_after(stop_after)
     ints, den = _integer_copy(e)
-    images = _residue_images(ints)
-    if images is None:
-        return _check_el2_body(ints, den, stop_after)
-    report = CheckReport()
-    for name, fn in EL2_EQUATIONS + EL2_REDUNDANT_EQUATIONS:
-        if not any(np.count_nonzero(fn(image) % p) for p, image in images):
-            continue
-        scale = den ** RESIDUAL_POWERS[name]
-        if collect_tensor_violations(report, name, fn(ints), stop_after=stop_after, scale=scale):
-            return report
-    report.notes.append(_alternator_note(ints))
-    return report
+    return _check_el2_body(ints, den, stop_after, _residue_images(ints))
 
 
-def _check_el2_body(e: EL2Algebra, den: int, stop_after: Optional[int]) -> CheckReport:
-    """The checker on ``_integer_copy(x)``, reporting the residuals of x."""
+def _check_el2_body(
+    e: EL2Algebra, den: int, stop_after: Optional[int], images: Optional[list] = None
+) -> CheckReport:
+    """The checker on ``_integer_copy(x)``, reporting the residuals of x; an
+    identity that is zero modulo every prime of ``images`` is skipped."""
     report = CheckReport()
-    for name, fn in EL2_EQUATIONS + EL2_REDUNDANT_EQUATIONS:
-        scale = den ** RESIDUAL_POWERS[name]
-        if collect_tensor_violations(report, name, fn(e), stop_after=stop_after, scale=scale):
-            return report
-    report.notes.append(_alternator_note(e))
-    return report
+
+    def identities():
+        for name, fn in EL2_EQUATIONS + EL2_REDUNDANT_EQUATIONS:
+            if images is None or any(np.count_nonzero(fn(image) % p) for p, image in images):
+                yield name, fn(e), RESIDUAL_POWERS[name]
+        # reached only when check_identities has not stopped early
+        report.notes.append(_alternator_note(e))
+
+    return check_identities(identities(), den=den, stop_after=stop_after, report=report)
 
 
 def _alternator_note(e: EL2Algebra) -> str:
@@ -462,7 +451,7 @@ def from_leibniz(g: LeibnizAlgebraFD) -> EL2Algebra:
 
 
 def _check_pairing(g: LieAlgebraFD, pairing: np.ndarray) -> np.ndarray:
-    pairing = np.asarray(pairing)
+    pairing = xla.as_exact(np.array(pairing, dtype=object))
     if pairing.shape != (g.dim, g.dim):
         raise ShapeError(f"pairing shape {pairing.shape}, expected {(g.dim, g.dim)}")
     if not xla.arrays_equal(pairing, pairing.T):
@@ -480,7 +469,7 @@ def _check_pairing(g: LieAlgebraFD, pairing: np.ndarray) -> np.ndarray:
             if resid[idx] != 0
         )
         raise PairingError(f"pairing is not invariant, first violation at basis triple {bad}")
-    return xla.freeze(np.array(pairing, dtype=object, copy=True))
+    return pairing
 
 
 def from_quadratic_lie(g: LieAlgebraFD, pairing: np.ndarray) -> EL2Algebra:
@@ -799,12 +788,10 @@ def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = No
 def _categorical_body(e: EL2Algebra, den: int, stop_after: Optional[int]) -> CheckReport:
     """The checker on ``_integer_copy(x)``, reporting the residuals of x;
     each identity carries the power of its partner in RESIDUAL_POWERS."""
-    report = CheckReport()
-    for name, residual in _categorical_residuals(e):
-        scale = den ** RESIDUAL_POWERS[CATEGORICAL_TO_EL2[name]]
-        if collect_tensor_violations(report, name, residual, stop_after=stop_after, scale=scale):
-            break
-    return report
+    identities = (
+        (name, r, RESIDUAL_POWERS[CATEGORICAL_TO_EL2[name]]) for name, r in _categorical_residuals(e)
+    )
+    return check_identities(identities, den=den, stop_after=stop_after)
 
 
 def _categorical_residuals(e: EL2Algebra) -> Iterator[tuple[str, np.ndarray]]:

@@ -25,9 +25,10 @@ known scale.  A construction (``el2.transport``, ``cohom.coboundary``,
 ``skew.skew_jacobiator``) divides each output tensor (:func:`unscaled`).  A
 check (the axiom checkers, the algebra and module validators,
 ``cohom.is_cocycle``, ``defo.crossed_module_identities_report``) gives each
-identity's residual one known power of the denominator and divides only
-the violating residuals (``report.collect_tensor_violations``).  Verdicts,
-values, residuals and entry types are the ones Fraction evaluation gives.
+identity's residual one known power of the denominator and hands it, with
+that power, to ``report.check_identities``, which divides only the
+violating residuals.  Verdicts, values, residuals and entry types are the
+ones Fraction evaluation gives.
 
 A check can decide most of its verdicts without Python ints at all
 (:func:`residue_images`).  Given a bound B on the absolute value of every
@@ -41,7 +42,8 @@ int64 evaluation is exact when each residual is a signed sum of at most
 ``terms`` products of two entries with ``terms * p**2 < 2**63``; when that
 fails, or the table's product does not exceed B, there are no images and
 the check evaluates on Python ints.  ``el2.check_el2`` decides its verdicts
-this way.
+this way: the screen filters the identities it yields to
+``report.check_identities``.
 
 Row reduction is fraction-free for the same reason: :func:`rref` clears
 denominators row by row, eliminates on Python ints (Bareiss) and divides once
@@ -132,6 +134,11 @@ def rat_str(value: Scalar) -> str:
     """Canonical text form: bare integer when the denominator is 1."""
     q = rat(value)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def tuple_str(a: np.ndarray) -> str:
+    """The entries in C order as ``(q, q, ...)``, each in :func:`rat_str` form."""
+    return "(" + ", ".join(rat_str(x) for x in np.asarray(a).flat) + ")"
 
 
 def freeze(a: np.ndarray) -> np.ndarray:

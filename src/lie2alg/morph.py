@@ -23,7 +23,7 @@ quasi-isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from . import dkcore, exactla as xla
 from .dkcore import CompositionError
 from .el2 import EL2Algebra, _scaled_copy, _tensors
 from .exactla import TensorRecord
-from .report import CheckReport, collect_tensor_violations
+from .report import CheckReport, check_identities
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,40 +87,34 @@ def _integer_morphism(m: ELMorphism) -> tuple[ELMorphism, int]:
 
 def _check_morphism_body(m: ELMorphism, den: int, stop_after: Optional[int]) -> CheckReport:
     """The checker on ``_integer_morphism(x)``, reporting the residuals of x."""
-    report = CheckReport()
+    return check_identities(_morphism_identities(m), den=den, stop_after=stop_after)
+
+
+def _morphism_identities(m: ELMorphism) -> Iterator[tuple[str, np.ndarray, int]]:
+    """Each identity of the morphism as (name, residual, power of den)."""
     src, dst = m.src, m.dst
     d, dp = src.complex.d, dst.complex.d
     f0, f1, f2 = m.f0, m.f1, m.f2
 
-    r = np.dot(f0, d) - np.dot(dp, f1)
-    if collect_tensor_violations(report, "chain-map", r, stop_after=stop_after, scale=den**4):
-        return report
+    yield "chain-map", np.dot(f0, d) - np.dot(dp, f1), 4
 
     # [f0 x, f0 y]' - f0[x, y] = d' f2(x, y)
     b00_ff = xla.precompose(xla.precompose(dst.b00, 1, f0), 2, f0)
-    r = b00_ff - xla.postcompose(f0, src.b00) - xla.postcompose(dp, f2)
-    if collect_tensor_violations(report, "bracket.00", r, stop_after=stop_after, scale=den**6):
-        return report
+    yield "bracket.00", b00_ff - xla.postcompose(f0, src.b00) - xla.postcompose(dp, f2), 6
 
     # [f1 a, f0 y]' - f1[a, y] = f2(da, y)
     b10_ff = xla.precompose(xla.precompose(dst.b10, 1, f1), 2, f0)
     f2_da = np.moveaxis(np.tensordot(f2, d, axes=([1], [0])), 2, 1)
-    r = b10_ff - xla.postcompose(f1, src.b10) - f2_da
-    if collect_tensor_violations(report, "bracket.10", r, stop_after=stop_after, scale=den**7):
-        return report
+    yield "bracket.10", b10_ff - xla.postcompose(f1, src.b10) - f2_da, 7
 
     # [f0 x, f1 b]' - f1[x, b] = f2(x, db)
     b01_ff = xla.precompose(xla.precompose(dst.b01, 1, f0), 2, f1)
     f2_db = np.tensordot(f2, d, axes=([2], [0]))
-    r = b01_ff - xla.postcompose(f1, src.b01) - f2_db
-    if collect_tensor_violations(report, "bracket.01", r, stop_after=stop_after, scale=den**7):
-        return report
+    yield "bracket.01", b01_ff - xla.postcompose(f1, src.b01) - f2_db, 7
 
     # <f0 x, f0 y>' - f1<x, y> = f2(x, y) + f2(y, x)
     alt_ff = xla.precompose(xla.precompose(dst.alt, 1, f0), 2, f0)
-    r = alt_ff - xla.postcompose(f1, src.alt) - f2 - f2.swapaxes(1, 2)
-    if collect_tensor_violations(report, "alternator", r, stop_after=stop_after, scale=den**5):
-        return report
+    yield "alternator", alt_ff - xla.postcompose(f1, src.alt) - f2 - f2.swapaxes(1, 2), 5
 
     # <f0 x, f0 y, f0 z>' - f1<x, y, z> =
     #   [f0x, f2(y,z)]' - [f0y, f2(x,z)]' - [f2(x,y), f0z]'
@@ -135,9 +129,7 @@ def _check_morphism_body(m: ELMorphism, den: int, stop_after: Optional[int]) -> 
     t4 = np.moveaxis(np.tensordot(f2, src.b00, axes=([1], [0])), (2, 3), (1, 2))
     t5 = np.swapaxes(np.tensordot(f2, src.b00, axes=([2], [0])), 1, 2)
     t6 = np.tensordot(f2, src.b00, axes=([2], [0]))
-    r = lhs - (t1 - t2 - t3 - t4 - t5 + t6)
-    collect_tensor_violations(report, "jacobiator", r, stop_after=stop_after, scale=den**9)
-    return report
+    yield "jacobiator", lhs - (t1 - t2 - t3 - t4 - t5 + t6), 9
 
 
 def compose(g: ELMorphism, f: ELMorphism) -> ELMorphism:
@@ -196,19 +188,19 @@ def _integer_2morphism(t: ELTwoMorphism) -> tuple[ELTwoMorphism, int]:
 
 def _check_2morphism_body(t: ELTwoMorphism, den: int, stop_after: Optional[int]) -> CheckReport:
     """The checker on ``_integer_2morphism(x)``, reporting the residuals of x."""
-    report = CheckReport()
+    return check_identities(_2morphism_identities(t), den=den, stop_after=stop_after)
+
+
+def _2morphism_identities(t: ELTwoMorphism) -> Iterator[tuple[str, np.ndarray, int]]:
+    """Each identity of the 2-morphism as (name, residual, power of den)."""
     f, g = t.src, t.dst
     theta = t.theta
     src = f.src
     dst = f.dst
     d, dp = src.complex.d, dst.complex.d
 
-    r = g.f0 - f.f0 - np.dot(dp, theta)
-    if collect_tensor_violations(report, "homotopy.objects", r, stop_after=stop_after, scale=den**2):
-        return report
-    r = g.f1 - f.f1 - np.dot(theta, d)
-    if collect_tensor_violations(report, "homotopy.parts", r, stop_after=stop_after, scale=den**3):
-        return report
+    yield "homotopy.objects", g.f0 - f.f0 - np.dot(dp, theta), 2
+    yield "homotopy.parts", g.f1 - f.f1 - np.dot(theta, d), 3
 
     t1 = np.tensordot(xla.precompose(dst.b01, 1, f.f0), theta, axes=([2], [0]))
     t2 = np.swapaxes(
@@ -221,9 +213,7 @@ def _check_2morphism_body(t: ELTwoMorphism, den: int, stop_after: Optional[int])
         np.tensordot(dst.b01, dtheta, axes=([1], [0])), theta, axes=([1], [0])
     )
     # t4 axes: b01'[k, m, b] dtheta[m, x] -> (k, b, x); then theta[b, y] -> (k, x, y)
-    r = f.f2 - g.f2 - t1 - t2 + t3 + t4
-    collect_tensor_violations(report, "homotopy.bracket", r, stop_after=stop_after, scale=den**5)
-    return report
+    yield "homotopy.bracket", f.f2 - g.f2 - t1 - t2 + t3 + t4, 5
 
 
 def vertical_compose(t2: ELTwoMorphism, t1: ELTwoMorphism) -> ELTwoMorphism:

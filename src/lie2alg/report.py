@@ -1,7 +1,8 @@
 """Violation reports shared by all structure checkers.
 
-A checker evaluates a list of identities on basis tuples and returns a
-:class:`CheckReport`.  Each violation records the identity name, the basis
+A checker lists its identities as ``(name, residual, power)`` triples and
+hands them to :func:`check_identities`, the one place where residuals become
+a :class:`CheckReport`.  Each violation records the identity name, the basis
 tuple at which it fails, and the exact residual vector.  Reports are
 deterministic: identities are evaluated in a fixed order and tuples in
 lexicographic order, so the first violation of a broken structure is stable.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -73,6 +74,14 @@ class CheckReport:
         return "\n".join(lines)
 
 
+class ReportError(ValueError):
+    """An input failed a check; carries the report that shows why."""
+
+    def __init__(self, message: str, report: Optional[CheckReport] = None):
+        super().__init__(message if report is None else f"{message}\n{report.render()}")
+        self.report = report
+
+
 def exact_residual(column, scale: int = 1) -> tuple[Fraction, ...]:
     """The reported residual of a violating column computed ``scale`` times
     too large: each entry divided by ``scale``, as a Fraction."""
@@ -101,11 +110,8 @@ def collect_tensor_violations(
     slices are divided by it.
 
     Returns True when the caller should stop checking further identities
-    because ``stop_after`` violations have been collected in total.  Every
-    checker passes its ``stop_after`` through here, so a count below 1 is
-    rejected here for all of them (:func:`require_stop_after`).
+    because ``stop_after`` violations have been collected in total.
     """
-    require_stop_after(stop_after)
     residual = np.asarray(residual)
     if np.count_nonzero(residual):
         if residual.ndim <= 1:
@@ -119,3 +125,26 @@ def collect_tensor_violations(
                 if stop_after is not None and len(report.violations) >= stop_after:
                     return True
     return stop_after is not None and len(report.violations) >= stop_after
+
+
+def check_identities(
+    identities: Iterable[tuple[str, np.ndarray, int]],
+    *,
+    den: int = 1,
+    stop_after: Optional[int] = None,
+    report: Optional[CheckReport] = None,
+) -> CheckReport:
+    """The report of ``(name, residual, power)`` triples, each residual
+    computed ``den**power`` times too large (see :func:`collect_tensor_violations`).
+
+    ``stop_after`` is checked before the first triple is drawn.  The triples
+    are drawn in order, and none after the ``stop_after``-th violation in
+    total, so a checker that yields them from a generator never computes a
+    residual past the stop.  Violations are appended to ``report`` when one
+    is given."""
+    require_stop_after(stop_after)
+    report = CheckReport() if report is None else report
+    for name, residual, power in identities:
+        if collect_tensor_violations(report, name, residual, stop_after=stop_after, scale=den**power):
+            break
+    return report

@@ -89,11 +89,17 @@ def _at(doc, path):
     "kind, text, path", ARRAY_FIELDS, ids=[f"{kind}:{path}" for kind, _, path in ARRAY_FIELDS]
 )
 def test_array_field_errors_carry_the_field_path(kind, text, path):
-    """A wrong shape, or a value that is not an array object, is a parse
-    error at that array's JSON path, in every kind and at every depth."""
+    """A wrong shape, a boolean in a shape, or a value that is not an array
+    object, is a parse error at that array's JSON path, in every kind and
+    at every depth."""
     doc = json.loads(text)
     holder, key = _at(doc, path)
-    holder[key]["shape"] = holder[key]["shape"] + [1]  # same entry count
+    shape = holder[key]["shape"]
+    holder[key]["shape"] = [True] + shape  # same entry count
+    with pytest.raises(documents.ParseError) as err:
+        documents.parse(json.dumps(doc))
+    assert err.value.path == path + ".shape" and "non-negative integers" in str(err.value)
+    holder[key]["shape"] = shape + [1]  # same entry count
     with pytest.raises(documents.ParseError) as err:
         documents.parse(json.dumps(doc))
     assert err.value.path == path and "expected shape" in str(err.value)
@@ -441,6 +447,19 @@ def test_cli_inner_sym_n2(tmp_path, capsys):
     path = write(tmp_path, "act.json", L)
     assert cli.main(["inner-sym", path, "--n", "2"]) == 0
     assert "all construction identities hold" in capsys.readouterr().out
+
+
+def test_cli_inner_sym_prints_the_mc_residual_on_one_line(tmp_path, capsys):
+    """A non-flat element fails the construction with its residual in the
+    form ``mc`` prints."""
+    L, _, bad = catalog.mc_balancing_dgla()
+    path = write(tmp_path, "prob.json", documents.MCProblem(L, bad))
+    residual = "(0, 0, 1, 0, 0, 0, 0, 0, 0)"
+    assert cli.main(["mc", path]) == 1
+    assert capsys.readouterr().out == f"maurer-cartan residual: {residual}\n"
+    for n in ("2", "3"):
+        assert cli.main(["inner-sym", path, "--n", n]) == 1
+        assert capsys.readouterr().out == f"construction failed: nonzero Maurer-Cartan residual: {residual}\n"
 
 
 def test_cli_maps_constructor_errors_to_exit_codes(tmp_path, capsys):

@@ -112,6 +112,18 @@ def test_quadratic_requires_invariance():
         el2.from_quadratic_lie(g, xla.freeze(asym))
 
 
+def test_pairing_entries_must_be_exact():
+    """A float pairing is refused; an int64 one builds the structure of the
+    exact pairing."""
+    g = catalog.sl2()
+    k = catalog.killing_form(g)
+    for build in (el2.from_quadratic_lie, el2.string_2_algebra):
+        with pytest.raises(xla.ShapeError):
+            build(g, k.astype(float))
+        e = build(g, k.astype(np.int64))
+        assert e == build(g, k) and el2.check_el2(e).passed
+
+
 def test_quadratic_abelian_any_symmetric_form():
     g = catalog.abelian_lie(2)
     form = xla.matrix([[1, 2], [2, -1]])

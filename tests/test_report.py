@@ -1,11 +1,13 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import perturb
 from lie2alg import catalog, defo, dkcore, el2, exactla as xla, morph
-from lie2alg.report import CheckReport, Violation, collect_tensor_violations
+from lie2alg.report import CheckReport, Violation, check_identities, collect_tensor_violations
 
 
 def test_collect_localizes_and_stops():
@@ -118,3 +120,66 @@ def test_check_el2_rejects_stop_after_below_one_on_a_valid_structure():
     for stop_after in (0, -1):
         with pytest.raises(ValueError, match="stop_after must be at least 1"):
             el2.check_el2(quad, stop_after=stop_after)
+
+
+def failing_at(*columns, value=1, width=3):
+    """A residual of shape (1, width) that is ``value`` at the given columns."""
+    residual = np.zeros((1, width), dtype=object)
+    residual[0, list(columns)] = value
+    return residual
+
+
+def test_check_identities_draws_nothing_past_the_stop():
+    def identities():
+        yield "first", failing_at(0), 0
+        raise AssertionError("an identity after the stop was evaluated")
+
+    report = check_identities(identities(), stop_after=1)
+    assert [(v.equation, v.at) for v in report.violations] == [("first", (0,))]
+
+
+def test_check_identities_counts_stop_after_across_identities():
+    identities = [("a", failing_at(0, 2), 0), ("pass", failing_at(), 0), ("b", failing_at(1, 2), 0),
+                  ("c", failing_at(0), 0)]
+    report = check_identities(identities, stop_after=3)
+    assert [(v.equation, v.at) for v in report.violations] == [("a", (0,)), ("a", (2,)), ("b", (1,))]
+    assert len(check_identities(identities).violations) == 5
+
+
+def test_check_identities_divides_violators_by_den_to_their_power():
+    identities = [("squared", failing_at(1, value=12), 2), ("plain", failing_at(0, value=12), 0)]
+    report = check_identities(identities, den=2)
+    assert [v.residual for v in report.violations] == [(F(3),), (F(12),)]
+    assert all(type(x) is F for v in report.violations for x in v.residual)
+
+
+def test_check_identities_rejects_stop_after_below_one_before_any_identity():
+    def identities():
+        raise AssertionError("an identity was evaluated")
+        yield  # pragma: no cover
+
+    for stop_after in (0, -1):
+        for given in (identities(), []):
+            with pytest.raises(ValueError, match="stop_after must be at least 1"):
+                check_identities(given, stop_after=stop_after)
+
+
+def test_check_identities_appends_to_the_report_given():
+    given = CheckReport(violations=[Violation("earlier", (), (F(1),))], notes=["kept"])
+    report = check_identities([("later", failing_at(2), 0)], report=given)
+    assert report is given
+    assert [(v.equation, v.at) for v in given.violations] == [("earlier", ()), ("later", (2,))]
+    assert given.notes == ["kept"]
+
+
+def test_only_the_report_module_collects_violations():
+    """Every checker reaches ``collect_tensor_violations`` through
+    ``check_identities``, so no second reporting loop exists."""
+    package = Path(__file__).resolve().parents[1] / "src" / "lie2alg"
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "collect_tensor_violations":
+                callers.add(path.name)
+    assert callers == {"report.py"}
