@@ -8,20 +8,26 @@ projects this space onto degree-3 Chevalley-Eilenberg cohomology, with
 kernel the alternating bilinear maps on the abelianization, giving the exact
 sequence checked by :func:`exact_sequence_report`.
 
+Both cohomologies are one record, :class:`CohomologySpace`.  A
+skew-symmetrized cochain t is closed exactly when (0, t) is a cocycle pair:
+for an alternating t the first cocycle equation is the Chevalley-Eilenberg
+differential of t term for term, and the other three vanish.
+
 ``transfer_to_skeletal`` realizes homotopy invariance: any structure is
-equivalent to a skeletal one living on its cohomology.  The transferred
-tensors are the standard homological-perturbation candidates
+equivalent to a skeletal one living on its cohomology.  With (i, p, h) the
+deterministic splitting of the complex onto its cohomology, the bracket,
+the alternator and the inclusion's bracket homotopy are projections,
 
     bracket_H = p . bracket . (i (x) i)
     alt_H     = p . alt . (i (x) i)
-    jac_H     = p . ( jac(i,i,i) - [i ., h[i ., i .]]  (two placements)
-                                  + [h[i ., i .], i .] )
     f2        = h . bracket . (i (x) i)
 
-with (i, p, h) the deterministic splitting of the complex onto its
-cohomology.  The construction verifies its own output - the skeletal
-structure, the inclusion morphism, and the equivalence property - and raises
-rather than returning anything unvalidated.
+and jac_H is the Jacobiator the inclusion (i, f2) asks for: the residual of
+the inclusion's morphism Jacobiator identity with jac_H = 0 lands in the
+image of i and is solved through the splitting, jac_H = p . residual.  The
+construction verifies its own output - the skeletal structure, the
+inclusion morphism, and the equivalence property - and raises rather than
+returning anything unvalidated.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ import numpy as np
 from . import dkcore, exactla as xla, morph as morph_mod, skew
 from .el2 import (
     EL2Algebra,
-    InvalidStructureError,
     LieAlgebraFD,
     RepresentationFD,
     check_el2,
@@ -261,14 +266,44 @@ def _cocycle_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CohomologySpace:
-    """Cocycles, coboundaries and the quotient, with deterministic
-    representatives (pivot extension of the coboundary basis)."""
+    """Cocycles modulo coboundaries, with deterministic representatives
+    (pivot extension of the coboundary basis).  For HL3 the representatives
+    are cocycle pairs and the subspaces live in :func:`flatten_pair`
+    coordinates; for Chevalley-Eilenberg H3 they are alternating
+    (dm, n, n, n) tensors and the subspaces live in :func:`alt3_to_coords`
+    coordinates."""
 
-    ambient_dim: int
     cocycles: Subspace
     coboundaries: Subspace
-    dim: int
-    representatives: tuple[CocyclePair, ...]
+    representatives: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.representatives)
+
+
+def _cohomology(z: Subspace, b: Subspace, cochain) -> CohomologySpace:
+    """z/b with each representative column turned into a cochain."""
+    dim, reps = xla.quotient(z, b)
+    return CohomologySpace(z, b, tuple(cochain(reps[:, k]) for k in range(dim)))
+
+
+def _class_coordinates(space: CohomologySpace, coords, x, message: str) -> np.ndarray:
+    """Coordinates of the class of x against the representatives of
+    ``space``, with ``coords`` flattening a cochain.  ``x`` is one cochain
+    (a coordinate vector) or a sequence of cochains (one column each),
+    answered by one elimination."""
+    reps = np.empty((space.cocycles.ambient_dim, space.dim), dtype=object)
+    for k, rep in enumerate(space.representatives):
+        reps[:, k] = coords(rep)
+    if isinstance(x, (CocyclePair, np.ndarray)):
+        v = coords(x)
+    else:
+        v = np.column_stack([coords(t) for t in x])
+    found = xla.coset_coordinates(space.coboundaries, reps, v)
+    if found is None:
+        raise CocycleError(message)
+    return found
 
 
 def zl3(g: LieAlgebraFD, m: RepresentationFD) -> Subspace:
@@ -280,11 +315,7 @@ def bl3(g: LieAlgebraFD, m: RepresentationFD) -> Subspace:
 
 
 def hl3(g: LieAlgebraFD, m: RepresentationFD) -> CohomologySpace:
-    z = zl3(g, m)
-    b = bl3(g, m)
-    dim, reps = xla.quotient(z, b)
-    pairs = tuple(unflatten_pair(g, m, reps[:, k]) for k in range(dim))
-    return CohomologySpace(pair_ambient_dim(g, m), z, b, dim, pairs)
+    return _cohomology(zl3(g, m), bl3(g, m), lambda v: unflatten_pair(g, m, v))
 
 
 def classes_equal(
@@ -294,8 +325,7 @@ def classes_equal(
         ok, report = is_cocycle(g, m, pair)
         if not ok:
             raise CocycleError("classes_equal requires cocycle pairs", report)
-    b = bl3(g, m)
-    return xla.membership(b, flatten_pair(p - q)) is not None
+    return coboundary_preimage(g, m, p, q) is not None
 
 
 def coboundary_preimage(
@@ -311,20 +341,9 @@ def coboundary_preimage(
 
 
 def class_coordinates(space: CohomologySpace, p: CocyclePair | Sequence[CocyclePair]) -> np.ndarray:
-    """Coordinates of [p] against the representative basis of the quotient.
-    ``p`` is one pair (a coordinate vector) or a sequence of pairs (one
-    column each), answered by one elimination."""
-    reps = np.empty((space.ambient_dim, space.dim), dtype=object)
-    for k, rep in enumerate(space.representatives):
-        reps[:, k] = flatten_pair(rep)
-    if isinstance(p, CocyclePair):
-        v = flatten_pair(p)
-    else:
-        v = np.column_stack([flatten_pair(q) for q in p])
-    coords = xla.coset_coordinates(space.coboundaries, reps, v)
-    if coords is None:
-        raise CocycleError("pair is not a cocycle (not in the span of Z)")
-    return coords
+    """Coordinates of [p] against the HL3 representatives, for one pair or a
+    sequence of pairs (see :func:`_class_coordinates`)."""
+    return _class_coordinates(space, flatten_pair, p, "pair is not a cocycle (not in the span of Z)")
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +393,6 @@ def ce_differential(g: LieAlgebraFD, m: RepresentationFD, k: int) -> np.ndarray:
     return xla.freeze(out)
 
 
-@dataclass(frozen=True)
-class CeH3:
-    dim: int
-    representatives: tuple[np.ndarray, ...]  # alternating (dm, n, n, n) tensors
-    cocycles: Subspace                       # in increasing-tuple coordinates
-    coboundaries: Subspace
-
-
 def alt3_to_coords(g: LieAlgebraFD, m: RepresentationFD, t: np.ndarray) -> np.ndarray:
     triples = xla.increasing_tuples(g.dim, 3)
     out = xla.zeros(m.dim * len(triples)).copy()
@@ -405,14 +416,10 @@ def is_alternating3(t: np.ndarray) -> bool:
     return xla.arrays_equal(t, -t.swapaxes(1, 2)) and xla.arrays_equal(t, -t.swapaxes(2, 3))
 
 
-def ce_h3(g: LieAlgebraFD, m: RepresentationFD) -> CeH3:
-    d3 = ce_differential(g, m, 3)
-    d2 = ce_differential(g, m, 2)
-    z = xla.kernel_basis(d3)
-    b = xla.image_basis(d2)
-    dim, reps = xla.quotient(z, b)
-    tensors = tuple(coords_to_alt3(g, m, reps[:, k]) for k in range(dim))
-    return CeH3(dim, tensors, z, b)
+def ce_h3(g: LieAlgebraFD, m: RepresentationFD) -> CohomologySpace:
+    z = xla.kernel_basis(ce_differential(g, m, 3))
+    b = xla.image_basis(ce_differential(g, m, 2))
+    return _cohomology(z, b, lambda v: coords_to_alt3(g, m, v))
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +432,16 @@ def ss_class(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> np.ndarray
         (x,y,z) -> 1/6 sum_perm sgn j(perm) - 1/12 sum_perm sgn s([.,.], .)
 
     computed by the Jacobiator kernel of :func:`lie2alg.skew.skew_symmetrize`
-    on (j, s, c).  It is alternating and closed, coboundary pairs land on coboundaries, and
-    pairs (0, phi) with phi alternating return phi itself."""
+    on (j, s, c).  It is alternating and closed (the pair (0, t) is a
+    cocycle), coboundary pairs land on coboundaries, and pairs (0, phi) with
+    phi alternating return phi itself."""
     ok, report = is_cocycle(g, m, p)
     if not ok:
         raise CocycleError("skew-symmetrization requires a cocycle", report)
     t = skew.skew_jacobiator(p.j, p.s, g.c)
     if not is_alternating3(t):
         raise AssertionError("skew-symmetrized cochain is not alternating")
-    d3 = ce_differential(g, m, 3)
-    if not xla.is_zero(np.dot(d3, alt3_to_coords(g, m, t))):
+    if not is_cocycle(g, m, CocyclePair(xla.zeros(m.dim, g.dim, g.dim), t))[0]:
         raise AssertionError("skew-symmetrized cochain is not closed")
     return t
 
@@ -488,7 +495,7 @@ def iota_pairs(g: LieAlgebraFD, m: RepresentationFD) -> list[CocyclePair]:
 @dataclass(frozen=True, eq=False)
 class ExactSequenceReport:
     space: CohomologySpace
-    ce: CeH3
+    ce: CohomologySpace
     ss_matrix: np.ndarray  # ss on the HL3 representatives (columns), in H3 coordinates
     abelianization_dim: int
     hom_wedge2_dim: int
@@ -525,23 +532,12 @@ class ExactSequenceReport:
 
 
 def ce_class_coordinates(
-    ce: CeH3, phi: np.ndarray | Sequence[np.ndarray], g: LieAlgebraFD, m: RepresentationFD
+    ce: CohomologySpace, phi: np.ndarray | Sequence[np.ndarray], g: LieAlgebraFD, m: RepresentationFD
 ) -> np.ndarray:
     """Coordinates of the class of a closed alternating 3-cochain against the
-    chosen H3 representatives.  ``phi`` is one cochain (a coordinate vector)
-    or a sequence of cochains (one column each), answered by one
-    elimination."""
-    reps = np.empty((ce.coboundaries.ambient_dim, ce.dim), dtype=object)
-    for k, r in enumerate(ce.representatives):
-        reps[:, k] = alt3_to_coords(g, m, r)
-    if isinstance(phi, np.ndarray):
-        v = alt3_to_coords(g, m, phi)
-    else:
-        v = np.column_stack([alt3_to_coords(g, m, t) for t in phi])
-    coords = xla.coset_coordinates(ce.coboundaries, reps, v)
-    if coords is None:
-        raise CocycleError("cochain is not closed")
-    return coords
+    H3 representatives, for one cochain or a sequence of cochains (see
+    :func:`_class_coordinates`)."""
+    return _class_coordinates(ce, lambda t: alt3_to_coords(g, m, t), phi, "cochain is not closed")
 
 
 def exact_sequence_report(g: LieAlgebraFD, m: RepresentationFD) -> ExactSequenceReport:
@@ -637,23 +633,11 @@ def transfer_to_skeletal(e: EL2Algebra) -> tuple[EL2Algebra, morph_mod.ELMorphis
     alt_h = xla.postcompose(p1, xla.precompose(xla.precompose(e.alt, 1, i0), 2, i0))
     f2 = xla.postcompose(h, b00_ii)
 
-    jac_iii = xla.precompose(xla.precompose(xla.precompose(e.jac, 1, i0), 2, i0), 3, i0)
-    hb = xla.postcompose(h, b00_ii)                                   # h[i., i.]
-    b01_i0 = xla.precompose(e.b01, 1, i0)
-    c1 = np.tensordot(b01_i0, hb, axes=([2], [0]))                    # [i x, h[i y, i z]]
-    c2 = np.tensordot(b01_i0, hb, axes=([2], [0])).swapaxes(1, 2)     # [i y, h[i x, i z]]
-    b10_i0 = xla.precompose(e.b10, 2, i0)
-    c3 = np.moveaxis(np.tensordot(b10_i0, hb, axes=([1], [0])), 1, 3)  # [h[i x, i y], i z]
-    ib = xla.postcompose(i0, b_h)                                     # i bracket_H
-    b00_i1 = xla.precompose(e.b00, 1, i0)
-    hb_right = xla.postcompose(h, xla.precompose(e.b00, 2, i0))
-    c4 = np.moveaxis(np.tensordot(hb_right, ib, axes=([1], [0])), 1, 3)
-    # c4 = h[i bracket_H(x,y), i z]: hb_right[k, m(C0), z], ib[m, x, y] -> (k, z, x, y)
-    c5 = np.tensordot(xla.postcompose(h, b00_i1), ib, axes=([2], [0])).swapaxes(1, 2)
-    # c5 = h[i y, i bracket_H(x,z)]: postcompose(h, b00_i1)[k, y, m] ib[m, x, z]
-    c6 = np.tensordot(xla.postcompose(h, b00_i1), ib, axes=([2], [0]))
-    # c6 = h[i x, i bracket_H(y,z)]
-    lifted = jac_iii - c1 + c2 + c3 + c4 + c5 - c6
+    # the Jacobiator i1 jac_H that the inclusion needs: its morphism
+    # Jacobiator residual while jac_H is still zero
+    sk = hodge.skeletal
+    candidate = EL2Algebra(sk, b_h, b01_h, b10_h, alt_h, xla.zeros(sk.n1, sk.n0, sk.n0, sk.n0))
+    lifted = morph_mod._morphism_jacobiator(morph_mod.ELMorphism(candidate, e, i0, i1, f2))
 
     # the lifted Jacobiator must land in the kernel of d
     flat = lifted.reshape(e.complex.n1, -1)
@@ -663,7 +647,7 @@ def transfer_to_skeletal(e: EL2Algebra) -> tuple[EL2Algebra, morph_mod.ELMorphis
     if not xla.arrays_equal(xla.postcompose(i1, jac_h), lifted):
         raise TransferError("transfer candidate is not reproduced by the splitting")
 
-    skeletal = EL2Algebra(hodge.skeletal, b_h, b01_h, b10_h, alt_h, jac_h)
+    skeletal = EL2Algebra(sk, b_h, b01_h, b10_h, alt_h, jac_h)
     verdict = check_el2(skeletal)
     if not verdict.passed:
         raise TransferError(f"transferred structure fails validation:\n{verdict.render()}")

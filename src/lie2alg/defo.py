@@ -246,10 +246,6 @@ def mc_residual(L: GradedL3Algebra, gamma: np.ndarray) -> np.ndarray:
     return _twisted(L, _check_gamma(L, gamma), ())
 
 
-def is_mc(L: GradedL3Algebra, gamma: np.ndarray) -> bool:
-    return xla.is_zero(mc_residual(L, gamma))
-
-
 def twist(L: GradedL3Algebra, gamma: np.ndarray) -> GradedL3Algebra:
     """The structure twisted by a Maurer-Cartan element:
 

@@ -451,7 +451,7 @@ def from_leibniz(g: LeibnizAlgebraFD) -> EL2Algebra:
 
 
 def _check_pairing(g: LieAlgebraFD, pairing: np.ndarray) -> np.ndarray:
-    pairing = xla.as_exact(np.array(pairing, dtype=object))
+    pairing = xla.as_exact(pairing)
     if pairing.shape != (g.dim, g.dim):
         raise ShapeError(f"pairing shape {pairing.shape}, expected {(g.dim, g.dim)}")
     if not xla.arrays_equal(pairing, pairing.T):

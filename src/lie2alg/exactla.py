@@ -108,14 +108,17 @@ class SubspaceError(ExactLinearAlgebraError):
 
 
 def rat(value: Scalar) -> Fraction:
-    """Coerce ``value`` to a reduced Fraction.  Accepts ints, Fractions and
-    strings like ``"3"`` or ``"-3/4"`` (see :data:`MAX_LITERAL_DIGITS`)."""
+    """Coerce ``value`` to a reduced Fraction.  Accepts ints (numpy integer
+    scalars too), Fractions and strings like ``"3"`` or ``"-3/4"`` (see
+    :data:`MAX_LITERAL_DIGITS`)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ShapeError("booleans are not rational scalars")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, np.integer):
+        return Fraction(int(value))
     if isinstance(value, str):
         if _LITERAL.fullmatch(value):
             try:
@@ -404,23 +407,20 @@ def rank(m: np.ndarray) -> int:
     return len(rref(m)[1])
 
 
-@dataclass(frozen=True)
-class Subspace:
+@dataclass(frozen=True, eq=False)
+class Subspace(TensorRecord):
     """A linear subspace of Q^ambient_dim given by independent basis columns;
     the constructor checks their independence."""
 
     ambient_dim: int
-    basis: np.ndarray  # shape (ambient_dim, dim)
+    basis: np.ndarray
 
-    def __post_init__(self) -> None:
-        b = np.asarray(self.basis)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise ShapeError(
-                f"basis shape {b.shape} does not match ambient dimension {self.ambient_dim}"
-            )
-        if rank(b) != b.shape[1]:
+    def shapes(self):
+        return {"basis": (self.ambient_dim, None)}
+
+    def validate(self) -> None:
+        if rank(self.basis) != self.dim:
             raise SubspaceError("basis columns are linearly dependent")
-        object.__setattr__(self, "basis", freeze(np.array(b, dtype=object, copy=True)))
 
     @classmethod
     def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
@@ -435,17 +435,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and arrays_equal(self.basis, other.basis)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - subspaces are not dict keys
-        return hash((self.ambient_dim, self.dim))
 
 
 def full_space(n: int) -> Subspace:

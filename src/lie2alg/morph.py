@@ -115,10 +115,18 @@ def _morphism_identities(m: ELMorphism) -> Iterator[tuple[str, np.ndarray, int]]
     # <f0 x, f0 y>' - f1<x, y> = f2(x, y) + f2(y, x)
     alt_ff = xla.precompose(xla.precompose(dst.alt, 1, f0), 2, f0)
     yield "alternator", alt_ff - xla.postcompose(f1, src.alt) - f2 - f2.swapaxes(1, 2), 5
+    yield "jacobiator", _morphism_jacobiator(m), 9
 
-    # <f0 x, f0 y, f0 z>' - f1<x, y, z> =
-    #   [f0x, f2(y,z)]' - [f0y, f2(x,z)]' - [f2(x,y), f0z]'
-    #   - f2([x,y], z) - f2(y, [x,z]) + f2(x, [y,z])
+
+def _morphism_jacobiator(m: ELMorphism) -> np.ndarray:
+    """Residual of the Jacobiator identity of a morphism (``cohom``'s
+    homotopy transfer solves it for the source Jacobiator):
+
+        <f0 x, f0 y, f0 z>' - f1<x, y, z> =
+          [f0x, f2(y,z)]' - [f0y, f2(x,z)]' - [f2(x,y), f0z]'
+          - f2([x,y], z) - f2(y, [x,z]) + f2(x, [y,z])"""
+    src, dst = m.src, m.dst
+    f0, f1, f2 = m.f0, m.f1, m.f2
     jac_ff = xla.precompose(xla.precompose(xla.precompose(dst.jac, 1, f0), 2, f0), 3, f0)
     lhs = jac_ff - xla.postcompose(f1, src.jac)
     b01p_f0 = xla.precompose(dst.b01, 1, f0)
@@ -129,7 +137,7 @@ def _morphism_identities(m: ELMorphism) -> Iterator[tuple[str, np.ndarray, int]]
     t4 = np.moveaxis(np.tensordot(f2, src.b00, axes=([1], [0])), (2, 3), (1, 2))
     t5 = np.swapaxes(np.tensordot(f2, src.b00, axes=([2], [0])), 1, 2)
     t6 = np.tensordot(f2, src.b00, axes=([2], [0]))
-    yield "jacobiator", lhs - (t1 - t2 - t3 - t4 - t5 + t6), 9
+    return lhs - (t1 - t2 - t3 - t4 - t5 + t6)
 
 
 def compose(g: ELMorphism, f: ELMorphism) -> ELMorphism:

@@ -63,6 +63,29 @@ def twisted_nonskeletal(rng, skeletal, acyclic_dim):
     return el2.transport(big, phi0, phi1), phi0, phi1
 
 
+def homotopy_invariance_trials():
+    """Criterion 09's inputs on sl2 with the trivial module: the Killing
+    pair, the Cartan 3-form pair and the zero pair in turn, each shifted by
+    a random coboundary, made skeletal and moved off the skeleton by
+    :func:`twisted_nonskeletal`.  30 tuples (base, moved, phi0, phi1)."""
+    rng = random.Random(2718)
+    g = catalog.sl2()
+    m = catalog.trivial_rep(g)
+    k = catalog.killing_form(g)
+    bases = [
+        cohom.CocyclePair(k.reshape(1, 3, 3), xla.zeros(1, 3, 3, 3)),
+        cohom.CocyclePair(xla.zeros(1, 3, 3), catalog.cartan_3form(g, k)),
+        cohom.zero_pair(g, m),
+    ]
+    out = []
+    for trial in range(30):
+        base = bases[trial % len(bases)]
+        pair = base + cohom.coboundary(g, m, rand_tensor(rng, 1, 3, 3))
+        skeletal0 = el2.from_skeletal_cocycle(g, m, pair.s, pair.j)
+        out.append((base, *twisted_nonskeletal(rng, skeletal0, rng.randrange(1, 3))))
+    return out
+
+
 def coboundary_reference(g, m, f):
     """The coboundary formula of ``cohom.coboundary`` evaluated on
     Fractions, with no scaling."""

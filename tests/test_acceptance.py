@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import perturb, rand_mat, rand_tensor, twisted_nonskeletal
+from conftest import homotopy_invariance_trials, perturb, rand_mat, rand_tensor
 from lie2alg import (
     catalog,
     cohom,
@@ -302,26 +302,9 @@ def test_criterion_08_classification(hl3_spaces):
              f"{tested} structure pairs, both directions" + ("; " + failures[0] if failures else ""))
 
 
-def test_criterion_09_homotopy_invariance(hl3_spaces):
-    rng = random.Random(2718)
+def test_criterion_09_homotopy_invariance():
     failures = []
-    trials = 0
-    g, m, space = hl3_spaces["sl2/trivial"]
-    k = catalog.killing_form(g)
-    bases = [
-        cohom.CocyclePair(k.reshape(1, 3, 3), xla.zeros(1, 3, 3, 3)),
-        cohom.CocyclePair(
-            xla.zeros(1, 3, 3), catalog.cartan_3form(g, k)
-        ),
-        cohom.zero_pair(g, m),
-    ]
-    while trials < 30:
-        base = bases[trials % len(bases)]
-        shift = cohom.coboundary(g, m, rand_tensor(rng, 1, 3, 3))
-        pair = base + shift
-        skeletal0 = el2.from_skeletal_cocycle(g, m, pair.s, pair.j)
-        moved, phi0, phi1 = twisted_nonskeletal(rng, skeletal0, rng.randrange(1, 3))
-        trials += 1
+    for trials, (base, moved, phi0, phi1) in enumerate(homotopy_invariance_trials(), start=1):
         try:
             skeletal, inclusion = cohom.transfer_to_skeletal(moved)
         except cohom.TransferError as exc:

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import rand_tensor, twisted_nonskeletal
-from lie2alg import catalog, cohom, dkcore, el2, exactla as xla, morph
+from conftest import homotopy_invariance_trials, rand_invertible, rand_tensor, twisted_nonskeletal
+from lie2alg import catalog, cli, cohom, dkcore, documents, el2, exactla as xla, morph
+from transfer_reference import transfer_reference
 
 
 def test_zero_pair_is_cocycle(gm_corpus):
@@ -254,6 +255,58 @@ def test_transfer_recovers_class():
             ),
         )
         assert cohom.classes_equal(g2, m2, pair2, pushed)
+
+
+def test_transfer_matches_reference():
+    """Reading jac_H off the inclusion's morphism Jacobiator gives the
+    documents of the hand-expanded transfer, on criterion 09's moved
+    structures and on skeletal sl2/adjoint coboundary structures moved along
+    rational maps."""
+    structures = [moved for _, moved, _, _ in homotopy_invariance_trials()]
+    rng = random.Random(61)
+    g = catalog.sl2()
+    m = catalog.adjoint_rep(g)
+    for acyclic in (0, 1, 2):
+        pair = cohom.coboundary(g, m, rand_tensor(rng, 3, 3, 3))
+        big = el2.direct_sum(el2.from_skeletal_cocycle(g, m, pair.s, pair.j),
+                             el2.zero_el2(acyclic, acyclic, xla.identity(acyclic)))
+        phi0, phi1 = (xla.freeze(rand_invertible(rng, n) * F(1, rng.randrange(2, 6)))
+                      for n in (big.complex.n0, big.complex.n1))
+        structures.append(el2.transport(big, phi0, phi1))
+    assert any(xla.common_denominator(*el2._tensors(e)) > 1 for e in structures[30:])
+    for k, e in enumerate(structures):
+        got, want = cohom.transfer_to_skeletal(e), transfer_reference(e)
+        for a, b in zip(got, want):
+            assert documents.serialize(a) == documents.serialize(b), k
+
+
+def test_cohomology_asks_the_operators_it_has(monkeypatch, tmp_path, capsys):
+    """ss_class tests closedness with the cocycle test, not with a CE
+    differential, and classes_equal solves against the coboundary matrix
+    without building BL3: ``cohomology --ce`` on sl2 builds d2 and d3 once,
+    in ce_h3."""
+    calls = {"ce_differential": 0, "bl3": 0, "is_cocycle": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(cohom, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(cohom, name, counted)
+    g = catalog.sl2()
+    m = catalog.trivial_rep(g)
+    k = catalog.killing_form(g)
+    phi = catalog.cartan_3form(g, k)
+    pair_k = cohom.CocyclePair(k.reshape(1, 3, 3), xla.zeros(1, 3, 3, 3))
+    half = cohom.CocyclePair(xla.zeros(1, 3, 3), xla.freeze(phi * F(-1, 2)))
+    assert xla.arrays_equal(cohom.ss_class(g, m, pair_k), phi * F(-1, 2))
+    assert cohom.classes_equal(g, m, pair_k, half)
+    assert not cohom.classes_equal(g, m, pair_k, cohom.zero_pair(g, m))
+    assert calls["ce_differential"] == 0 and calls["bl3"] == 0
+    path = tmp_path / "sl2.json"
+    path.write_text(documents.serialize(g), encoding="utf-8")
+    calls.update(dict.fromkeys(calls, 0))
+    assert cli.main(["cohomology", str(path), "--ce"]) == 0
+    assert "dim H3 = 1" in capsys.readouterr().out
+    assert calls == {"ce_differential": 2, "bl3": 1, "is_cocycle": 4}
 
 
 def test_extract_class_rejects_nonskeletal():

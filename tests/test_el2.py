@@ -124,6 +124,14 @@ def test_pairing_entries_must_be_exact():
         assert e == build(g, k) and el2.check_el2(e).passed
 
 
+def test_transport_accepts_int64_maps():
+    g = catalog.sl2()
+    e = el2.string_2_algebra(g, catalog.killing_form(g))
+    assert el2.transport(e, np.eye(3, dtype=np.int64), np.eye(1, dtype=np.int64)) == e
+    with pytest.raises(xla.ShapeError):
+        el2.transport(e, np.eye(3), np.eye(1))
+
+
 def test_quadratic_abelian_any_symmetric_form():
     g = catalog.abelian_lie(2)
     form = xla.matrix([[1, 2], [2, -1]])

@@ -68,6 +68,25 @@ def test_rat_parsing():
         xla.rat("0.5x")
 
 
+def test_numpy_integer_scalars_are_exact():
+    """numpy integer scalars convert like Python ints; booleans and floats,
+    Python or numpy, are refused."""
+    ints = np.array([[1, -2], [3, 4]], dtype=np.int64)
+    got = xla.as_exact(ints)
+    assert xla.arrays_equal(got, xla.matrix([[1, -2], [3, 4]]))
+    assert all(type(x) is F for x in got.flat)
+    assert xla.arrays_equal(xla.vector(np.arange(3, dtype=np.int32)), xla.vector([0, 1, 2]))
+    assert xla.rat(np.uint8(7)) == F(7) and type(xla.rat(np.int64(-5))) is F
+    for bad in (True, np.bool_(False), 0.5, np.float64(1.0)):
+        with pytest.raises(xla.ShapeError):
+            xla.rat(bad)
+    for bad in (np.array([1, 0], dtype=bool), np.array([1.0, 2.0])):
+        with pytest.raises(xla.ShapeError):
+            xla.as_exact(bad)
+        with pytest.raises(xla.ShapeError):
+            xla.vector(bad)
+
+
 def test_rref_identity():
     m = xla.identity(2)
     r, pivots = xla.rref(m)
