@@ -68,15 +68,7 @@ def heisenberg() -> LieAlgebraFD:
 def killing_form(g: LieAlgebraFD) -> np.ndarray:
     """K(x, y) = trace(ad x . ad y), exact."""
     # ad(e_i) has matrix c[:, i, :]
-    k = np.empty((g.dim, g.dim), dtype=object)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            total = Fraction(0)
-            for a in range(g.dim):
-                for b in range(g.dim):
-                    total += g.c[a, i, b] * g.c[b, j, a]
-            k[i, j] = total
-    return xla.freeze(k)
+    return xla.freeze(np.einsum("aib,bja->ij", g.c, g.c))
 
 
 def cartan_3form(g: LieAlgebraFD, pairing: np.ndarray) -> np.ndarray:
@@ -197,7 +189,7 @@ def tensor_dgla(g: LieAlgebraFD, omega: _SmallCdga) -> GradedL3Algebra:
             brackets[(k,)] = xla.freeze(mat)
 
     # each pair of monomials fills its own block of the bracket with +-c
-    signed_c = {1: xla.as_exact(g.c), -1: xla.as_exact(-g.c)}
+    signed_c = {1: g.c, -1: -g.c}
     for k1 in degs:
         for k2 in degs:
             if k1 + k2 not in dims:

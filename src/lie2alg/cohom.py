@@ -264,8 +264,8 @@ def _cocycle_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
     return xla.freeze(np.concatenate([_batch_rows(e) for e in _cocycle_equations(c, rho, s, j)]))
 
 
-@dataclass(frozen=True)
-class CohomologySpace:
+@dataclass(frozen=True, eq=False)
+class CohomologySpace(TensorRecord):
     """Cocycles modulo coboundaries, with deterministic representatives
     (pivot extension of the coboundary basis).  For HL3 the representatives
     are cocycle pairs and the subspaces live in :func:`flatten_pair`
@@ -460,11 +460,8 @@ def abelianization(g: LieAlgebraFD) -> tuple[int, np.ndarray, Subspace]:
 
 def invariants_basis(m: RepresentationFD) -> Subspace:
     """The submodule {v : rho(x) v = 0 for all x} of the module."""
-    g = m.algebra
-    stacked = np.empty((m.dim * g.dim, m.dim), dtype=object)
-    for x in range(g.dim):
-        stacked[x * m.dim : (x + 1) * m.dim, :] = m.rho[:, x, :]
-    return xla.kernel_basis(stacked)
+    # rho(x) for each basis vector x, stacked into one (dim g * dim M, dim M) matrix
+    return xla.kernel_basis(m.rho.transpose(1, 0, 2).reshape(m.algebra.dim * m.dim, m.dim))
 
 
 def iota_pairs(g: LieAlgebraFD, m: RepresentationFD) -> list[CocyclePair]:
@@ -593,7 +590,7 @@ def skeletal_morphism(
 ) -> morph_mod.ELMorphism:
     """The morphism (1, f) between skeletal structures on one carrier."""
     n0, n1 = src.complex.n0, src.complex.n1
-    return morph_mod.ELMorphism(src, dst, xla.identity(n0), xla.identity(n1), xla.as_exact(f))
+    return morph_mod.ELMorphism(src, dst, xla.identity(n0), xla.identity(n1), f)
 
 
 def quasi_inverse_data(

@@ -56,7 +56,7 @@ import numpy as np
 from . import exactla as xla, morph as morph_mod
 from .dkcore import TwoTermComplex
 from .el2 import EL2Algebra, InvalidStructureError, check_el2, is_hemistrict
-from .exactla import ShapeError, Subspace
+from .exactla import ShapeError, Subspace, TensorRecord
 from .report import CheckReport, Violation, check_identities
 
 
@@ -97,8 +97,9 @@ class GradedL3Algebra:
             want = self.shape(*degs)
             if arr.shape != want:
                 raise ShapeError(f"bracket {degs} has shape {arr.shape}, expected {want}")
+            arr = xla.as_exact(arr)
             if arr.size and not xla.is_zero(arr):
-                brackets[degs] = xla.freeze(np.array(arr, dtype=object, copy=True))
+                brackets[degs] = arr
         object.__setattr__(self, "brackets", brackets)
 
     def dim(self, k: int) -> int:
@@ -327,8 +328,8 @@ def inner_symmetries_n2(L: GradedL3Algebra, gamma: np.ndarray) -> EL2Algebra:
     return algebra
 
 
-@dataclass(frozen=True)
-class ActionData:
+@dataclass(frozen=True, eq=False)
+class ActionData(TensorRecord):
     """The degree-0 stabilizer acting on the two-term complex: basis of the
     stabilizer and its action tensors on each level."""
 
@@ -336,9 +337,13 @@ class ActionData:
     on_c0: np.ndarray  # (n0, k, n0)
     on_c1: np.ndarray  # (n1, k, n1)
 
+    def shapes(self):
+        k = self.stabilizer.dim
+        return {"on_c0": (None, k, None), "on_c1": (None, k, None)}
 
-@dataclass(frozen=True)
-class InnerSymmetriesN3:
+
+@dataclass(frozen=True, eq=False)
+class InnerSymmetriesN3(TensorRecord):
     algebra: EL2Algebra
     boundary: "morph_mod.ELMorphism"
     action: ActionData

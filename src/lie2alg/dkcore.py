@@ -301,10 +301,7 @@ def hodge_decompose(c: TwoTermComplex) -> HodgeData:
     # complement of ker d inside C^-1: coordinate vectors at the pivot
     # columns of d
     _, pivots = xla.rref(c.d)
-    compl = np.empty((c.n1, len(pivots)), dtype=object)
-    compl[...] = xla.ZERO
-    for k, j in enumerate(pivots):
-        compl[j, k] = xla.ONE
+    compl = xla.identity(c.n1)[:, list(pivots)]
 
     skeletal = TwoTermComplex(h0_dim, ker.dim, xla.zeros(h0_dim, ker.dim))
     i0, i1 = h0_reps, ker.basis

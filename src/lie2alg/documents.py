@@ -210,13 +210,9 @@ def _dec_array(v: Any, path: str, expect_shape=None) -> np.ndarray:
     data = [
         _dec_scalar(x, f"{path}.entries[{i}]") for i, x in enumerate(entries)
     ]
-    out = np.empty(tuple(shape), dtype=object)
-    flat = out.reshape(-1)
-    for i, x in enumerate(data):
-        flat[i] = x
     if expect_shape is not None:
         _expect(tuple(shape) == tuple(expect_shape), f"expected shape {tuple(expect_shape)}, got {tuple(shape)}", path)
-    return xla.freeze(out)
+    return xla.tensor(shape, data)
 
 
 def _dec_int(v: Any, path: str) -> int:

@@ -23,10 +23,12 @@ Both checkers, and those of :mod:`lie2alg.morph`, run once, on an integer
 copy: ``transport`` along den**-2 on objects and den**-3 on arrow parts, with
 den a common denominator, is a strict isomorphism that clears every
 denominator, so the residuals are computed in Python ints instead of
-Fractions.  It multiplies the residual of each identity by a fixed power of
-den, so the copy fails at exactly the basis tuples where the input fails, and
-dividing each violating residual by that power gives the report of the
-Fraction input.  Each checker yields its identities with their powers, in
+Fractions.  The copy is a check-local view (``_integer_copy``), a namespace
+of the scaled tensors the residual functions read, not a record.  It
+multiplies the residual of each identity by a fixed power of den, so the
+copy fails at exactly the basis tuples where the input fails, and dividing
+each violating residual by that power gives the report of the Fraction
+input.  Each checker yields its identities with their powers, in
 order, to ``report.check_identities``, which builds the report and stops at
 ``stop_after``.  ``check_el2`` yields an identity only when it is nonzero
 modulo one of a few primes (``exactla.residue_images``), a screen that
@@ -390,18 +392,15 @@ def _residual_bound(e: EL2Algebra) -> int:
     return RESIDUAL_TERMS * _width(e) * m * m
 
 
-def _residue_images(e: EL2Algebra) -> Optional[list[tuple[int, SimpleNamespace]]]:
+def _residue_images(e: SimpleNamespace) -> Optional[list[tuple[int, SimpleNamespace]]]:
     """The integer copy ``e`` modulo each prime that certifies its residuals,
-    as ``(p, image)`` pairs: each image holds the int64 tensors the residual
-    functions read (``complex.d``, ``b00``, ..., ``jac``).  None when the
-    residuals must be evaluated on Python ints."""
+    as ``(p, image)`` pairs: each image is the view of ``e`` on its int64
+    tensors.  None when the residuals must be evaluated on Python ints."""
     images = xla.residue_images(_tensors(e), _residual_bound(e), RESIDUAL_TERMS * _width(e))
     if images is None:
         return None
-    return [
-        (p, SimpleNamespace(complex=SimpleNamespace(d=d), b00=b00, b01=b01, b10=b10, alt=alt, jac=jac))
-        for p, (d, b00, b01, b10, alt, jac) in images
-    ]
+    # _view takes the tensors in the order of _tensors
+    return [(p, _view(e, lambda t, k, image=iter(arrays): next(image))) for p, arrays in images]
 
 
 def is_semistrict(e: EL2Algebra) -> bool:
@@ -511,7 +510,7 @@ def from_skeletal_cocycle(
     Jacobiator j; (s, j) must satisfy the degree-3 cocycle equations."""
     from . import cohom  # deferred: cohom depends on this module
 
-    pair = cohom.CocyclePair(xla.as_exact(s), xla.as_exact(j))
+    pair = cohom.CocyclePair(s, j)
     ok, report = cohom.is_cocycle(g, m, pair)
     if not ok:
         raise cohom.CocycleError("not a cocycle pair", report)
@@ -606,32 +605,51 @@ def transport(e: EL2Algebra, phi0: np.ndarray, phi1: np.ndarray) -> EL2Algebra:
     )
 
 
-def _tensors(e: EL2Algebra) -> tuple[np.ndarray, ...]:
-    return (e.complex.d, e.b00, e.b01, e.b10, e.alt, e.jac)
+def _tensors(x) -> tuple[np.ndarray, ...]:
+    """Every tensor of a structure, a morphism or a 2-morphism (a record or
+    a view), in the order :func:`_view` converts them."""
+    if hasattr(x, "theta"):
+        return (*_tensors(x.src), *_tensors(x.dst), x.theta)
+    if hasattr(x, "f2"):
+        return (*_tensors(x.src), *_tensors(x.dst), x.f0, x.f1, x.f2)
+    return (x.complex.d, x.b00, x.b01, x.b10, x.alt, x.jac)
 
 
-def _scaled_copy(e: EL2Algebra, den: int, p: int, q: int) -> EL2Algebra:
-    """``transport(e, den**-p * I, den**-q * I)``, built by scaling each tensor.
+def _view(x, convert: Callable[[np.ndarray, int], np.ndarray], s: int = 1) -> SimpleNamespace:
+    """The check-local view of a structure, a morphism or a 2-morphism ``x``
+    (a record or a view): a namespace of the attributes the residual
+    functions read, each tensor t replaced by ``convert(t, k)``.
 
-    The tensors scale by den to the powers q - p, p, p, p, 2p - q and 3p - q;
-    with ``den`` a common denominator of every entry and each power positive,
-    the copy holds Python ints."""
-    n0, n1 = e.complex.n0, e.complex.n1
-    scale = xla.scaled_ints
-    return EL2Algebra(
-        TwoTermComplex(n0, n1, scale(e.complex.d, den ** (q - p))),
-        scale(e.b00, den ** p),
-        scale(e.b01, den ** p),
-        scale(e.b10, den ** p),
-        scale(e.alt, den ** (2 * p - q)),
-        scale(e.jac, den ** (3 * p - q)),
+    k is the power of den that the integer copy puts on t, times ``s``.  A
+    structure moves along den**-2 on objects and den**-3 on arrow parts,
+    which puts den on d and alt, den**2 on the brackets and den**3 on jac.
+    The source of a morphism moves along den**-4 and den**-6 (the structure
+    powers doubled) and its target along den**-2 and den**-3, which puts
+    den**2, den**3 and den**5 on f0, f1 and f2; a 2-morphism's morphisms
+    move that way and theta gets den.  Every power is positive, so with den
+    a common denominator of every entry the integer copy holds Python ints.
+    """
+    if hasattr(x, "theta"):
+        return SimpleNamespace(src=_view(x.src, convert, s), dst=_view(x.dst, convert, s),
+                               theta=convert(x.theta, s))
+    if hasattr(x, "f2"):
+        return SimpleNamespace(
+            src=_view(x.src, convert, 2 * s), dst=_view(x.dst, convert, s),
+            f0=convert(x.f0, 2 * s), f1=convert(x.f1, 3 * s), f2=convert(x.f2, 5 * s),
+        )
+    c = x.complex
+    return SimpleNamespace(
+        complex=SimpleNamespace(n0=c.n0, n1=c.n1, d=convert(c.d, s)),
+        b00=convert(x.b00, 2 * s), b01=convert(x.b01, 2 * s), b10=convert(x.b10, 2 * s),
+        alt=convert(x.alt, s), jac=convert(x.jac, 3 * s),
     )
 
 
-def _integer_copy(e: EL2Algebra) -> tuple[EL2Algebra, int]:
-    """The copy the checkers run on, and its den."""
-    den = xla.common_denominator(*_tensors(e))
-    return _scaled_copy(e, den, 2, 3), den
+def _integer_copy(x) -> tuple[SimpleNamespace, int]:
+    """The integer view of a structure, a morphism or a 2-morphism that its
+    checker runs on, and its den."""
+    den = xla.common_denominator(*_tensors(x))
+    return _view(x, lambda t, k: xla.scaled_ints(t, den**k)), den
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,14 @@ coordinate of the map applied to the pair of basis vectors ``(e_i, e_j)``.
 All operations are pure and deterministic: row reduction scans columns left to
 right and picks the first usable pivot, kernel vectors are enumerated by
 increasing free column, and quotient representatives are produced by greedy
-pivot extension.  Arrays returned by this module are frozen (non-writeable),
-and so are the tensors of every domain record (:class:`TensorRecord`), whose
-shapes each record type declares once.
+pivot extension.  Arrays returned by this module are frozen (non-writeable).
+
+Every tensor of a domain record (:class:`TensorRecord`), whose shapes each
+record type declares once, enters through :func:`as_exact`, the one
+per-entry converter (:func:`vector`, :func:`matrix`, :func:`tensor` and
+:func:`identity` use it too): a record holds frozen Fractions only, and an
+entry that is not an exact rational (a float, a boolean, a malformed
+string) is refused when the record is built, not later in arithmetic.
 
 Zero-dimensional spaces are legal everywhere; contractions over an empty axis
 produce integer zeros, which compare equal to ``Fraction(0)`` and mix safely
@@ -27,8 +32,10 @@ check (the axiom checkers, the algebra and module validators,
 ``cohom.is_cocycle``, ``defo.crossed_module_identities_report``) gives each
 identity's residual one known power of the denominator and hands it, with
 that power, to ``report.check_identities``, which divides only the
-violating residuals.  Verdicts, values, residuals and entry types are the
-ones Fraction evaluation gives.
+violating residuals.  The integer tensors a check evaluates on live in a
+check-local view (a plain namespace of the attributes its residual
+functions read), never in a record.  Verdicts, values, residuals and entry
+types are the ones Fraction evaluation gives.
 
 A check can decide most of its verdicts without Python ints at all
 (:func:`residue_images`).  Given a bound B on the absolute value of every
@@ -156,59 +163,41 @@ def zeros(*shape: int) -> np.ndarray:
 
 
 def vector(entries: Iterable[Scalar]) -> np.ndarray:
-    data = [rat(x) for x in entries]
-    out = np.empty(len(data), dtype=object)
-    for i, x in enumerate(data):
-        out[i] = x
-    return freeze(out)
+    data = list(entries)
+    return tensor((len(data),), data)
 
 
 def matrix(rows: Sequence[Sequence[Scalar]]) -> np.ndarray:
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    out = np.empty((nrows, ncols), dtype=object)
-    for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ShapeError("ragged matrix rows")
-        for j, x in enumerate(row):
-            out[i, j] = rat(x)
-    return freeze(out)
+    ncols = len(rows[0]) if len(rows) else 0
+    if any(len(row) != ncols for row in rows):
+        raise ShapeError("ragged matrix rows")
+    return tensor((len(rows), ncols), [x for row in rows for x in row])
 
 
 def tensor(shape: Sequence[int], entries: Iterable[Scalar]) -> np.ndarray:
     """Dense tensor from a flat entry sequence in row-major (lexicographic)
     index order."""
     shape = tuple(int(s) for s in shape)
-    data = [rat(x) for x in entries]
-    size = 1
-    for s in shape:
-        size *= s
+    data = list(entries)
+    size = math.prod(shape)
     if len(data) != size:
         raise ShapeError(f"expected {size} entries for shape {shape}, got {len(data)}")
-    out = np.empty(shape, dtype=object)
-    flat = out.reshape(-1)
-    for i, x in enumerate(data):
-        flat[i] = x
-    return freeze(out)
+    return as_exact(np.fromiter(data, dtype=object, count=size).reshape(shape))
 
 
 def identity(n: int) -> np.ndarray:
-    out = np.empty((n, n), dtype=object)
-    out[...] = ZERO
-    for i in range(n):
-        out[i, i] = ONE
-    return freeze(out)
+    return as_exact(np.where(np.eye(n, dtype=bool), ONE, ZERO))
 
 
 def as_exact(a: np.ndarray) -> np.ndarray:
-    """Copy ``a`` into a frozen object array of Fractions."""
+    """A frozen copy of ``a`` holding Fractions only, each entry converted by
+    :func:`rat`: ints, numpy integers and literal strings become Fractions,
+    and floats, booleans and malformed strings raise :class:`ShapeError`."""
     arr = np.asarray(a)
-    out = np.empty(arr.shape, dtype=object)
-    flat_in = arr.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i in range(flat_in.size):
-        flat_out[i] = rat(flat_in[i])
-    return freeze(out)
+    entries = arr.reshape(-1).tolist()
+    if set(map(type, entries)) != {Fraction}:
+        entries = [rat(x) for x in entries]
+    return freeze(np.fromiter(entries, dtype=object, count=arr.size).reshape(arr.shape))
 
 
 def common_denominator(*arrays: np.ndarray) -> int:
@@ -221,23 +210,21 @@ def scaled_ints(a: np.ndarray, factor: int) -> np.ndarray:
     """``factor * a`` as a frozen object array of Python ints; ``factor`` must
     be a multiple of every entry's denominator."""
     arr = np.asarray(a)
-    out = np.empty(arr.shape, dtype=object)
-    flat = out.reshape(-1)
-    for i, x in enumerate(arr.flat):
+    out = []
+    for x in arr.reshape(-1).tolist():
         den = int(x.denominator)
         if factor % den:
             raise ExactLinearAlgebraError(f"{factor} does not clear the denominator of {x}")
-        flat[i] = int(x.numerator) * (factor // den)
-    return freeze(out)
+        out.append(int(x.numerator) * (factor // den))
+    return freeze(np.fromiter(out, dtype=object, count=arr.size).reshape(arr.shape))
 
 
 def unscaled(a: np.ndarray, den: int) -> np.ndarray:
     """``a / den`` as a frozen object array of Fractions, for an array ``a``
     of Python ints: the inverse of :func:`scaled_ints`."""
     arr = np.asarray(a)
-    out = np.empty(arr.shape, dtype=object)
-    out.reshape(-1)[:] = [Fraction(x, den) for x in arr.flat]
-    return freeze(out)
+    out = np.fromiter((Fraction(x, den) for x in arr.flat), dtype=object, count=arr.size)
+    return freeze(out.reshape(arr.shape))
 
 
 # The 64 largest primes below 2**26, in decreasing order; their product has
@@ -301,13 +288,16 @@ class TensorRecord:
     A subclass names its tensor fields and their shapes once, in
     :meth:`shapes`, read off its other fields (dimensions and nested
     records); a ``None`` length is free.  Construction checks every declared
-    shape, stores a frozen object copy of each tensor and runs
-    :meth:`validate`.  Equality is structural over all fields, tensors
-    compared entry by entry.
+    shape, stores each tensor as :func:`as_exact` of it, one frozen copy
+    holding Fractions only, and runs :meth:`validate`.  So a record never
+    holds ints or floats: integer arithmetic lives only in the check-local
+    views the checkers evaluate on, never in a record.  Equality is
+    structural over all fields, tensors compared entry by entry and tuple
+    fields element by element.
     """
 
     def shapes(self) -> dict[str, tuple[Optional[int], ...]]:
-        raise NotImplementedError
+        return {}
 
     def validate(self) -> None:
         """Check the axioms of the frozen record; raise to reject it."""
@@ -319,7 +309,7 @@ class TensorRecord:
                 w is not None and w != s for s, w in zip(arr.shape, want)
             ):
                 raise ShapeError(f"{name} has shape {arr.shape}, expected {want}")
-            object.__setattr__(self, name, freeze(np.array(arr, dtype=object, copy=True)))
+            object.__setattr__(self, name, as_exact(arr))
         self.validate()
 
     def _values(self) -> tuple:
@@ -328,13 +318,24 @@ class TensorRecord:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return all(
-            arrays_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in zip(self._values(), other._values())
-        )
+        return _same(self._values(), other._values())
 
     def __hash__(self) -> int:
-        return hash(tuple(v.shape if isinstance(v, np.ndarray) else v for v in self._values()))
+        return hash(_hash_key(self._values()))
+
+
+def _same(a, b) -> bool:
+    """Field equality: arrays entry by entry, tuples element by element."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return arrays_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def _hash_key(v):
+    """A hashable key consistent with :func:`_same`: arrays by shape."""
+    if isinstance(v, tuple):
+        return tuple(map(_hash_key, v))
+    return v.shape if isinstance(v, np.ndarray) else v
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +425,10 @@ class Subspace(TensorRecord):
 
     @classmethod
     def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
-        """A subspace on a fresh basis array whose columns are independent by
-        construction (the identity, a kernel or image basis): the rank check
-        of the public constructor is skipped and the array is not copied."""
+        """A subspace on a fresh basis array of Fractions whose columns are
+        independent by construction (the identity, a kernel or image basis):
+        the rank check of the public constructor is skipped and the array is
+        not copied."""
         out = object.__new__(cls)
         object.__setattr__(out, "ambient_dim", ambient_dim)
         object.__setattr__(out, "basis", freeze(basis))
@@ -465,10 +467,7 @@ def image_basis(m: np.ndarray) -> Subspace:
     """Column space basis: the original columns sitting at the pivot indices."""
     m = np.asarray(m)
     _, pivots = rref(m)
-    basis = np.empty((m.shape[0], len(pivots)), dtype=object)
-    for k, j in enumerate(pivots):
-        basis[:, k] = m[:, j]
-    return Subspace._trusted(m.shape[0], basis)
+    return Subspace._trusted(m.shape[0], as_exact(m[:, list(pivots)]))
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dkcore, exactla as xla
 from .dkcore import CompositionError
-from .el2 import EL2Algebra, _scaled_copy, _tensors
+from .el2 import EL2Algebra, _integer_copy
 from .exactla import TensorRecord
 from .report import CheckReport, check_identities
 
@@ -63,30 +63,11 @@ def check_morphism(m: ELMorphism, *, stop_after: Optional[int] = None) -> CheckR
     """All defining identities of a morphism on basis tuples: the chain-map
     condition, the three bracket-homotopy conditions, and compatibility with
     the alternators and Jacobiators of the endpoints."""
-    return _check_morphism_body(*_integer_morphism(m), stop_after)
-
-
-def _scaled_morphism(m: ELMorphism, den: int) -> ELMorphism:
-    """``m`` moved along den**-(4, 6) on its source and den**-(2, 3) on its
-    target; the powers den**2, den**3, den**5 and den**1 that this puts on f0,
-    f1, f2 and theta are all positive."""
-    scale = xla.scaled_ints
-    return ELMorphism(
-        _scaled_copy(m.src, den, 4, 6),
-        _scaled_copy(m.dst, den, 2, 3),
-        scale(m.f0, den ** 2),
-        scale(m.f1, den ** 3),
-        scale(m.f2, den ** 5),
-    )
-
-
-def _integer_morphism(m: ELMorphism) -> tuple[ELMorphism, int]:
-    den = xla.common_denominator(*_tensors(m.src), *_tensors(m.dst), m.f0, m.f1, m.f2)
-    return _scaled_morphism(m, den), den
+    return _check_morphism_body(*_integer_copy(m), stop_after)
 
 
 def _check_morphism_body(m: ELMorphism, den: int, stop_after: Optional[int]) -> CheckReport:
-    """The checker on ``_integer_morphism(x)``, reporting the residuals of x."""
+    """The checker on ``el2._integer_copy(x)``, reporting the residuals of x."""
     return check_identities(_morphism_identities(m), den=den, stop_after=stop_after)
 
 
@@ -182,20 +163,11 @@ def check_2morphism(t: ELTwoMorphism, *, stop_after: Optional[int] = None) -> Ch
                             - theta([x,y]) - [theta x, theta y]'
 
     with the last bracket the derived one, [d'theta x, theta y]'."""
-    return _check_2morphism_body(*_integer_2morphism(t), stop_after)
-
-
-def _integer_2morphism(t: ELTwoMorphism) -> tuple[ELTwoMorphism, int]:
-    f, g = t.src, t.dst
-    den = xla.common_denominator(
-        *_tensors(f.src), *_tensors(f.dst), f.f0, f.f1, f.f2, g.f0, g.f1, g.f2, t.theta
-    )
-    scaled = ELTwoMorphism(_scaled_morphism(f, den), _scaled_morphism(g, den), xla.scaled_ints(t.theta, den))
-    return scaled, den
+    return _check_2morphism_body(*_integer_copy(t), stop_after)
 
 
 def _check_2morphism_body(t: ELTwoMorphism, den: int, stop_after: Optional[int]) -> CheckReport:
-    """The checker on ``_integer_2morphism(x)``, reporting the residuals of x."""
+    """The checker on ``el2._integer_copy(x)``, reporting the residuals of x."""
     return check_identities(_2morphism_identities(t), den=den, stop_after=stop_after)
 
 

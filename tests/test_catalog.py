@@ -47,3 +47,14 @@ def test_graded_fixture_entries_are_fractions(name, obj):
     graded = obj.graded if isinstance(obj, documents.MCProblem) else obj
     for arr in graded.brackets.values():
         assert all(type(x) is xla.Rat for x in arr.flat), name
+
+
+def test_killing_form_is_the_trace_of_ad_products():
+    """The one contraction against trace(ad x . ad y), ad(e_i) = c[:, i, :]."""
+    for g in (catalog.sl2(), catalog.so3(), catalog.heisenberg(), catalog.affine_line(), catalog.abelian_lie(0)):
+        ad = [g.c[:, i, :] for i in range(g.dim)]
+        want = [[sum((ad[i] @ ad[j]).diagonal(), xla.ZERO) for j in range(g.dim)] for i in range(g.dim)]
+        got = catalog.killing_form(g)
+        assert got.shape == (g.dim, g.dim) and not got.flags.writeable
+        assert got.tolist() == want
+        assert all(type(x) is xla.Rat for x in got.flat)

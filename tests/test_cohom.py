@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -200,6 +201,20 @@ def test_exact_sequence_specifics():
     g = catalog.affine_line()
     rep = cohom.exact_sequence_report(g, catalog.trivial_rep(g))
     assert rep.abelianization_dim == 1 and rep.hom_wedge2_dim == 0
+
+
+def test_cohomology_spaces_compare_structurally():
+    """H3 representatives are arrays and HL3 ones are records; both compare
+    element by element."""
+    g = catalog.sl2()
+    m = catalog.trivial_rep(g)
+    for build in (cohom.ce_h3, cohom.hl3):
+        a, b = build(g, m), build(g, m)
+        assert a.dim == 1 and a == b and hash(a) == hash(b)
+        other = dataclasses.replace(a, representatives=tuple(2 * r if isinstance(r, np.ndarray) else r.scale(2)
+                                                              for r in a.representatives))
+        assert other != a and hash(other) == hash(a)
+        assert dataclasses.replace(a, representatives=()) != a
 
 
 def test_classes_equal_requires_cocycles():

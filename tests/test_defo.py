@@ -226,6 +226,16 @@ def test_inner_symmetries_n3_fixtures(dgla_fixtures):
         assert el2.is_semistrict(ss) and el2.check_el2(ss).passed, name
 
 
+def test_inner_symmetries_n3_records_compare_structurally():
+    L, gamma = catalog.nilpotent_cdga_dgla()
+    a, b = defo.inner_symmetries_n3(L, gamma), defo.inner_symmetries_n3(L, gamma)
+    assert a == b and hash(a) == hash(b)
+    assert a.action == b.action and hash(a.action) == hash(b.action)
+    flipped = defo.ActionData(a.action.stabilizer, -a.action.on_c0, a.action.on_c1)
+    assert not xla.is_zero(a.action.on_c0) and flipped != a.action
+    assert defo.InnerSymmetriesN3(a.algebra, a.boundary, flipped) != a
+
+
 def test_inner_symmetries_n3_abelian():
     L = defo.GradedL3Algebra(dims={-2: 1, -1: 2, 0: 1})
     report = defo.theorem_n3_report(L, xla.zeros(0))
@@ -272,6 +282,13 @@ def test_bracket_table_validation():
             defo.GradedL3Algebra(dims={0: 1, 1: 1}, brackets=bad)
     with pytest.raises(xla.ShapeError):
         defo.GradedL3Algebra(dims={0: 1, 1: -1})
+    # the table holds Fractions only: int entries convert, floats are refused
+    L = defo.GradedL3Algebra(dims={0: 1, 1: 1}, brackets={(0,): np.array([[2]])})
+    assert L == defo.GradedL3Algebra(dims={0: 1, 1: 1}, brackets={(0,): d})
+    assert type(L.bracket(0)[0, 0]) is F
+    for bad in (np.array([[0.5]]), np.zeros((1, 1))):
+        with pytest.raises(xla.ShapeError):
+            defo.GradedL3Algebra(dims={0: 1, 1: 1}, brackets={(0,): bad})
 
 
 def test_graded_equality_and_serialization_shapes():

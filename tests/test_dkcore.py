@@ -52,6 +52,25 @@ def test_records_check_shapes_store_frozen_copies_and_compare_structurally():
         dkcore.ChainMap(c, c, xla.identity(2), xla.zeros(2, 2))
 
 
+def test_records_hold_fractions_only():
+    """Every tensor a record stores is one frozen copy holding Fractions:
+    ints, numpy integers and literal strings are converted, floats and
+    booleans are refused when the record is built."""
+    d = np.array([[1, np.int64(-2)], ["3/4", F(5, 6)]], dtype=object)
+    c = dkcore.TwoTermComplex(2, 2, d)
+    assert all(type(x) is F for x in c.d.flat) and not c.d.flags.writeable
+    assert xla.arrays_equal(c.d, xla.matrix([[1, -2], [F(3, 4), F(5, 6)]]))
+    assert all(type(x) is F for x in dkcore.ChainHomotopy(np.eye(2, dtype=np.int64)).h.flat)
+    # a subspace built past the public constructor holds Fractions too
+    assert all(type(x) is F for x in xla.image_basis(np.eye(2, dtype=np.int64)).basis.flat)
+    for bad in (np.array([[0.5]]), np.zeros((1, 1)), np.array([[True]]),
+                np.array([[F(1), 2.0]], dtype=object), np.array([[np.bool_(True)]], dtype=object)):
+        with pytest.raises(xla.ShapeError):
+            dkcore.TwoTermComplex(*bad.shape, bad)
+    with pytest.raises(xla.ShapeError, match="invalid rational literal"):
+        dkcore.Arrow(np.array(["1/2"]), np.array(["x"]))
+
+
 def test_gamma_skeletal_endomorphisms():
     c = dkcore.TwoTermComplex(1, 1, xla.zeros(1, 1))
     v = dkcore.gamma(c)

@@ -13,6 +13,11 @@ def test_check_el2_zero_structure_passes():
         assert el2.check_el2(el2.zero_el2(n0, n1)).passed
 
 
+def test_float_structure_constants_are_refused():
+    with pytest.raises(xla.ShapeError, match="cannot interpret 0.0 as an exact rational"):
+        el2.LieAlgebraFD(1, np.zeros((1, 1, 1)))
+
+
 def test_domain_type_validation():
     c = xla.zeros(2, 2, 2).copy()
     c[0, 0, 1] = F(1)  # not skew

@@ -180,10 +180,15 @@ def scalar(n, den, power):
     return xla.identity(n) * F(den) ** power
 
 
+def assert_tensors_equal(got, want):
+    assert len(got) == len(want)
+    assert all(xla.arrays_equal(a, b) for a, b in zip(got, want))
+
+
 def assert_scaled_copy_is_transport(e, scaled, den, p=2, q=3):
     n0, n1 = e.complex.n0, e.complex.n1
     moved = transport_reference(e, scalar(n0, den, -p), scalar(n1, den, -q))
-    assert scaled == moved
+    assert_tensors_equal(el2._tensors(scaled), el2._tensors(moved))
     assert_int_entries(*el2._tensors(scaled))
 
 
@@ -218,19 +223,19 @@ def morphism_tensors(m):
 
 
 def check_morphism_both(m):
-    scaled, den = morph._integer_morphism(m)
+    scaled, den = el2._integer_copy(m)
     assert den == xla.common_denominator(*morphism_tensors(m))
-    assert scaled == transported_morphism(m, den)
+    assert_tensors_equal(morphism_tensors(scaled), morphism_tensors(transported_morphism(m, den)))
     assert_int_entries(*morphism_tensors(scaled))
     return assert_integer_path_agrees(morph.check_morphism, morph._check_morphism_body, m, scaled)
 
 
 def check_2morphism_both(t):
-    scaled, den = morph._integer_2morphism(t)
+    scaled, den = el2._integer_copy(t)
     f, g = t.src, t.dst
     assert den == xla.common_denominator(*morphism_tensors(f), g.f0, g.f1, g.f2, t.theta)
-    assert scaled.src == transported_morphism(f, den)
-    assert scaled.dst == transported_morphism(g, den)
+    assert_tensors_equal(morphism_tensors(scaled.src), morphism_tensors(transported_morphism(f, den)))
+    assert_tensors_equal(morphism_tensors(scaled.dst), morphism_tensors(transported_morphism(g, den)))
     theta = np.dot(scalar(t.theta.shape[0], den, -3), np.dot(t.theta, scalar(t.theta.shape[1], den, 4)))
     assert xla.arrays_equal(scaled.theta, theta)
     assert_int_entries(*morphism_tensors(scaled.src), *morphism_tensors(scaled.dst), scaled.theta)
@@ -352,6 +357,30 @@ def test_many_coprime_denominators(coprime_structure):
     iso, iso2 = transport_iso(base, phi0, phi1)
     assert check_morphism_both(iso).passed
     assert check_2morphism_both(iso2).passed
+
+
+def test_checkers_build_no_record(coprime_structure, monkeypatch):
+    """The checkers evaluate on check-local views: none of them constructs,
+    copies or re-validates a record."""
+    base, phi0, phi1, e = coprime_structure
+    iso, iso2 = transport_iso(base, phi0, phi1)
+    built = []
+    post_init = xla.TensorRecord.__post_init__
+
+    def counted(self):
+        built.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(xla.TensorRecord, "__post_init__", counted)
+    counts = {}
+    for check, x in ((el2.check_el2, e), (el2.categorical_coherence_check, e),
+                     (morph.check_morphism, iso), (morph.check_2morphism, iso2)):
+        built.clear()
+        assert check(x).passed
+        counts[check.__name__] = len(built)
+    assert counts == dict.fromkeys(counts, 0)
+    dkcore.zero_complex()
+    assert built == ["TwoTermComplex"]
 
 
 @pytest.mark.parametrize("name", ["d", "b00", "b01", "b10", "alt", "jac"])
