@@ -34,18 +34,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import dkcore, exactla as xla, morph as morph_mod, skew
 from .el2 import (
+    AXES,
     EL2Algebra,
     LieAlgebraFD,
     RepresentationFD,
+    _push,
+    _scaled,
     check_el2,
     extract_skeletal_data,
+    zero_el2,
 )
 from .exactla import ShapeError, Subspace, TensorRecord
 from .report import CheckReport, ReportError, check_identities
@@ -479,13 +483,9 @@ def iota_pairs(g: LieAlgebraFD, m: RepresentationFD) -> list[CocyclePair]:
     for mc in range(inv.dim):
         value = inv.basis[:, mc]
         for (u, v) in itertools.combinations(range(dim_a), 2):
-            a = xla.zeros(m.dim, n, n).copy()
-            for x in range(n):
-                for y in range(n):
-                    coeff = proj[u, x] * proj[v, y] - proj[v, x] * proj[u, y]
-                    if coeff != 0:
-                        a[:, x, y] += value * coeff
-            out.append(CocyclePair(xla.freeze(a), xla.zeros(m.dim, n, n, n)))
+            # value * (u (x) v - v (x) u), u and v the projections' rows
+            a = xla.alternate(np.multiply.outer(value, np.outer(proj[u], proj[v])), xla.ONE)
+            out.append(CocyclePair(a, xla.zeros(m.dim, n, n, n)))
     return out
 
 
@@ -623,17 +623,16 @@ def transfer_to_skeletal(e: EL2Algebra) -> tuple[EL2Algebra, morph_mod.ELMorphis
     p0, p1 = hodge.project.f0, hodge.project.f1
     h = hodge.homotopy.h
 
-    b00_ii = xla.precompose(xla.precompose(e.b00, 1, i0), 2, i0)
-    b_h = xla.postcompose(p0, b00_ii)
-    b01_h = xla.postcompose(p1, xla.precompose(xla.precompose(e.b01, 1, i0), 2, i1))
-    b10_h = xla.postcompose(p1, xla.precompose(xla.precompose(e.b10, 1, i1), 2, i0))
-    alt_h = xla.postcompose(p1, xla.precompose(xla.precompose(e.alt, 1, i0), 2, i0))
-    f2 = xla.postcompose(h, b00_ii)
+    # the brackets and the alternator p . t . (i (x) i), f2 = h . b00 . (i (x) i)
+    outs, ins = (_scaled(p0), _scaled(p1)), (_scaled(i0), _scaled(i1))
+    projected = {name: _push(getattr(e, name), axes, outs, ins)
+                 for name, axes in AXES.items() if name != "jac"}
+    f2 = _push(e.b00, AXES["b00"], (_scaled(h),), ins)
 
     # the Jacobiator i1 jac_H that the inclusion needs: its morphism
     # Jacobiator residual while jac_H is still zero
     sk = hodge.skeletal
-    candidate = EL2Algebra(sk, b_h, b01_h, b10_h, alt_h, xla.zeros(sk.n1, sk.n0, sk.n0, sk.n0))
+    candidate = replace(zero_el2(sk.n0, sk.n1, sk.d), **projected)
     lifted = morph_mod._morphism_jacobiator(morph_mod.ELMorphism(candidate, e, i0, i1, f2))
 
     # the lifted Jacobiator must land in the kernel of d
@@ -644,7 +643,7 @@ def transfer_to_skeletal(e: EL2Algebra) -> tuple[EL2Algebra, morph_mod.ELMorphis
     if not xla.arrays_equal(xla.postcompose(i1, jac_h), lifted):
         raise TransferError("transfer candidate is not reproduced by the splitting")
 
-    skeletal = EL2Algebra(sk, b_h, b01_h, b10_h, alt_h, jac_h)
+    skeletal = replace(candidate, jac=jac_h)
     verdict = check_el2(skeletal)
     if not verdict.passed:
         raise TransferError(f"transferred structure fails validation:\n{verdict.render()}")

@@ -47,15 +47,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import exactla as xla, morph as morph_mod
-from .dkcore import TwoTermComplex
-from .el2 import EL2Algebra, InvalidStructureError, check_el2, is_hemistrict
+from .el2 import EL2Algebra, InvalidStructureError, check_el2, is_hemistrict, zero_el2
 from .exactla import ShapeError, Subspace, TensorRecord
 from .report import CheckReport, Violation, check_identities
 
@@ -236,7 +235,7 @@ def _twisted(L: GradedL3Algebra, gamma: np.ndarray, degs: tuple[int, ...]) -> np
 
 
 def _check_gamma(L: GradedL3Algebra, gamma: np.ndarray) -> np.ndarray:
-    gamma = np.asarray(gamma)
+    gamma = xla.as_exact(gamma)
     if gamma.shape != (L.dim(1),):
         raise DegreeError(f"gamma must live in degree 1 (dimension {L.dim(1)})")
     return gamma
@@ -260,7 +259,7 @@ def twist(L: GradedL3Algebra, gamma: np.ndarray) -> GradedL3Algebra:
     residual = mc_residual(L, gamma)
     if not xla.is_zero(residual):
         raise MaurerCartanError(f"nonzero Maurer-Cartan residual: {xla.tuple_str(residual)}")
-    gamma = np.asarray(gamma)
+    gamma = xla.as_exact(gamma)
     reached = {degs[m:] for degs in L.brackets for m in range(len(degs)) if degs[:m] == (1,) * m}
     return GradedL3Algebra(dims=dict(L.dims), brackets={degs: _twisted(L, gamma, degs) for degs in reached})
 
@@ -268,7 +267,7 @@ def twist(L: GradedL3Algebra, gamma: np.ndarray) -> GradedL3Algebra:
 def symmetry_action_residual(L: GradedL3Algebra, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The infinitesimal action of x in degree 0 on gamma:
     d x + [gamma, x] + 1/2 [gamma, gamma, x], a vector in degree 1."""
-    x = np.asarray(x)
+    x = xla.as_exact(x)
     if x.shape != (L.dim(0),):
         raise DegreeError(f"x must live in degree 0 (dimension {L.dim(0)})")
     # the zero vector keeps the entries exact when degree 0 is empty
@@ -321,7 +320,7 @@ def inner_symmetries_n2(L: GradedL3Algebra, gamma: np.ndarray) -> EL2Algebra:
     jac3 = tw.bracket(0, 0, 0)
     jac = xla.precompose(xla.precompose(xla.precompose(jac3, 1, K.basis), 2, K.basis), 3, K.basis)
 
-    algebra = EL2Algebra(TwoTermComplex(n0, n1, d), b00, b01, b10, xla.zeros(n1, n0, n0), jac)
+    algebra = replace(zero_el2(n0, n1, d), b00=b00, b01=b01, b10=b10, jac=jac)
     verdict = check_el2(algebra)
     if not verdict.passed:
         raise InvalidStructureError("twisted truncation is not a valid structure", verdict)
@@ -371,10 +370,7 @@ def inner_symmetries_n3(L: GradedL3Algebra, gamma: np.ndarray) -> InnerSymmetrie
     b00 = xla.precompose(tw.bracket(0, -1), 1, d_up)
     b01 = xla.precompose(tw.bracket(0, -2), 1, d_up)
     alt = tw.bracket(-1, -1)
-    algebra = EL2Algebra(
-        TwoTermComplex(n0, n1, d), b00, b01, xla.zeros(n1, n1, n0),
-        alt, xla.zeros(n1, n0, n0, n0),
-    )
+    algebra = replace(zero_el2(n0, n1, d), b00=b00, b01=b01, alt=alt)
     verdict = check_el2(algebra)
     if not verdict.passed:
         raise InvalidStructureError("derived-bracket structure is invalid", verdict)
@@ -383,10 +379,7 @@ def inner_symmetries_n3(L: GradedL3Algebra, gamma: np.ndarray) -> InnerSymmetrie
 
     K = xla.kernel_basis(tw.bracket(0))
     k = K.dim
-    target = EL2Algebra(
-        TwoTermComplex(k, 0, xla.zeros(k, 0)), _stabilizer_bracket(tw, K),
-        xla.zeros(0, k, 0), xla.zeros(0, 0, k), xla.zeros(0, k, k), xla.zeros(0, k, k, k),
-    )
+    target = replace(zero_el2(k, 0), b00=_stabilizer_bracket(tw, K))
     f0 = _coords_in(K, d_up, "image of the twisted differential")
     boundary = morph_mod.ELMorphism(
         src=algebra, dst=target, f0=f0, f1=xla.zeros(0, n1), f2=xla.zeros(0, n0, n0),

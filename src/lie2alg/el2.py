@@ -9,6 +9,13 @@ The central object bundles a two-term complex with five structure tensors:
 * ``jac`` - a trilinear homotopy trivializing the left Leibniz defect
   ``[x,[y,z]] - [[x,y],z] - [y,[x,z]]`` (weak Jacobi).
 
+Each axis of each tensor lives in C^0 or in C^-1, and :data:`AXES` is the
+one statement of which (output axis first; d is (0, 1)).  The record's
+shapes, :func:`zero_el2`, :func:`direct_sum`, :func:`transport`, the
+integer copy's powers and ``cohom.transfer_to_skeletal`` read it;
+:func:`_push` maps one tensor along a map per space on its output axis and
+one per space on its input axes, on Python ints.
+
 ``check_el2`` evaluates every defining identity on every basis tuple, which
 is complete by multilinearity, and reports exact residuals.
 ``categorical_coherence_check`` re-derives the same identities independently
@@ -22,18 +29,19 @@ in ``EL2_TO_CATEGORICAL``.
 Both checkers, and those of :mod:`lie2alg.morph`, run once, on an integer
 copy: ``transport`` along den**-2 on objects and den**-3 on arrow parts, with
 den a common denominator, is a strict isomorphism that clears every
-denominator, so the residuals are computed in Python ints instead of
-Fractions.  The copy is a check-local view (``_integer_copy``), a namespace
-of the scaled tensors the residual functions read, not a record.  It
-multiplies the residual of each identity by a fixed power of den, so the
-copy fails at exactly the basis tuples where the input fails, and dividing
-each violating residual by that power gives the report of the Fraction
-input.  Each checker yields its identities with their powers, in
-order, to ``report.check_identities``, which builds the report and stops at
-``stop_after``.  ``check_el2`` yields an identity only when it is nonzero
-modulo one of a few primes (``exactla.residue_images``), a screen that
-proves the others zero, so only the failing ones are evaluated on Python
-ints.
+denominator (it puts den**2 on a tensor for each C^0 input axis and den**3
+for each C^-1 input axis, over den**2 or den**3 for its output), so the
+residuals are computed in Python ints instead of Fractions.  The copy is a
+check-local view (``_integer_copy``), a namespace of the scaled tensors the
+residual functions read, not a record.  It multiplies the residual of each
+identity by a fixed power of den, so the copy fails at exactly the basis
+tuples where the input fails, and dividing each violating residual by that
+power gives the report of the Fraction input.  Each checker yields its
+identities with their powers, in order, to ``report.check_identities``,
+which builds the report and stops at ``stop_after``.  ``check_el2`` yields
+an identity only when it is nonzero modulo one of a few primes
+(``exactla.residue_images``), a screen that proves the others zero, so only
+the failing ones are evaluated on Python ints.
 
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
 Jacobiator arrow at (x, y, z) is ([x,[y,z]], -jac(x,y,z)), and the bracket of
@@ -44,9 +52,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +76,21 @@ class PairingError(ValueError):
 # Domain types
 # ---------------------------------------------------------------------------
 
+# The space of every axis of each structure tensor, output axis first: 0 for
+# C^0, 1 for C^-1.  Keys in the field order of EL2Algebra.
+AXES: dict[str, tuple[int, ...]] = {"b00": (0, 0, 0), "b01": (1, 0, 1), "b10": (1, 1, 0),
+                                    "alt": (1, 0, 0), "jac": (1, 0, 0, 0)}
+
+# The axes of each tensor of _tensors(e), in order: d: C^-1 -> C^0, then AXES.
+_TENSOR_AXES: tuple[tuple[int, ...], ...] = ((0, 1), *AXES.values())
+
+# The power of den the integer copy puts on each tensor of _tensors(e): it
+# moves along den**-2 on C^0 and den**-3 on C^-1, so a tensor gets 2 for each
+# C^0 input axis and 3 for each C^-1 input axis, minus its output's weight.
+_WEIGHTS = (2, 3)
+_POWERS = tuple(sum(_WEIGHTS[k] for k in axes[1:]) - _WEIGHTS[axes[0]] for axes in _TENSOR_AXES)
+
+
 @dataclass(frozen=True, eq=False)
 class EL2Algebra(TensorRecord):
     """A two-term complex with bracket, alternator and Jacobiator tensors."""
@@ -80,14 +103,8 @@ class EL2Algebra(TensorRecord):
     jac: np.ndarray
 
     def shapes(self):
-        n0, n1 = self.complex.n0, self.complex.n1
-        return {
-            "b00": (n0, n0, n0),
-            "b01": (n1, n0, n1),
-            "b10": (n1, n1, n0),
-            "alt": (n1, n0, n0),
-            "jac": (n1, n0, n0, n0),
-        }
+        dims = (self.complex.n0, self.complex.n1)
+        return {name: tuple(dims[k] for k in axes) for name, axes in AXES.items()}
 
     @property
     def bracket(self) -> BilinearBracket:
@@ -95,15 +112,9 @@ class EL2Algebra(TensorRecord):
 
 
 def zero_el2(n0: int, n1: int, d: Optional[np.ndarray] = None) -> EL2Algebra:
+    dims = (n0, n1)
     c = TwoTermComplex(n0, n1, xla.zeros(n0, n1) if d is None else d)
-    return EL2Algebra(
-        c,
-        xla.zeros(n0, n0, n0),
-        xla.zeros(n1, n0, n1),
-        xla.zeros(n1, n1, n0),
-        xla.zeros(n1, n0, n0),
-        xla.zeros(n1, n0, n0, n0),
-    )
+    return EL2Algebra(c, *(xla.zeros(*(dims[k] for k in axes)) for axes in AXES.values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,7 +457,7 @@ def from_leibniz(g: LeibnizAlgebraFD) -> EL2Algebra:
     b01 = coords_of(xla.precompose(g.c, 2, d))   # [e_i, d e_a]: (m, n, m)
     b10 = coords_of(xla.precompose(g.c, 1, d))   # [d e_a, e_i]: (m, m, n)
     alt = coords_of(sym)
-    return EL2Algebra(TwoTermComplex(n, m, d), g.c, b01, b10, alt, xla.zeros(m, n, n, n))
+    return replace(zero_el2(n, m, d), b00=g.c, b01=b01, b10=b10, alt=alt)
 
 
 def _check_pairing(g: LieAlgebraFD, pairing: np.ndarray) -> np.ndarray:
@@ -477,14 +488,7 @@ def from_quadratic_lie(g: LieAlgebraFD, pairing: np.ndarray) -> EL2Algebra:
     the alternator is the form itself."""
     pairing = _check_pairing(g, pairing)
     n = g.dim
-    return EL2Algebra(
-        TwoTermComplex(n, 1, xla.zeros(n, 1)),
-        g.c,
-        xla.zeros(1, n, 1),
-        xla.zeros(1, 1, n),
-        xla.freeze(pairing.reshape(1, n, n)),
-        xla.zeros(1, n, n, n),
-    )
+    return replace(zero_el2(n, 1), b00=g.c, alt=pairing.reshape(1, n, n))
 
 
 def string_2_algebra(g: LieAlgebraFD, pairing: np.ndarray) -> EL2Algebra:
@@ -493,14 +497,7 @@ def string_2_algebra(g: LieAlgebraFD, pairing: np.ndarray) -> EL2Algebra:
     pairing = _check_pairing(g, pairing)
     n = g.dim
     jac = np.tensordot(g.c, pairing, axes=([0], [0])) * xla.Rat(-1, 2)
-    return EL2Algebra(
-        TwoTermComplex(n, 1, xla.zeros(n, 1)),
-        g.c,
-        xla.zeros(1, n, 1),
-        xla.zeros(1, 1, n),
-        xla.zeros(1, n, n),
-        xla.freeze(jac.reshape(1, n, n, n)),
-    )
+    return replace(zero_el2(n, 1), b00=g.c, jac=jac.reshape(1, n, n, n))
 
 
 def from_skeletal_cocycle(
@@ -535,34 +532,19 @@ def extract_skeletal_data(e: EL2Algebra) -> tuple[LieAlgebraFD, RepresentationFD
 
 
 def direct_sum(a: EL2Algebra, b: EL2Algebra) -> EL2Algebra:
-    """Block sum of two structures; all identities hold componentwise."""
-    n0, n1 = a.complex.n0 + b.complex.n0, a.complex.n1 + b.complex.n1
-    d = xla.zeros(n0, n1).copy()
-    d[: a.complex.n0, : a.complex.n1] = a.complex.d
-    d[a.complex.n0 :, a.complex.n1 :] = b.complex.d
+    """Block sum of two structures; all identities hold componentwise.  Each
+    tensor of a fills the leading block of each of its axes and the one of b
+    the trailing block; every mixed block is zero."""
+    dims_a, dims_b = (a.complex.n0, a.complex.n1), (b.complex.n0, b.complex.n1)
 
-    def block(name: str, *axis_kind: int) -> np.ndarray:
-        # axis_kind: 0 for an object axis, 1 for an arrow-part axis
-        sizes0 = (a.complex.n0, b.complex.n0)
-        sizes1 = (a.complex.n1, b.complex.n1)
-        shape = tuple((sizes0 if k == 0 else sizes1)[0] + (sizes0 if k == 0 else sizes1)[1] for k in axis_kind)
-        out = xla.zeros(*shape).copy()
-        slot_a = tuple(slice(0, (sizes0 if k == 0 else sizes1)[0]) for k in axis_kind)
-        slot_b = tuple(
-            slice((sizes0 if k == 0 else sizes1)[0], None) for k in axis_kind
-        )
-        out[slot_a] = getattr(a, name)
-        out[slot_b] = getattr(b, name)
-        return xla.freeze(out)
+    def block(ta: np.ndarray, tb: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        out = xla.zeros(*(dims_a[k] + dims_b[k] for k in axes)).copy()
+        out[tuple(slice(dims_a[k]) for k in axes)] = ta
+        out[tuple(slice(dims_a[k], None) for k in axes)] = tb
+        return out
 
-    return EL2Algebra(
-        TwoTermComplex(n0, n1, xla.freeze(d)),
-        block("b00", 0, 0, 0),
-        block("b01", 1, 0, 1),
-        block("b10", 1, 1, 0),
-        block("alt", 1, 0, 0),
-        block("jac", 1, 0, 0, 0),
-    )
+    d, *tensors = map(block, _tensors(a), _tensors(b), _TENSOR_AXES)
+    return EL2Algebra(TwoTermComplex(*d.shape, d), *tensors)
 
 
 def transport(e: EL2Algebra, phi0: np.ndarray, phi1: np.ndarray) -> EL2Algebra:
@@ -570,39 +552,35 @@ def transport(e: EL2Algebra, phi0: np.ndarray, phi1: np.ndarray) -> EL2Algebra:
     (phi0 on objects, phi1 on arrow parts); strict isomorphisms preserve
     every identity.
 
-    Computed on Python ints: each map, inverse and tensor is scaled by its
-    own common denominator, the scaled tensors are contracted with the
-    scaled maps, and each result is divided once by the product of those
-    denominators.  The tensors are the ones Fraction evaluation gives."""
+    Each tensor, d included, goes through :func:`_push`: (phi0, phi1) on its
+    output axis and their inverses on its input axes, each map scaled once
+    per call."""
+    phi0, phi1 = xla.as_exact(phi0), xla.as_exact(phi1)
+    outs = (_scaled(phi0), _scaled(phi1))
+    ins = (_scaled(xla.inverse(phi0)), _scaled(xla.inverse(phi1)))
+    d, *tensors = (_push(t, axes, outs, ins) for t, axes in zip(_tensors(e), _TENSOR_AXES))
+    return EL2Algebra(TwoTermComplex(e.complex.n0, e.complex.n1, d), *tensors)
 
-    def scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
-        den = xla.common_denominator(t)
-        return xla.scaled_ints(t, den), den
 
-    phi0 = xla.as_exact(phi0)
-    phi1 = xla.as_exact(phi1)
-    map0, map1 = scaled(phi0), scaled(phi1)
-    inv0, inv1 = scaled(xla.inverse(phi0)), scaled(xla.inverse(phi1))
+def _scaled(t: np.ndarray) -> tuple[np.ndarray, int]:
+    """t times its common denominator, as Python ints, and that denominator."""
+    den = xla.common_denominator(t)
+    return xla.scaled_ints(t, den), den
 
-    def push(t: np.ndarray, out_map, in_maps) -> np.ndarray:
-        out, den = scaled(t)
-        out = xla.postcompose(out_map[0], out)
-        den *= out_map[1]
-        for slot, (m, m_den) in enumerate(in_maps, start=1):
-            out = xla.precompose(out, slot, m)
-            den *= m_den
-        return xla.unscaled(out, den)
 
-    d, d_den = scaled(e.complex.d)
-    d = xla.unscaled(np.dot(map0[0], np.dot(d, inv1[0])), d_den * map0[1] * inv1[1])
-    return EL2Algebra(
-        TwoTermComplex(e.complex.n0, e.complex.n1, d),
-        push(e.b00, map0, (inv0, inv0)),
-        push(e.b01, map1, (inv0, inv1)),
-        push(e.b10, map1, (inv1, inv0)),
-        push(e.alt, map1, (inv0, inv0)),
-        push(e.jac, map1, (inv0, inv0, inv0)),
-    )
+def _push(t: np.ndarray, axes: tuple[int, ...], outs: Sequence, ins: Sequence) -> np.ndarray:
+    """t, with axes in the spaces ``axes`` (as in :data:`AXES`), mapped by
+    ``outs[space]`` on its output axis and precomposed with ``ins[space]`` on
+    each input axis, each map an (ints, den) pair of :func:`_scaled`.  The
+    scaled t is contracted with the scaled maps on Python ints and divided
+    once, so the tensor is the one Fraction evaluation gives."""
+    out, den = _scaled(t)
+    m, m_den = outs[axes[0]]
+    out, den = xla.postcompose(m, out), den * m_den
+    for slot, kind in enumerate(axes[1:], start=1):
+        m, m_den = ins[kind]
+        out, den = xla.precompose(out, slot, m), den * m_den
+    return xla.unscaled(out, den)
 
 
 def _tensors(x) -> tuple[np.ndarray, ...]:
@@ -612,7 +590,7 @@ def _tensors(x) -> tuple[np.ndarray, ...]:
         return (*_tensors(x.src), *_tensors(x.dst), x.theta)
     if hasattr(x, "f2"):
         return (*_tensors(x.src), *_tensors(x.dst), x.f0, x.f1, x.f2)
-    return (x.complex.d, x.b00, x.b01, x.b10, x.alt, x.jac)
+    return (x.complex.d, *(getattr(x, name) for name in AXES))
 
 
 def _view(x, convert: Callable[[np.ndarray, int], np.ndarray], s: int = 1) -> SimpleNamespace:
@@ -621,13 +599,15 @@ def _view(x, convert: Callable[[np.ndarray, int], np.ndarray], s: int = 1) -> Si
     functions read, each tensor t replaced by ``convert(t, k)``.
 
     k is the power of den that the integer copy puts on t, times ``s``.  A
-    structure moves along den**-2 on objects and den**-3 on arrow parts,
-    which puts den on d and alt, den**2 on the brackets and den**3 on jac.
-    The source of a morphism moves along den**-4 and den**-6 (the structure
-    powers doubled) and its target along den**-2 and den**-3, which puts
-    den**2, den**3 and den**5 on f0, f1 and f2; a 2-morphism's morphisms
-    move that way and theta gets den.  Every power is positive, so with den
-    a common denominator of every entry the integer copy holds Python ints.
+    structure moves along den**-2 on objects and den**-3 on arrow parts, so
+    a tensor gets 2 for each C^0 input axis of :data:`AXES` and 3 for each
+    C^-1 input axis, minus 2 or 3 for its output (:data:`_POWERS`): den on
+    d and alt, den**2 on the brackets and den**3 on jac.  The source of a
+    morphism moves along den**-4 and den**-6 (the structure powers doubled)
+    and its target along den**-2 and den**-3, which puts den**2, den**3 and
+    den**5 on f0, f1 and f2; a 2-morphism's morphisms move that way and
+    theta gets den.  Every power is positive, so with den a common
+    denominator of every entry the integer copy holds Python ints.
     """
     if hasattr(x, "theta"):
         return SimpleNamespace(src=_view(x.src, convert, s), dst=_view(x.dst, convert, s),
@@ -637,12 +617,9 @@ def _view(x, convert: Callable[[np.ndarray, int], np.ndarray], s: int = 1) -> Si
             src=_view(x.src, convert, 2 * s), dst=_view(x.dst, convert, s),
             f0=convert(x.f0, 2 * s), f1=convert(x.f1, 3 * s), f2=convert(x.f2, 5 * s),
         )
-    c = x.complex
-    return SimpleNamespace(
-        complex=SimpleNamespace(n0=c.n0, n1=c.n1, d=convert(c.d, s)),
-        b00=convert(x.b00, 2 * s), b01=convert(x.b01, 2 * s), b10=convert(x.b10, 2 * s),
-        alt=convert(x.alt, s), jac=convert(x.jac, 3 * s),
-    )
+    d, *tensors = (convert(t, k * s) for t, k in zip(_tensors(x), _POWERS))
+    c = SimpleNamespace(n0=x.complex.n0, n1=x.complex.n1, d=d)
+    return SimpleNamespace(complex=c, **dict(zip(AXES, tensors)))
 
 
 def _integer_copy(x) -> tuple[SimpleNamespace, int]:

@@ -56,7 +56,10 @@ Row reduction is fraction-free for the same reason: :func:`rref` clears
 denominators row by row, eliminates on Python ints (Bareiss) and divides once
 at the end.  The reduced row-echelon form of a row space is unique, so the
 RREF, its pivots and every basis derived from them (kernel, image, solutions,
-quotient representatives) are the ones Fraction elimination gives.  Bases
+quotient representatives) are the ones Fraction elimination gives.  The
+kernels take arrays of any dtype: one that is not object goes through
+:func:`as_exact`, and :func:`rref` refuses an object entry that is not
+rational while it clears denominators, so nothing is read twice.  Bases
 independent by construction (the identity, kernel and image bases) skip the
 rank check the public :class:`Subspace` constructor makes.
 
@@ -358,16 +361,21 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     pivot column above and below, so every pivot entry equals the last pivot;
     one division by it at the end gives the RREF.  Zero and repeated rows are
     dropped.  None of this changes the row space, whose RREF is unique, so the
-    result is the one Fraction elimination gives.
+    result is the one Fraction elimination gives.  An entry that is not
+    rational raises :class:`ShapeError` (:func:`_exact_input`).
     """
-    m = np.asarray(m)
+    m = _exact_input(m)
     if m.ndim != 2:
         raise ShapeError("rref expects a matrix")
     nrows, ncols = m.shape
     primitive: dict[tuple[int, ...], None] = {}
     for row in m.tolist():
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        try:
+            den = math.lcm(*(x.denominator for x in row))
+            ints = [x.numerator * (den // x.denominator) for x in row]
+        except (AttributeError, TypeError):
+            bad = next(x for x in row if not isinstance(x, (int, Fraction)))
+            raise ShapeError(f"cannot interpret {bad!r} as an exact rational") from None
         content = math.gcd(*ints)
         if content:
             if next(x for x in ints if x) < 0:
@@ -402,6 +410,14 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     for i in range(len(pivots)):
         out[i, :] = [Fraction(x, prev) if x else ZERO for x in work[i]]
     return freeze(out), tuple(pivots)
+
+
+def _exact_input(m) -> np.ndarray:
+    """An object array as given, read once by :func:`rref`, which refuses an
+    entry that is not rational while it clears denominators; any other dtype
+    through :func:`as_exact`."""
+    m = np.asarray(m)
+    return m if m.dtype == object else as_exact(m)
 
 
 def rank(m: np.ndarray) -> int:
@@ -450,7 +466,7 @@ def zero_space(n: int) -> Subspace:
 def kernel_basis(m: np.ndarray) -> Subspace:
     """Basis of the null space {v : m v = 0}, one column per free variable,
     enumerated by increasing free column index."""
-    m = np.asarray(m)
+    m = _exact_input(m)
     nrows, ncols = m.shape
     r, pivots = rref(m)
     free = [j for j in range(ncols) if j not in pivots]
@@ -465,7 +481,7 @@ def kernel_basis(m: np.ndarray) -> Subspace:
 
 def image_basis(m: np.ndarray) -> Subspace:
     """Column space basis: the original columns sitting at the pivot indices."""
-    m = np.asarray(m)
+    m = _exact_input(m)
     _, pivots = rref(m)
     return Subspace._trusted(m.shape[0], as_exact(m[:, list(pivots)]))
 
@@ -479,8 +495,8 @@ def solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     exactly when the elimination puts a pivot in the b block.  Free variables
     are set to zero, so the answer is deterministic.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = _exact_input(a)
+    b = _exact_input(b)
     if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[0] != b.shape[0]:
         raise ShapeError(f"cannot solve shapes {a.shape} x = {b.shape}")
     nrows, ncols = a.shape
@@ -499,7 +515,7 @@ def solve(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
 
 def inverse(m: np.ndarray) -> np.ndarray:
     """Exact inverse of a square matrix; raises on singular input."""
-    m = np.asarray(m)
+    m = _exact_input(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError("inverse expects a square matrix")
     n = m.shape[0]

@@ -17,12 +17,13 @@ counterexample, not get patched over.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import exactla as xla
-from .el2 import EL2Algebra, InvalidStructureError, check_el2
+from .el2 import EL2Algebra, InvalidStructureError, check_el2, zero_el2
 from .morph import ELMorphism, ELTwoMorphism
 
 _HALF = Fraction(1, 2)
@@ -50,19 +51,18 @@ def skew_symmetrize(e: EL2Algebra) -> EL2Algebra:
     verdict = check_el2(e)
     if not verdict.passed:
         raise InvalidStructureError("cannot skew-symmetrize an invalid structure", verdict)
-    b00 = (e.b00 - e.b00.swapaxes(1, 2)) * _HALF
+    b00 = xla.alternate(e.b00, _HALF)
     # {x, a} = 1/2 ([x, a] - [a, x])  and  {a, x} = -{x, a}
     b01 = (e.b01 - np.moveaxis(e.b10, 1, 2)) * _HALF
     b10 = -np.moveaxis(b01, 1, 2)
-    n0, n1 = e.complex.n0, e.complex.n1
-    return EL2Algebra(e.complex, xla.freeze(b00), xla.freeze(b01), xla.freeze(b10),
-                      xla.zeros(n1, n0, n0), skew_jacobiator(e.jac, e.alt, e.b00))
+    jac = skew_jacobiator(e.jac, e.alt, e.b00)
+    return replace(zero_el2(e.complex.n0, e.complex.n1, e.complex.d), b00=b00, b01=b01, b10=b10, jac=jac)
 
 
 def skew_symmetrize_morphism(m: ELMorphism) -> ELMorphism:
     """Antisymmetrize the bilinear homotopy; endpoints are skew-symmetrized."""
-    f2 = (m.f2 - m.f2.swapaxes(1, 2)) * _HALF
-    return ELMorphism(skew_symmetrize(m.src), skew_symmetrize(m.dst), m.f0, m.f1, xla.freeze(f2))
+    f2 = xla.alternate(m.f2, _HALF)
+    return ELMorphism(skew_symmetrize(m.src), skew_symmetrize(m.dst), m.f0, m.f1, f2)
 
 
 def skew_symmetrize_2morphism(t: ELTwoMorphism) -> ELTwoMorphism:

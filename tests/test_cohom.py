@@ -440,3 +440,32 @@ def test_cocycle_pair_shapes_are_read_off_s():
         cohom.CocyclePair(xla.zeros(1, 3), xla.zeros(1, 3, 3, 3))
     with pytest.raises(xla.ShapeError, match=r"^s has shape \(\), expected \(None, None, None\)$"):
         cohom.CocyclePair(xla.ZERO, xla.zeros(1, 3, 3, 3))
+
+
+def iota_pairs_reference(g, m):
+    """The pairs (a, 0) of ``cohom.iota_pairs``, each entry of a the 2x2
+    minor of the projection rows u, v at (x, y) times the invariant value."""
+    dim_a, reps, derived = cohom.abelianization(g)
+    n, inv = g.dim, cohom.invariants_basis(m)
+    proj = xla.inverse(np.column_stack([derived.basis, reps]))[derived.dim:]
+    out = []
+    for mc in range(inv.dim):
+        for u, v in itertools.combinations(range(dim_a), 2):
+            a = xla.zeros(m.dim, n, n).copy()
+            for x, y in itertools.product(range(n), repeat=2):
+                a[:, x, y] += inv.basis[:, mc] * (proj[u, x] * proj[v, y] - proj[v, x] * proj[u, y])
+            out.append(a)
+    return out
+
+
+def test_iota_pairs_are_projection_minors():
+    heis = catalog.heisenberg()
+    cases = [(heis, catalog.trivial_rep(heis)), (catalog.abelian_lie(3), catalog.trivial_rep(catalog.abelian_lie(3))),
+             (catalog.sl2(), catalog.trivial_rep(catalog.sl2()))]
+    for g, m in cases:
+        got, want = cohom.iota_pairs(g, m), iota_pairs_reference(g, m)
+        assert len(got) == len(want)
+        for pair, a in zip(got, want):
+            assert xla.arrays_equal(pair.s, a) and xla.is_zero(pair.j)
+            assert all(type(x) is F for x in pair.s.flat)
+    assert len(cohom.iota_pairs(*cases[1])) == 3

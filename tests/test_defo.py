@@ -297,3 +297,22 @@ def test_graded_equality_and_serialization_shapes():
     assert L == same
     other = defo.twist(L, gamma)
     assert L != other
+
+
+def test_float_gamma_and_x_are_refused():
+    """A float copy of a flat gamma gives 0.0 residual entries, which is_zero
+    would accept as Maurer-Cartan: gamma and x enter through as_exact."""
+    L, good, _ = catalog.mc_balancing_dgla()
+    floats = np.array([float(x) for x in good])
+    for call in (
+        lambda: defo.mc_residual(L, floats),
+        lambda: defo.twist(L, floats),
+        lambda: defo.symmetry_action_residual(L, floats, xla.zeros(L.dim(0))),
+        lambda: defo.symmetry_action_residual(L, good, np.zeros(L.dim(0))),
+    ):
+        with pytest.raises(xla.ShapeError, match="cannot interpret 0.0|cannot interpret 1.0"):
+            call()
+    # int entries are exact, and the residuals hold Fractions
+    ints = [int(x) for x in good]
+    assert all(type(x) is F for x in defo.mc_residual(L, ints))
+    assert all(type(x) is F for x in defo.symmetry_action_residual(L, ints, [0] * L.dim(0)))

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -359,3 +361,56 @@ def test_direct_sum_and_transport_preserve_validity():
     moved = el2.transport(big, rand_invertible(rng, 5), rand_invertible(rng, 3))
     assert el2.check_el2(moved).passed
     assert not moved.complex.is_skeletal
+
+
+def paper_shapes(n0, n1):
+    """The shapes of d and the five tensors, each axis in C^0 (n0) or C^-1
+    (n1), output first: stated here independently of el2.AXES."""
+    return {"d": (n0, n1), "b00": (n0, n0, n0), "b01": (n1, n0, n1), "b10": (n1, n1, n0),
+            "alt": (n1, n0, n0), "jac": (n1, n0, n0, n0)}
+
+
+def dense_structure(rng, n0, n1):
+    """A record (not a valid structure) with every entry of d and of the five
+    tensors nonzero."""
+    d, *tensors = (rand_tensor(rng, *shape, lo=1, hi=6) for shape in paper_shapes(n0, n1).values())
+    return el2.EL2Algebra(dkcore.TwoTermComplex(n0, n1, d), *tensors)
+
+
+def test_axes_table_lists_the_tensor_fields_in_order():
+    fields = [f.name for f in dataclasses.fields(el2.EL2Algebra)]
+    assert fields == ["complex", *el2.AXES]
+    for n0, n1 in [(2, 3), (3, 1), (0, 2)]:
+        shapes = paper_shapes(n0, n1)
+        assert el2.EL2Algebra.shapes(el2.zero_el2(n0, n1)) == {k: shapes[k] for k in el2.AXES}
+        assert [t.shape for t in el2._tensors(el2.zero_el2(n0, n1))] == list(shapes.values())
+
+
+def test_direct_sum_puts_each_summand_on_its_diagonal_blocks():
+    rng = random.Random(23)
+    a, b = dense_structure(rng, 2, 3), dense_structure(rng, 3, 1)
+    total = el2.direct_sum(a, b)
+    assert (total.complex.n0, total.complex.n1) == (5, 4)
+    for name, ta, tb, t in zip(("d", *el2.AXES), el2._tensors(a), el2._tensors(b), el2._tensors(total)):
+        assert t.shape == tuple(x + y for x, y in zip(ta.shape, tb.shape)), name
+        # one block per choice of summand along each axis
+        for choice in itertools.product((0, 1), repeat=t.ndim):
+            block = t[tuple(slice(s) if c == 0 else slice(s, None) for c, s in zip(choice, ta.shape))]
+            if not any(choice):
+                assert xla.arrays_equal(block, ta), name
+            elif all(choice):
+                assert xla.arrays_equal(block, tb), name
+            else:
+                assert xla.is_zero(block), (name, choice)
+
+
+def test_transport_along_scalars_scales_each_tensor_by_its_axes():
+    """Along (q0, q1) times the identity a tensor is multiplied by the
+    output space's scalar over the product of its input spaces' scalars."""
+    e = dense_structure(random.Random(29), 2, 3)
+    q0, q1 = F(2, 3), F(5, 7)
+    moved = el2.transport(e, xla.identity(2) * q0, xla.identity(3) * q1)
+    factors = {"d": q0 / q1, "b00": 1 / q0, "b01": 1 / q0, "b10": 1 / q0,
+               "alt": q1 / q0**2, "jac": q1 / q0**3}
+    for (name, factor), t, got in zip(factors.items(), el2._tensors(e), el2._tensors(moved)):
+        assert xla.arrays_equal(got, t * factor), name

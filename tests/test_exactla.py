@@ -409,3 +409,47 @@ def test_zero_dimensional_spaces_are_first_class():
     assert xla.image_basis(xla.zeros(0, 3)).ambient_dim == 0
     t = xla.zeros(0, 2)
     assert xla.contract(t, 1, xla.vector([1, 1])).shape == (0,)
+
+
+# Each public elimination kernel on a 1x1 matrix m.  quotient takes
+# subspaces, whose bases are exact by construction; only a basis past the
+# public constructor can hold anything else.
+KERNELS = {
+    "rref": xla.rref,
+    "solve": lambda m: xla.solve(m, xla.vector([1])),
+    "solve rhs": lambda m: xla.solve(xla.identity(1), m[:, 0]),
+    "inverse": xla.inverse,
+    "kernel_basis": xla.kernel_basis,
+    "image_basis": xla.image_basis,
+    "membership": lambda m: xla.membership(xla.full_space(1), m[:, 0]),
+    "quotient": lambda m: xla.quotient(xla.full_space(1), xla.Subspace._trusted(1, m.astype(object))),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernels_refuse_input_that_is_not_exact(kernel):
+    """Float and boolean arrays go through as_exact; a float inside an
+    object array is refused by rref while it clears denominators."""
+    bad = [np.array([[0.5]]), np.array([[0.5]], dtype=object)]
+    if kernel != "quotient":   # astype(object) turns a bool array into ints
+        bad.append(np.array([[True]]))
+    for m in bad:
+        with pytest.raises(xla.ShapeError, match="0.5|booleans"):
+            KERNELS[kernel](m)
+    # exact input of any dtype is read as before
+    KERNELS[kernel](np.array([[2]]))
+    KERNELS[kernel](np.array([[F(1, 2)]], dtype=object))
+
+
+def test_object_matrices_are_not_converted(monkeypatch):
+    """An object matrix reaches the elimination as given: no second pass over
+    it (the cocycle matrices of hl3 hold Python ints and are large)."""
+    m = np.array([[1, 2, 3], [2, 4, 7]], dtype=object)
+
+    def refuse(a):
+        raise AssertionError("as_exact called on an object matrix")
+
+    monkeypatch.setattr(xla, "as_exact", refuse)
+    assert xla.rref(m)[1] == (0, 2)
+    assert xla.kernel_basis(m).dim == 1
+    assert xla.solve(m, np.array([1, 2], dtype=object)) is not None

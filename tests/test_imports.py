@@ -82,3 +82,47 @@ def test_array_dataclasses_compare_structurally():
         if (names := array_dataclasses_with_generated_eq(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants (one leading
+    underscore, not a dunder) that no other top-level statement of any of
+    the modules reads: as a name, as an attribute, or imported by name.  A
+    function that only calls itself counts as unread."""
+    defined, reads = [], []
+    for source in sources.values():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+            else:
+                names = []
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+            defined += [(name, len(reads)) for name in names if name.startswith("_") and not name.startswith("__")]
+            reads.append(read)
+    return [name for name, at in defined if not any(name in r for i, r in enumerate(reads) if i != at)]
+
+
+def test_unread_private_names_detected():
+    sources = {
+        "a.py": "_USED = 1\n_UNUSED = 2\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+                "class _Kept:\n    pass\ndef f():\n    return _USED, _Kept\n",
+        "b.py": "from a import _imported\nimport a\nx = a._by_attribute\n",
+        "c.py": "def _imported():\n    pass\n_by_attribute: int = 3\n__all__ = []\n",
+    }
+    assert unread_private_names(sources) == ["_UNUSED", "_recursive"]
+
+
+def test_private_names_are_read():
+    """No private helper, class or constant is left that nothing reads."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
