@@ -33,15 +33,19 @@ denominator (it puts den**2 on a tensor for each C^0 input axis and den**3
 for each C^-1 input axis, over den**2 or den**3 for its output), so the
 residuals are computed in Python ints instead of Fractions.  The copy is a
 check-local view (``_integer_copy``), a namespace of the scaled tensors the
-residual functions read, not a record.  It multiplies the residual of each
-identity by a fixed power of den, so the copy fails at exactly the basis
-tuples where the input fails, and dividing each violating residual by that
-power gives the report of the Fraction input.  Each checker yields its
-identities with their powers, in order, to ``report.check_identities``,
-which builds the report and stops at ``stop_after``.  ``check_el2`` yields
-an identity only when it is nonzero modulo one of a few primes
-(``exactla.residue_images``), a screen that proves the others zero, so only
-the failing ones are evaluated on Python ints.
+residual functions read, not a record.  Each record memoizes the integer
+form of its tensors (``TensorRecord.integer_form``), so a structure checked
+by both checkers and as the end of morphisms and 2-morphisms has its
+denominators cleared once, and each view only scales the forms.  The copy
+multiplies the residual of each identity by a fixed power of den, so the
+copy fails at exactly the basis tuples where the input fails, and dividing
+each violating residual by that power gives the report of the Fraction
+input.  Each checker yields its identities with their powers, in order, to
+``report.check_identities``, which builds the report and stops at
+``stop_after``.  ``check_el2`` yields an identity only when it is nonzero
+modulo one of a few primes (``exactla.residue_images``), a screen that
+proves the others zero, so only the failing ones are evaluated on Python
+ints.
 
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
 Jacobiator arrow at (x, y, z) is ([x,[y,z]], -jac(x,y,z)), and the bracket of
@@ -396,11 +400,11 @@ def _width(e: EL2Algebra) -> int:
     return max(e.complex.n0, e.complex.n1, 1)
 
 
-def _residual_bound(e: EL2Algebra) -> int:
-    """``RESIDUAL_TERMS * n * M**2`` for an integer copy with largest entry
-    M in absolute value and width n: no residual entry exceeds it."""
-    m = max((abs(x) for t in _tensors(e) for x in t.flat), default=0)
-    return RESIDUAL_TERMS * _width(e) * m * m
+def _residual_bound(e: SimpleNamespace) -> int:
+    """``RESIDUAL_TERMS * n * M**2`` for an integer copy of width n whose
+    largest entry in absolute value is M, its ``height``: no residual entry
+    exceeds it."""
+    return RESIDUAL_TERMS * _width(e) * e.height**2
 
 
 def _residue_images(e: SimpleNamespace) -> Optional[list[tuple[int, SimpleNamespace]]]:
@@ -583,14 +587,21 @@ def _push(t: np.ndarray, axes: tuple[int, ...], outs: Sequence, ins: Sequence) -
     return xla.unscaled(out, den)
 
 
+def _slots(x) -> tuple[tuple[object, str], ...]:
+    """(owner, field name) of every tensor of a structure, a morphism or a
+    2-morphism (a record or a view), in the order :func:`_view` converts
+    them; d is a field of the complex."""
+    if hasattr(x, "theta"):
+        return (*_slots(x.src), *_slots(x.dst), (x, "theta"))
+    if hasattr(x, "f2"):
+        return (*_slots(x.src), *_slots(x.dst), (x, "f0"), (x, "f1"), (x, "f2"))
+    return ((x.complex, "d"), *((x, name) for name in AXES))
+
+
 def _tensors(x) -> tuple[np.ndarray, ...]:
     """Every tensor of a structure, a morphism or a 2-morphism (a record or
     a view), in the order :func:`_view` converts them."""
-    if hasattr(x, "theta"):
-        return (*_tensors(x.src), *_tensors(x.dst), x.theta)
-    if hasattr(x, "f2"):
-        return (*_tensors(x.src), *_tensors(x.dst), x.f0, x.f1, x.f2)
-    return (x.complex.d, *(getattr(x, name) for name in AXES))
+    return tuple(getattr(owner, name) for owner, name in _slots(x))
 
 
 def _view(x, convert: Callable[[np.ndarray, int], np.ndarray], s: int = 1) -> SimpleNamespace:
@@ -623,10 +634,29 @@ def _view(x, convert: Callable[[np.ndarray, int], np.ndarray], s: int = 1) -> Si
 
 
 def _integer_copy(x) -> tuple[SimpleNamespace, int]:
-    """The integer view of a structure, a morphism or a 2-morphism that its
-    checker runs on, and its den."""
-    den = xla.common_denominator(*_tensors(x))
-    return _view(x, lambda t, k: xla.scaled_ints(t, den**k)), den
+    """The integer view of a structure, a morphism or a 2-morphism record
+    that its checker runs on, and its den.
+
+    Each tensor t of x comes from the integer form its record memoizes
+    (``TensorRecord.integer_form``): den is the lcm of their dens, a common
+    denominator of every entry, and the view tensor is the form's ints times
+    ``den**k // den_t``, with k its power in :func:`_view`; a factor of 1
+    takes the form's array as it is.  The view's ``height``, the largest
+    absolute value of its entries, is the largest ``height_t`` times its
+    factor."""
+    forms = [owner.integer_form(name) for owner, name in _slots(x)]
+    den = math.lcm(*(form.den for form in forms))
+    heights = []
+
+    def scale(t: np.ndarray, k: int, form=iter(forms)) -> np.ndarray:
+        ints, den_t, height = next(form)
+        factor = den**k // den_t
+        heights.append(height * factor)
+        return ints if factor == 1 else xla.freeze(ints * factor)
+
+    view = _view(x, scale)
+    view.height = max(heights, default=0)
+    return view, den
 
 
 # ---------------------------------------------------------------------------

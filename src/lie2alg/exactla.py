@@ -32,10 +32,13 @@ check (the axiom checkers, the algebra and module validators,
 ``cohom.is_cocycle``, ``defo.crossed_module_identities_report``) gives each
 identity's residual one known power of the denominator and hands it, with
 that power, to ``report.check_identities``, which divides only the
-violating residuals.  The integer tensors a check evaluates on live in a
-check-local view (a plain namespace of the attributes its residual
-functions read), never in a record.  Verdicts, values, residuals and entry
-types are the ones Fraction evaluation gives.
+violating residuals.  A record clears each tensor's denominators once:
+:meth:`TensorRecord.integer_form` memoizes the tensor's numerators at its
+own common denominator, outside the record's fields, and every check on
+the record scales these forms into a check-local view (a plain namespace
+of the attributes its residual functions read), which is never a record.
+Verdicts, values, residuals and entry types are the ones Fraction
+evaluation gives.
 
 A check can decide most of its verdicts without Python ints at all
 (:func:`residue_images`).  Given a bound B on the absolute value of every
@@ -59,7 +62,9 @@ RREF, its pivots and every basis derived from them (kernel, image, solutions,
 quotient representatives) are the ones Fraction elimination gives.  The
 kernels take arrays of any dtype: one that is not object goes through
 :func:`as_exact`, and :func:`rref` refuses an object entry that is not
-rational while it clears denominators, so nothing is read twice.  Bases
+rational, a boolean included, while it clears denominators.  The
+contraction helpers and :func:`alternate` take object and integer arrays
+and refuse float, complex and boolean dtypes from the dtype alone.  Bases
 independent by construction (the identity, kernel and image bases) skip the
 rank check the public :class:`Subspace` constructor makes.
 
@@ -89,7 +94,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -195,12 +200,15 @@ def identity(n: int) -> np.ndarray:
 def as_exact(a: np.ndarray) -> np.ndarray:
     """A frozen copy of ``a`` holding Fractions only, each entry converted by
     :func:`rat`: ints, numpy integers and literal strings become Fractions,
-    and floats, booleans and malformed strings raise :class:`ShapeError`."""
+    and floats, booleans and malformed strings raise :class:`ShapeError`.
+    Setting the copy's writeable flag back raises ``ValueError``."""
     arr = np.asarray(a)
     entries = arr.reshape(-1).tolist()
     if set(map(type, entries)) != {Fraction}:
         entries = [rat(x) for x in entries]
-    return freeze(np.fromiter(entries, dtype=object, count=arr.size).reshape(arr.shape))
+    # freeze the buffer, not only the reshaped view of it: a view of a frozen
+    # buffer cannot be made writeable again
+    return freeze(np.fromiter(entries, dtype=object, count=arr.size)).reshape(arr.shape)
 
 
 def common_denominator(*arrays: np.ndarray) -> int:
@@ -284,6 +292,16 @@ def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return all(x == y for x, y in zip(a.reshape(-1), b.reshape(-1)))
 
 
+class IntegerForm(NamedTuple):
+    """A tensor as ``ints / den``: ``ints`` its numerators at its own common
+    denominator ``den``, a frozen array of Python ints, and ``height`` the
+    largest absolute value of an entry of ``ints`` (0 for none)."""
+
+    ints: np.ndarray
+    den: int
+    height: int
+
+
 class TensorRecord:
     """Base of the frozen records of exact tensors, each subclass a
     ``@dataclass(frozen=True, eq=False)``.
@@ -292,11 +310,15 @@ class TensorRecord:
     :meth:`shapes`, read off its other fields (dimensions and nested
     records); a ``None`` length is free.  Construction checks every declared
     shape, stores each tensor as :func:`as_exact` of it, one frozen copy
-    holding Fractions only, and runs :meth:`validate`.  So a record never
-    holds ints or floats: integer arithmetic lives only in the check-local
-    views the checkers evaluate on, never in a record.  Equality is
-    structural over all fields, tensors compared entry by entry and tuple
-    fields element by element.
+    holding Fractions only, and runs :meth:`validate`.  So a record's
+    tensors never hold ints or floats.  Equality is structural over all
+    fields, tensors compared entry by entry and tuple fields element by
+    element; a record equals itself without a comparison.
+
+    A record memoizes the integer form of each tensor (:meth:`integer_form`)
+    outside its fields, so the checks that share a record clear its
+    denominators once; each check scales the forms into its own check-local
+    view.
     """
 
     def shapes(self) -> dict[str, tuple[Optional[int], ...]]:
@@ -315,10 +337,29 @@ class TensorRecord:
             object.__setattr__(self, name, as_exact(arr))
         self.validate()
 
+    def integer_form(self, name: str) -> IntegerForm:
+        """The :class:`IntegerForm` of tensor field ``name``, derived on first
+        use by :func:`common_denominator` and :func:`scaled_ints`.
+
+        The record is frozen and its tensors cannot be made writeable
+        (:func:`as_exact`), so the form is kept in the instance dict, outside
+        the dataclass fields: equality, hashing, ``dataclasses.replace`` and
+        the document codec never see it, and it lives as long as the record.
+        """
+        forms = self.__dict__.setdefault("_integer_forms", {})
+        if name not in forms:
+            t = getattr(self, name)
+            den = common_denominator(t)
+            ints = scaled_ints(t, den)
+            forms[name] = IntegerForm(ints, den, max(map(abs, ints.flat), default=0))
+        return forms[name]
+
     def _values(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         return _same(self._values(), other._values())
@@ -362,7 +403,8 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     one division by it at the end gives the RREF.  Zero and repeated rows are
     dropped.  None of this changes the row space, whose RREF is unique, so the
     result is the one Fraction elimination gives.  An entry that is not
-    rational raises :class:`ShapeError` (:func:`_exact_input`).
+    rational, a boolean included, raises :class:`ShapeError`
+    (:func:`_exact_input`).
     """
     m = _exact_input(m)
     if m.ndim != 2:
@@ -371,10 +413,13 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     primitive: dict[tuple[int, ...], None] = {}
     for row in m.tolist():
         try:
+            # a boolean has a numerator and a denominator too
+            if bool in map(type, row):
+                raise TypeError
             den = math.lcm(*(x.denominator for x in row))
             ints = [x.numerator * (den // x.denominator) for x in row]
         except (AttributeError, TypeError):
-            bad = next(x for x in row if not isinstance(x, (int, Fraction)))
+            bad = next(x for x in row if isinstance(x, bool) or not isinstance(x, (int, Fraction)))
             raise ShapeError(f"cannot interpret {bad!r} as an exact rational") from None
         content = math.gcd(*ints)
         if content:
@@ -622,6 +667,7 @@ def wedge(left: Sequence[int], right: Sequence[int]) -> Optional[tuple[int, tupl
 def alternate(t: np.ndarray, coeff: Union[int, Fraction]) -> np.ndarray:
     """``coeff * sum_perm sgn(perm) t(x_perm(1), ..., x_perm(k))`` over the
     input axes (axis 0 is the output)."""
+    t = _operand(t)
     k = t.ndim - 1
     out = None
     for perm in itertools.permutations(range(k)):
@@ -635,12 +681,23 @@ def alternate(t: np.ndarray, coeff: Union[int, Fraction]) -> np.ndarray:
 # Dense multilinear contraction
 # ---------------------------------------------------------------------------
 
+def _operand(a) -> np.ndarray:
+    """``a`` as an operand of the contraction helpers and :func:`alternate`:
+    object arrays (Fractions or Python ints) and integer arrays (the int64
+    residue images) pass; float, complex and boolean dtypes raise
+    :class:`ShapeError`, from the dtype alone."""
+    a = np.asarray(a)
+    if a.dtype.kind in "fcb":
+        raise ShapeError(f"{a.dtype} entries are not exact rationals")
+    return a
+
+
 def contract(t: np.ndarray, slot: int, arg: np.ndarray) -> np.ndarray:
     """Contract axis ``slot`` of ``t`` with a vector (removing the axis) or
     with a matrix of shape (slot_dim, k) (replacing the axis by one of size k,
     kept in place)."""
-    t = np.asarray(t)
-    arg = np.asarray(arg)
+    t = _operand(t)
+    arg = _operand(arg)
     if not 0 <= slot < t.ndim:
         raise ShapeError(f"slot {slot} out of range for shape {t.shape}")
     if arg.ndim == 1:
@@ -667,8 +724,8 @@ def precompose(t: np.ndarray, slot: int, m: np.ndarray) -> np.ndarray:
 
 def postcompose(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Apply the linear map ``m`` to the output axis of ``t``."""
-    t = np.asarray(t)
-    m = np.asarray(m)
+    t = _operand(t)
+    m = _operand(m)
     if m.shape[1] != t.shape[0]:
         raise ShapeError(
             f"map with {m.shape[1]} columns cannot act on output of dimension {t.shape[0]}"
@@ -679,8 +736,8 @@ def postcompose(m: np.ndarray, t: np.ndarray) -> np.ndarray:
 def plug(outer: np.ndarray, slot: int, inner: np.ndarray) -> np.ndarray:
     """Substitute the multilinear tensor ``inner`` into input slot ``slot`` of
     ``outer``; the inner input axes take the slot's position in order."""
-    outer = np.asarray(outer)
-    inner = np.asarray(inner)
+    outer = _operand(outer)
+    inner = _operand(inner)
     if not 1 <= slot < outer.ndim:
         raise ShapeError(f"input slot {slot} out of range for shape {outer.shape}")
     if outer.shape[slot] != inner.shape[0]:

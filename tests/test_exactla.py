@@ -428,13 +428,13 @@ KERNELS = {
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernels_refuse_input_that_is_not_exact(kernel):
-    """Float and boolean arrays go through as_exact; a float inside an
-    object array is refused by rref while it clears denominators."""
-    bad = [np.array([[0.5]]), np.array([[0.5]], dtype=object)]
-    if kernel != "quotient":   # astype(object) turns a bool array into ints
-        bad.append(np.array([[True]]))
+    """Float and boolean arrays go through as_exact; a float or a boolean
+    inside an object array is refused by rref while it clears
+    denominators."""
+    bad = [np.array([[0.5]]), np.array([[0.5]], dtype=object), np.array([[True]]),
+           np.array([[True]], dtype=object)]
     for m in bad:
-        with pytest.raises(xla.ShapeError, match="0.5|booleans"):
+        with pytest.raises(xla.ShapeError, match="0.5|booleans|True"):
             KERNELS[kernel](m)
     # exact input of any dtype is read as before
     KERNELS[kernel](np.array([[2]]))
@@ -453,3 +453,47 @@ def test_object_matrices_are_not_converted(monkeypatch):
     assert xla.rref(m)[1] == (0, 2)
     assert xla.kernel_basis(m).dim == 1
     assert xla.solve(m, np.array([1, 2], dtype=object)) is not None
+
+
+def test_rref_refuses_booleans_in_object_arrays():
+    """A boolean has a numerator and a denominator, but it is not a rational
+    entry, wherever it sits in an object matrix."""
+    with pytest.raises(xla.ShapeError, match="True"):
+        xla.kernel_basis(np.array([[True, False]], dtype=object))
+    mixed = np.array([[F(1, 2), 1, 0], [0, F(2, 3), False]], dtype=object)
+    with pytest.raises(xla.ShapeError, match="False"):
+        xla.rref(mixed)
+    assert xla.rref(np.array([[F(1, 2), 1, 0], [0, F(2, 3), 0]], dtype=object))[1] == (0, 1)
+
+
+CONTRACTIONS = {
+    "contract": lambda a: xla.contract(a, 1, a[0, 0]),
+    "contract arg": lambda a: xla.contract(np.ones((1, 2, 2), dtype=object), 1, a[0, 0]),
+    "precompose": lambda a: xla.precompose(a, 1, a[0]),
+    "postcompose": lambda a: xla.postcompose(a[0], a),
+    "postcompose map": lambda a: xla.postcompose(a[0], np.ones((2, 2, 2), dtype=object)),
+    "plug": lambda a: xla.plug(a, 1, np.ones((2, 2, 2), dtype=object)),
+    "plug inner": lambda a: xla.plug(np.ones((2, 2, 2), dtype=object), 1, a),
+    "alternate": lambda a: xla.alternate(a, 1),
+}
+
+
+@pytest.mark.parametrize("helper", CONTRACTIONS)
+def test_contraction_helpers_refuse_inexact_dtypes(helper):
+    """Float, complex and boolean arrays are refused from their dtype; object
+    arrays (Fractions or Python ints) and int64 arrays (the residue images)
+    are contracted as before."""
+    a = np.array([[[0.5, 1.0], [0.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    for bad in (a, a.astype(complex), a != 0):
+        with pytest.raises(xla.ShapeError, match="not exact rationals"):
+            CONTRACTIONS[helper](bad)
+    exact = np.array([[[1, 2], [0, 3]], [[1, 0], [F(1, 2), 1]]], dtype=object)
+    ints = np.array([[[1, 2], [0, 3]], [[1, 0], [5, 1]]], dtype=np.int64)
+    for good in (exact, ints):
+        CONTRACTIONS[helper](good)
+
+
+def test_alternate_of_float_array_is_refused():
+    """The example that returned a float array."""
+    with pytest.raises(xla.ShapeError):
+        xla.alternate(np.array([[[0.5, 1.0], [0.0, 2.0]]]), 1)

@@ -716,8 +716,9 @@ def test_residual_bound_covers_every_identity(n0, n1):
     mags = [np.full(shape, Magnitude(largest), dtype=object) for shape in shapes]
 
     def record(d, b00, b01, b10, alt, jac):
+        height = max((magnitude(x) for t in (d, b00, b01, b10, alt, jac) for x in t.flat), default=0)
         return SimpleNamespace(complex=SimpleNamespace(n0=n0, n1=n1, d=d), b00=b00, b01=b01,
-                               b10=b10, alt=alt, jac=jac)
+                               b10=b10, alt=alt, jac=jac, height=height)
 
     bound = el2._residual_bound(record(*ints))
     assert bound == (10 * max(n0, n1, 1) * largest**2 if n0 else 0)   # n0 = 0: every tensor is empty
