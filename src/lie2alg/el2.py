@@ -47,6 +47,16 @@ modulo one of a few primes (``exactla.residue_images``), a screen that
 proves the others zero, so only the failing ones are evaluated on Python
 ints.
 
+``categorical_coherence_check`` decides each diagram in int64, by the
+diagram's own bound B on its residual (:func:`_diagram_bound`): when B is
+below 2**63 the diagram is evaluated once on int64 tensors, exactly, and a
+nonzero residual is reported as it is; otherwise on the residues modulo the
+fewest primes whose product exceeds B, stacked on one leading axis
+(``exactla.residue_stack``) and reduced after every product, and only a
+diagram nonzero modulo some prime is evaluated again on Python ints.  A
+diagram no prime set covers is evaluated on Python ints only, as
+``_categorical_body`` evaluates every diagram without the screen.
+
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
 Jacobiator arrow at (x, y, z) is ([x,[y,z]], -jac(x,y,z)), and the bracket of
 two arrow parts is the derived one, [a,b] = [da,b].
@@ -404,7 +414,7 @@ def _residual_bound(e: SimpleNamespace) -> int:
     """``RESIDUAL_TERMS * n * M**2`` for an integer copy of width n whose
     largest entry in absolute value is M, its ``height``: no residual entry
     exceeds it."""
-    return RESIDUAL_TERMS * _width(e) * e.height**2
+    return _diagram_bound(e, RESIDUAL_TERMS)
 
 
 def _residue_images(e: SimpleNamespace) -> Optional[list[tuple[int, SimpleNamespace]]]:
@@ -708,17 +718,28 @@ class _GammaEvaluator:
 
     Every operation returns arrays of the second kind; the object of an
     arrow from :meth:`on_arrows` is None when it is 0.  Agreement with the
-    reference arrow operations at every index is pinned by tests."""
+    reference arrow operations at every index is pinned by tests.
 
-    def __init__(self, e: EL2Algebra, rank: int):
+    The tensors of ``e`` hold Python ints (or Fractions), or int64
+    entries.  With
+    ``primes`` (an int64 vector), each tensor and each array carries one
+    leading axis more, a residue image per prime, and every product and
+    every sum is reduced modulo its prime, so each entry an operation
+    returns lies in (-p, p).  Each product then is of a tensor entry and at
+    most one batched entry, summed over one contraction, which stays below
+    ``max(n0, n1) * p**2`` in absolute value."""
+
+    def __init__(self, e: EL2Algebra, rank: int, primes: Optional[np.ndarray] = None):
         self.e = e
         self.rank = rank
+        self.lead = "" if primes is None else "y"
+        self.mod = None if primes is None else primes.reshape((-1,) + (1,) * (rank + 1))
 
     def _apply(self, t: np.ndarray, *args) -> Optional[np.ndarray]:
         """t (out, m_1, ..., m_r) on r batched arguments, as one einsum whose
         tuple axes broadcast; None when an argument is zero."""
-        axes = "abcd"[: self.rank]
-        subs, operands = ["z"], [t]
+        axes, lead = "abcd"[: self.rank], self.lead
+        subs, operands = [lead + "z"], [t]
         for slot, a in enumerate(args):
             if a is None:
                 return None
@@ -726,27 +747,32 @@ class _GammaEvaluator:
                 subs[0] += axes[a]
             else:
                 subs[0] += "pqr"[slot]
-                subs.append("pqr"[slot] + axes)
+                subs.append(lead + "pqr"[slot] + axes)
                 operands.append(a)
         if len(operands) > 1:
-            return np.einsum(",".join(subs) + "->z" + axes, *operands)
+            out = np.einsum(",".join(subs) + "->" + lead + "z" + axes, *operands)
+            return out if self.mod is None else out % self.mod
         # basis arguments only: a transpose, with a unit axis for each tuple
         # axis no argument runs along
         used = sorted(set(args))
-        out = np.einsum(subs[0] + "->z" + "".join(axes[p] for p in used), t)
+        out = np.einsum(subs[0] + "->" + lead + "z" + "".join(axes[p] for p in used), t)
         shape = [1] * self.rank
-        for p, size in zip(used, out.shape[1:]):
+        for p, size in zip(used, out.shape[len(lead) + 1:]):
             shape[p] = size
-        return out.reshape(out.shape[:1] + tuple(shape))
+        return out.reshape(out.shape[: len(lead) + 1] + tuple(shape))
 
     def _sum(self, n: int, *terms: Optional[np.ndarray]) -> np.ndarray:
         """The sum of the terms that are not elided; zero when all are."""
         kept = [t for t in terms if t is not None]
         if not kept:
-            # plain ints: a Fraction constant would turn the integer-scaled
-            # run back into Fraction arithmetic
-            return np.zeros((n,) + (1,) * self.rank, dtype=object)
-        return sum(kept[1:], kept[0])
+            # zeros of the tensors' dtype: a Fraction constant would turn the
+            # integer-scaled run back into Fraction arithmetic
+            lead = () if self.mod is None else self.mod.shape[:1]
+            return np.zeros(lead + (n,) + (1,) * self.rank, dtype=self.e.b00.dtype)
+        if len(kept) == 1:
+            return kept[0]
+        total = sum(kept[1:], kept[0])
+        return total if self.mod is None else total % self.mod
 
     def one(self, x) -> _Arrow:
         return _Arrow(x, None)
@@ -806,35 +832,121 @@ def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = No
     pure arrow parts; and the four coherence diagrams commute, comparing the
     arrow parts of both composite paths.  Each diagram is evaluated once,
     over all its basis tuples at once.
+
+    Verdicts are exact, and each diagram is decided in int64.  Its residual
+    on the integer copy is at most :func:`_diagram_bound` B in absolute
+    value.  When B is below 2**63, the diagram is evaluated once on int64
+    tensors, without reduction, and a nonzero residual is reported as it
+    is, in Python ints.  Otherwise it is evaluated on the residues modulo
+    the fewest primes of ``exactla.RESIDUE_PRIMES`` whose product exceeds
+    B, stacked on one leading axis (in chunks of primes, to bound memory)
+    and reduced after every product; a diagram that is zero modulo each of
+    them is zero, and one that is not is evaluated again on Python ints.  A
+    diagram no prime set covers is evaluated on Python ints only.  Either
+    way the report is the one ``_categorical_body`` gives without the
+    screen.
     """
-    return _categorical_body(*_integer_copy(e), stop_after)
+    return _categorical_body(*_integer_copy(e), stop_after, screened=True)
 
 
-def _categorical_body(e: EL2Algebra, den: int, stop_after: Optional[int]) -> CheckReport:
+def _categorical_body(
+    e: EL2Algebra, den: int, stop_after: Optional[int], screened: bool = False
+) -> CheckReport:
     """The checker on ``_integer_copy(x)``, reporting the residuals of x;
-    each identity carries the power of its partner in RESIDUAL_POWERS."""
-    identities = (
-        (name, r, RESIDUAL_POWERS[CATEGORICAL_TO_EL2[name]]) for name, r in _categorical_residuals(e)
-    )
+    each identity carries the power of its partner in RESIDUAL_POWERS.
+    Unscreened, every diagram is evaluated on ``e`` as it is, on Python
+    ints; screened, each is decided in int64 first (:func:`_screened_residuals`)."""
+    residuals = _screened_residuals(e) if screened else _categorical_residuals(e)
+    identities = ((name, r, RESIDUAL_POWERS[CATEGORICAL_TO_EL2[name]]) for name, r in residuals)
     return check_identities(identities, den=den, stop_after=stop_after)
 
 
 def _categorical_residuals(e: EL2Algebra) -> Iterator[tuple[str, np.ndarray]]:
     """Each cat.* identity in order, with its residual laid out as (output,
-    basis tuple axes); the variable names give the tuple axes in order."""
-    ev = _GammaEvaluator(e, 2)
+    basis tuple axes), evaluated on ``e`` as it is."""
+    for name, rank, _, diagram in CATEGORICAL_DIAGRAMS:
+        yield name, diagram(_GammaEvaluator(e, rank))
 
-    # cat.target.b01: t([1_x, (0,b)]) = [x, db]
+
+# At most this many int64 entries per prime chunk of a stacked diagram
+# residual of width**(rank + 1) entries a prime: a few megabytes per array.
+_CHUNK_ENTRIES = 2**19
+
+
+def _diagram_bound(e: SimpleNamespace, terms: int) -> int:
+    """``terms * n * M**2`` for a signed sum of at most ``terms`` terms (as
+    in CATEGORICAL_DIAGRAMS) on an integer copy of width n (:func:`_width`)
+    and ``height`` M: no entry of the residual, nor of any array its
+    evaluation builds, exceeds it."""
+    return terms * _width(e) * e.height**2
+
+
+def _screened_residuals(e: SimpleNamespace) -> Iterator[tuple[str, np.ndarray]]:
+    """The nonzero cat.* residuals of the integer copy ``e`` in order, each
+    diagram decided in int64 as :func:`categorical_coherence_check` says:
+    its plan is () for int64 entries, the primes of its residues, or None
+    for Python ints."""
+    # a product of two residues, summed over one contraction, fits in int64
+    fits = _width(e) * xla.RESIDUE_PRIMES[0] ** 2 < 2**63
+    plans = {}
+    for name, _, terms, _ in CATEGORICAL_DIAGRAMS:
+        bound = _diagram_bound(e, terms)
+        plans[name] = () if bound < 2**63 else xla.residue_primes(bound) if fits else None
+    if () in plans.values():
+        exact = _view(e, lambda t, k: t.astype(np.int64))
+    if any(plans.values()):
+        images = iter(xla.residue_stack(_tensors(e), max(filter(None, plans.values()), key=len)))
+        stack = _view(e, lambda t, k: next(images))
+    for name, rank, _, diagram in CATEGORICAL_DIAGRAMS:
+        primes = plans[name]
+        if primes == ():
+            r = diagram(_GammaEvaluator(exact, rank))
+            if np.count_nonzero(r):
+                yield name, r.astype(object)
+        elif primes is None or _flagged(diagram, rank, stack, primes):
+            yield name, diagram(_GammaEvaluator(e, rank))
+
+
+def _flagged(diagram, rank: int, stack: SimpleNamespace, primes: Sequence[int]) -> bool:
+    """Whether the diagram is nonzero modulo one of ``primes``, the leading
+    primes of the stacked residue images ``stack``, evaluated on chunks of
+    at most ``_CHUNK_ENTRIES`` residual entries."""
+    step = max(1, _CHUNK_ENTRIES // _width(stack) ** (rank + 1))
+    for lo in range(0, len(primes), step):
+        chunk = primes[lo:lo + step]
+        image = _view(stack, lambda t, k: t[lo:lo + len(chunk)])
+        if np.count_nonzero(_residue_diagram(diagram, rank, image, chunk)):
+            return True
+    return False
+
+
+def _residue_diagram(diagram, rank: int, image: SimpleNamespace, primes: Sequence[int]) -> np.ndarray:
+    """The diagram on stacked residue images modulo ``primes``, reduced."""
+    ev = _GammaEvaluator(image, rank, np.array(primes, dtype=np.int64))
+    return diagram(ev) % ev.mod
+
+
+# ---------------------------------------------------------------------------
+# The diagrams, each a function of an evaluator of its rank; the variable
+# names give the tuple axes in order.
+# ---------------------------------------------------------------------------
+
+def _cat_target_b01(ev: _GammaEvaluator) -> np.ndarray:
+    # t([1_x, (0,b)]) = [x, db]
     x, b = 0, 1
     B = ev.part_arrow(b)
-    yield "cat.target.b01", ev.target(ev.on_arrows(ev.one(x), B)) - ev.b(x, ev.target(B))
+    return ev.target(ev.on_arrows(ev.one(x), B)) - ev.b(x, ev.target(B))
 
-    # cat.target.b10: t([(0,a), 1_y]) = [da, y]
+
+def _cat_target_b10(ev: _GammaEvaluator) -> np.ndarray:
+    # t([(0,a), 1_y]) = [da, y]
     a, y = 0, 1
     A = ev.part_arrow(a)
-    yield "cat.target.b10", ev.target(ev.on_arrows(A, ev.one(y))) - ev.b(ev.target(A), y)
+    return ev.target(ev.on_arrows(A, ev.one(y))) - ev.b(ev.target(A), y)
 
-    # cat.compose: [A'A, B'B] = [A',B'][A,B] for the composable pairs
+
+def _cat_compose(ev: _GammaEvaluator) -> np.ndarray:
+    # [A'A, B'B] = [A',B'][A,B] for the composable pairs
     # A = 1_0 then A' = (0, a);  B = (0, b) then B' = 1_{db}.
     a, b = 0, 1
     A, Ap = ev.one(None), ev.part_arrow(a)
@@ -843,36 +955,44 @@ def _categorical_residuals(e: EL2Algebra) -> Iterator[tuple[str, np.ndarray]]:
     Bp = ev.one(ev.target(B))
     BB = _Arrow(None, B.part)  # Bp after B
     first, second = ev.on_arrows(A, B), ev.on_arrows(Ap, Bp)
-    yield "cat.compose", ev.on_arrows(AA, BB).part - (first.part + second.part)
+    return ev.on_arrows(AA, BB).part - (first.part + second.part)
 
-    # cat.alternator.arrow: t(S_{x,y}) = -[y,x]
+
+def _cat_alternator_arrow(ev: _GammaEvaluator) -> np.ndarray:
+    # t(S_{x,y}) = -[y,x]
     x, y = 0, 1
-    yield "cat.alternator.arrow", ev.target(ev.alternator_arrow(x, y)) + ev.b(y, x)
+    return ev.target(ev.alternator_arrow(x, y)) + ev.b(y, x)
 
-    # cat.alternator.nat10: S against ((0,a), 1_y)
+
+def _cat_alternator_nat10(ev: _GammaEvaluator) -> np.ndarray:
+    # S against ((0,a), 1_y)
     a, y = 0, 1
     A = ev.part_arrow(a)
     da = ev.target(A)
     lhs = ev.on_arrows(A, ev.one(y)).part + ev.s_part(da, y)
     rhs = ev.s_part(None, y) - ev.on_arrows(ev.one(y), A).part
-    yield "cat.alternator.nat10", lhs - rhs
+    return lhs - rhs
 
-    # cat.alternator.nat01: S against (1_x, (0,b))
+
+def _cat_alternator_nat01(ev: _GammaEvaluator) -> np.ndarray:
+    # S against (1_x, (0,b))
     x, b = 0, 1
     B = ev.part_arrow(b)
     db = ev.target(B)
     lhs = ev.on_arrows(ev.one(x), B).part + ev.s_part(x, db)
     rhs = ev.s_part(x, None) - ev.on_arrows(B, ev.one(x)).part
-    yield "cat.alternator.nat01", lhs - rhs
+    return lhs - rhs
 
-    ev = _GammaEvaluator(e, 3)
 
-    # cat.jacobiator.arrow: t(J_{x,y,z}) = [[x,y],z] + [y,[x,z]]
+def _cat_jacobiator_arrow(ev: _GammaEvaluator) -> np.ndarray:
+    # t(J_{x,y,z}) = [[x,y],z] + [y,[x,z]]
     x, y, z = 0, 1, 2
     want = ev.b(ev.b(x, y), z) + ev.b(y, ev.b(x, z))
-    yield "cat.jacobiator.arrow", ev.target(ev.jacobiator_arrow(x, y, z)) - want
+    return ev.target(ev.jacobiator_arrow(x, y, z)) - want
 
-    # Jacobiator naturality against one pure-arrow-part argument
+
+def _cat_jacobiator_nat100(ev: _GammaEvaluator) -> np.ndarray:
+    # Jacobiator naturality against one pure-arrow-part argument, here the first
     a, y, z = 0, 1, 2
     A = ev.part_arrow(a)
     da = ev.target(A)
@@ -884,8 +1004,10 @@ def _categorical_residuals(e: EL2Algebra) -> Iterator[tuple[str, np.ndarray]]:
         + ev.on_arrows(ab, ev.one(z)).part
         + ev.on_arrows(ev.one(y), ac).part
     )
-    yield "cat.jacobiator.nat100", lhs - rhs
+    return lhs - rhs
 
+
+def _cat_jacobiator_nat010(ev: _GammaEvaluator) -> np.ndarray:
     x, b, z = 0, 1, 2
     B = ev.part_arrow(b)
     db = ev.target(B)
@@ -897,8 +1019,10 @@ def _categorical_residuals(e: EL2Algebra) -> Iterator[tuple[str, np.ndarray]]:
         + ev.on_arrows(xb, ev.one(z)).part
         + ev.on_arrows(B, ev.one(ev.b(x, z))).part
     )
-    yield "cat.jacobiator.nat010", lhs - rhs
+    return lhs - rhs
 
+
+def _cat_jacobiator_nat001(ev: _GammaEvaluator) -> np.ndarray:
     x, y, c = 0, 1, 2
     C = ev.part_arrow(c)
     dc = ev.target(C)
@@ -910,12 +1034,14 @@ def _categorical_residuals(e: EL2Algebra) -> Iterator[tuple[str, np.ndarray]]:
         + ev.on_arrows(ev.one(ev.b(x, y)), C).part
         + ev.on_arrows(ev.one(y), xc).part
     )
-    yield "cat.jacobiator.nat001", lhs - rhs
+    return lhs - rhs
 
-    # the four coherence diagrams, compared by total path arrow parts;
-    # identity-side terms are elided by the composition law itself
-    ev4 = _GammaEvaluator(e, 4)
-    j, br, wl, wr = ev4.j_part, ev4.b, ev4.whisk_left, ev4.whisk_right
+
+# the four coherence diagrams, compared by total path arrow parts;
+# identity-side terms are elided by the composition law itself
+
+def _cat_pentagon(ev: _GammaEvaluator) -> np.ndarray:
+    j, br, wl, wr = ev.j_part, ev.b, ev.whisk_left, ev.whisk_right
     x, y, z, w = 0, 1, 2, 3
     left = (
         wl(x, j(y, z, w))
@@ -931,17 +1057,46 @@ def _categorical_residuals(e: EL2Algebra) -> Iterator[tuple[str, np.ndarray]]:
         + j(y, br(x, z), w)
         + j(y, z, br(x, w))
     )
-    yield "cat.pentagon", left - right
+    return left - right
 
-    x, y, z = 0, 1, 2
+
+def _cat_triangle_sym12(ev: _GammaEvaluator) -> np.ndarray:
     # [S_{x,y}, z] then minus the flipped Jacobiator at (y, x, z), against
     # the flipped Jacobiator at (x, y, z); the flip carries part +jac, so
     # both appearances enter as j_part here
-    yield "cat.triangle-sym12", ev.whisk_right(ev.s_part(x, y), z) + ev.j_part(y, x, z) + ev.j_part(x, y, z)
+    x, y, z = 0, 1, 2
+    return ev.whisk_right(ev.s_part(x, y), z) + ev.j_part(y, x, z) + ev.j_part(x, y, z)
 
+
+def _cat_square_sym23(ev: _GammaEvaluator) -> np.ndarray:
+    x, y, z = 0, 1, 2
     path_a = ev.whisk_left(x, ev.s_part(y, z)) - ev.j_part(x, z, y)
     path_b = ev.j_part(x, y, z) + ev.s_part(ev.b(x, y), z) + ev.s_part(y, ev.b(x, z))
-    yield "cat.square-sym23", path_a - path_b
+    return path_a - path_b
 
+
+def _cat_triangle_symm(ev: _GammaEvaluator) -> np.ndarray:
+    x, y, z = 0, 1, 2
     yz = ev.b(y, z)
-    yield "cat.triangle-symm", ev.s_part(x, yz) - ev.s_part(yz, x)
+    return ev.s_part(x, yz) - ev.s_part(yz, x)
+
+
+# (name, rank, terms, diagram) in report order: rank is the number of basis
+# slots, and the residual is a signed sum of at most ``terms`` terms, each an
+# entry or a contraction over one index of two entries.
+CATEGORICAL_DIAGRAMS: tuple[tuple[str, int, int, Callable[[_GammaEvaluator], np.ndarray]], ...] = (
+    ("cat.target.b01", 2, 2, _cat_target_b01),
+    ("cat.target.b10", 2, 2, _cat_target_b10),
+    ("cat.compose", 2, 2, _cat_compose),
+    ("cat.alternator.arrow", 2, 3, _cat_alternator_arrow),
+    ("cat.alternator.nat10", 2, 3, _cat_alternator_nat10),
+    ("cat.alternator.nat01", 2, 3, _cat_alternator_nat01),
+    ("cat.jacobiator.arrow", 3, 4, _cat_jacobiator_arrow),
+    ("cat.jacobiator.nat100", 3, 4, _cat_jacobiator_nat100),
+    ("cat.jacobiator.nat010", 3, 4, _cat_jacobiator_nat010),
+    ("cat.jacobiator.nat001", 3, 4, _cat_jacobiator_nat001),
+    ("cat.pentagon", 4, 10, _cat_pentagon),
+    ("cat.triangle-sym12", 3, 3, _cat_triangle_sym12),
+    ("cat.square-sym23", 3, 5, _cat_square_sym23),
+    ("cat.triangle-symm", 3, 2, _cat_triangle_symm),
+)

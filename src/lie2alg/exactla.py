@@ -53,7 +53,10 @@ int64 evaluation is exact when each residual is a signed sum of at most
 fails, or the table's product does not exceed B, there are no images and
 the check evaluates on Python ints.  ``el2.check_el2`` decides its verdicts
 this way: the screen filters the identities it yields to
-``report.check_identities``.
+``report.check_identities``.  ``el2.categorical_coherence_check`` picks
+primes per diagram (:func:`residue_primes`) and evaluates each diagram on
+all of them at once, on images stacked on a leading axis
+(:func:`residue_stack`), reducing after every product.
 
 Row reduction is fraction-free for the same reason: :func:`rref` clears
 denominators row by row, eliminates on Python ints (Bareiss) and divides once
@@ -160,7 +163,16 @@ def tuple_str(a: np.ndarray) -> str:
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    """``a`` made read-only for good: the array that owns its buffer is
+    frozen too, and an owner comes back as a view of itself, so setting the
+    writeable flag back raises ``ValueError``."""
+    owner = a
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    owner.setflags(write=False)
+    if a is owner:
+        return a.view()
+    a.setflags(write=False)
     return a
 
 
@@ -206,9 +218,7 @@ def as_exact(a: np.ndarray) -> np.ndarray:
     entries = arr.reshape(-1).tolist()
     if set(map(type, entries)) != {Fraction}:
         entries = [rat(x) for x in entries]
-    # freeze the buffer, not only the reshaped view of it: a view of a frozen
-    # buffer cannot be made writeable again
-    return freeze(np.fromiter(entries, dtype=object, count=arr.size)).reshape(arr.shape)
+    return freeze(np.fromiter(entries, dtype=object, count=arr.size).reshape(arr.shape))
 
 
 def common_denominator(*arrays: np.ndarray) -> int:
@@ -252,32 +262,57 @@ RESIDUE_PRIMES: tuple[int, ...] = (
 )
 
 
+def residue_primes(bound: int) -> Optional[tuple[int, ...]]:
+    """The fewest leading :data:`RESIDUE_PRIMES` whose product exceeds
+    ``bound``; None when the product of the whole table does not."""
+    product = 1
+    for k, p in enumerate(RESIDUE_PRIMES):
+        if product > bound:
+            return RESIDUE_PRIMES[:k]
+        product *= p
+    return RESIDUE_PRIMES if product > bound else None
+
+
 def residue_images(
     arrays: Sequence[np.ndarray], bound: int, terms: int
 ) -> Optional[list[tuple[int, list[np.ndarray]]]]:
-    """The integer ``arrays`` modulo each of the fewest leading
-    :data:`RESIDUE_PRIMES` whose product exceeds ``bound``: one
-    ``(p, images)`` pair per prime, each image an int64 array with entries in
-    ``[0, p)``.
+    """The integer ``arrays`` modulo each prime of :func:`residue_primes`:
+    one ``(p, images)`` pair per prime, each image an int64 array with
+    entries in ``[0, p)``.
 
     An integer of absolute value at most ``bound`` that is zero modulo each
     of these primes is zero.  A signed sum of at most ``terms`` products of
     two images stays below 2**63 in absolute value, so it is evaluated
     exactly in int64 and reduced once at the end.  None when ``terms * p**2``
     could reach 2**63, or when the product of the whole table does not
-    exceed ``bound``; the caller then evaluates on Python ints.
+    exceed ``bound``; the caller then evaluates on Python ints.  The images
+    of a prime are the slices of :func:`residue_stack` at that prime.
     """
     if terms * RESIDUE_PRIMES[0] ** 2 >= 2**63:
         return None
-    primes, product = [], 1
-    for p in RESIDUE_PRIMES:
-        if product > bound:
-            break
-        primes.append(p)
-        product *= p
-    if product <= bound:
-        return None
-    return [(p, [(np.asarray(a) % p).astype(np.int64) for a in arrays]) for p in primes]
+    primes = residue_primes(bound)
+    if not primes:
+        return None if primes is None else []
+    stack = residue_stack(arrays, primes)
+    return [(p, [s[k] for s in stack]) for k, p in enumerate(primes)]
+
+
+def residue_stack(arrays: Sequence[np.ndarray], primes: Sequence[int]) -> list[np.ndarray]:
+    """Each integer array modulo each of the (one or more) ``primes``, the
+    images stacked on a new leading axis: int64 arrays of shape
+    ``(len(primes), *a.shape)``, entries in ``[0, p)`` along the slice of p.
+    An array whose entries fit in int64 is reduced in int64, at once; a wider
+    one prime by prime, on Python ints."""
+    mods = np.array(primes, dtype=np.int64)
+    out = []
+    for a in map(np.asarray, arrays):
+        try:
+            narrow = a.astype(np.int64)
+        except OverflowError:
+            out.append(np.stack([(a % p).astype(np.int64) for p in primes]))
+        else:
+            out.append(narrow % mods.reshape((-1,) + (1,) * a.ndim))
+    return out
 
 
 def is_zero(a: np.ndarray) -> bool:

@@ -273,6 +273,24 @@ def test_record_tensors_cannot_be_made_writeable():
             t.flags.writeable = True
 
 
+def test_frozen_arrays_cannot_be_made_writeable():
+    """``freeze`` freezes the array that owns the buffer, so neither an
+    owner nor a view of one can be made writeable again."""
+    m = np.array([[1, 2, 3]], dtype=object)
+    rec = dkcore.TwoTermComplex(2, 2, xla.tensor((2, 2), ["1/6", "-3/4", 0, 5]))
+    arrays = [
+        xla.zeros(2, 2), xla.zeros(0, 3), xla.identity(3),
+        xla.kernel_basis(m).basis, xla.image_basis(m).basis,
+        xla.Subspace._trusted(2, np.array([[F(1)], [F(0)]], dtype=object)).basis,
+        rec.integer_form("d").ints,
+        xla.freeze(np.zeros((2, 3), dtype=object).T), xla.freeze(np.arange(6).reshape(2, 3)),
+    ]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+
+
 def test_equality_of_a_record_with_itself_compares_nothing(shared, monkeypatch):
     _, iso, _ = shared
     calls = []

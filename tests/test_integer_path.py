@@ -732,6 +732,55 @@ def test_residual_bound_covers_every_identity(n0, n1):
         assert worst == bound   # coh.bracket-jacobiator attains it
 
 
+@pytest.mark.parametrize("n0, n1", [(3, 3), (2, 4), (4, 2), (1, 1), (0, 3), (3, 0)])
+def test_diagram_bounds_cover_every_diagram(n0, n1, monkeypatch):
+    """Each categorical diagram, evaluated by the int64 mode's evaluator on
+    tensors of height M, stays within the bound its screen uses; every
+    product in it is of a tensor entry and at most one batched entry, which
+    on stacked residues lies in (-p, p), and is reduced."""
+    largest = 7
+    shapes = [t.shape for t in el2._tensors(el2.zero_el2(n0, n1))]
+
+    def view(tensors, height):
+        d, b00, b01, b10, alt, jac = tensors
+        return SimpleNamespace(complex=SimpleNamespace(n0=n0, n1=n1, d=d), b00=b00, b01=b01,
+                               b10=b10, alt=alt, jac=jac, height=height)
+
+    ints = view([np.full(shape, -largest, dtype=np.int64) for shape in shapes], largest if n0 else 0)
+    mags = view([np.full(shape, Magnitude(largest), dtype=object) for shape in shapes], largest)
+    operands = []
+    apply = el2._GammaEvaluator._apply
+
+    def counted(self, t, *args):
+        batched = [a for a in args if a is not None and not isinstance(a, int)]
+        operands.append(len(batched))
+        out = apply(self, t, *args)
+        if self.mod is not None:
+            assert all(np.all(np.abs(a) < self.mod) for a in batched)
+            assert out is None or np.all((out >= 0) & (out < self.mod))    # reduced after the product
+        return out
+
+    monkeypatch.setattr(el2._GammaEvaluator, "_apply", counted)
+    primes = xla.RESIDUE_PRIMES[:2]
+    objects = view([np.full(shape, -largest, dtype=object) for shape in shapes], largest)
+    residues = view(xla.residue_stack(el2._tensors(ints), primes), 0)
+    for name, rank, terms, diagram in el2.CATEGORICAL_DIAGRAMS:
+        bound = el2._diagram_bound(ints, terms)
+        assert bound == (terms * max(n0, n1, 1) * largest**2 if n0 else 0)
+        worst = max((magnitude(x) for x in diagram(el2._GammaEvaluator(mags, rank)).flat), default=0)
+        assert worst <= bound, name
+        if n0 == n1 and name == "cat.pentagon":
+            assert worst == bound
+        exact = diagram(el2._GammaEvaluator(ints, rank))
+        assert exact.dtype == np.int64
+        assert exact.tolist() == diagram(el2._GammaEvaluator(objects, rank)).tolist()
+        reduced = el2._residue_diagram(diagram, rank, residues, primes)
+        assert reduced.shape == (len(primes),) + exact.shape
+        for k, p in enumerate(primes):
+            assert np.array_equal(reduced[k], exact % p), name
+    assert operands and max(operands) == 1
+
+
 def test_screen_with_too_few_primes_passes_a_defect(monkeypatch):
     """A residual equal to the product of the first k primes is zero modulo
     each of them: with the bound forced one prime short of it, the screen

@@ -42,3 +42,18 @@ def test_tracer_records_every_identity_of_check_el2(tracer):
     assert names.count("el2.check_el2") == 1
     for identity in tracer.identities:
         assert names.count(f"el2.identity.{identity}") == primes, identity
+
+
+def test_tracer_records_one_span_per_categorical_check(tracer):
+    """The categorical checker shares no residual function with
+    ``check_el2``: its int64 and residue modes run inside its one span."""
+    g = catalog.sl2()
+    e = el2.transport(el2.string_2_algebra(g, catalog.killing_form(g)),
+                      xla.identity(3) * (2**31 - 1), xla.identity(1) * xla.Rat(2, 7))
+    ints, _ = el2._integer_copy(e)
+    assert el2._diagram_bound(ints, 2) >= 2**63     # every diagram is screened on residues
+    tracer.spans.clear()
+    assert el2.categorical_coherence_check(e).passed
+    names = [rec[0] for rec in tracer.spans]
+    assert names.count("el2.categorical") == 1
+    assert not [name for name in names if name.startswith("el2.identity")]
