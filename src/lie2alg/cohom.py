@@ -632,7 +632,7 @@ def transfer_to_skeletal(e: EL2Algebra) -> tuple[EL2Algebra, morph_mod.ELMorphis
     # the Jacobiator i1 jac_H that the inclusion needs: its morphism
     # Jacobiator residual while jac_H is still zero
     sk = hodge.skeletal
-    candidate = replace(zero_el2(sk.n0, sk.n1, sk.d), **projected)
+    candidate = zero_el2(sk.n0, sk.n1, sk.d, **projected)
     lifted = morph_mod._morphism_jacobiator(morph_mod.ELMorphism(candidate, e, i0, i1, f2))
 
     # the lifted Jacobiator must land in the kernel of d

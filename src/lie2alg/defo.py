@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -320,7 +320,7 @@ def inner_symmetries_n2(L: GradedL3Algebra, gamma: np.ndarray) -> EL2Algebra:
     jac3 = tw.bracket(0, 0, 0)
     jac = xla.precompose(xla.precompose(xla.precompose(jac3, 1, K.basis), 2, K.basis), 3, K.basis)
 
-    algebra = replace(zero_el2(n0, n1, d), b00=b00, b01=b01, b10=b10, jac=jac)
+    algebra = zero_el2(n0, n1, d, b00=b00, b01=b01, b10=b10, jac=jac)
     verdict = check_el2(algebra)
     if not verdict.passed:
         raise InvalidStructureError("twisted truncation is not a valid structure", verdict)
@@ -370,7 +370,7 @@ def inner_symmetries_n3(L: GradedL3Algebra, gamma: np.ndarray) -> InnerSymmetrie
     b00 = xla.precompose(tw.bracket(0, -1), 1, d_up)
     b01 = xla.precompose(tw.bracket(0, -2), 1, d_up)
     alt = tw.bracket(-1, -1)
-    algebra = replace(zero_el2(n0, n1, d), b00=b00, b01=b01, alt=alt)
+    algebra = zero_el2(n0, n1, d, b00=b00, b01=b01, alt=alt)
     verdict = check_el2(algebra)
     if not verdict.passed:
         raise InvalidStructureError("derived-bracket structure is invalid", verdict)
@@ -379,7 +379,7 @@ def inner_symmetries_n3(L: GradedL3Algebra, gamma: np.ndarray) -> InnerSymmetrie
 
     K = xla.kernel_basis(tw.bracket(0))
     k = K.dim
-    target = replace(zero_el2(k, 0), b00=_stabilizer_bracket(tw, K))
+    target = zero_el2(k, 0, b00=_stabilizer_bracket(tw, K))
     f0 = _coords_in(K, d_up, "image of the twisted differential")
     boundary = morph_mod.ELMorphism(
         src=algebra, dst=target, f0=f0, f1=xla.zeros(0, n1), f2=xla.zeros(0, n0, n0),

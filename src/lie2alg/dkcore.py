@@ -201,26 +201,26 @@ class BilinearBracket(TensorRecord):
 
 
 # The chain-map identities of a bracket, as residual tensors of any object
-# with ``complex``, ``b00``, ``b01`` and ``b10`` (a BilinearBracket or an
-# EL2Algebra); check_el2 lists them as chain.b01, chain.b10, chain.derived.
+# with ``complex``, ``b00``, ``b01`` and ``b10`` (a BilinearBracket, an
+# EL2Algebra or a check-local view of one, stacked residues included);
+# check_el2 lists them as chain.b01, chain.b10, chain.derived.
 
 def chain_b01(br) -> np.ndarray:
     """d[x,b] - [x,db], axes (out, x, b)."""
-    return xla.postcompose(br.complex.d, br.b01) - xla.precompose(br.b00, 2, br.complex.d)
+    d = br.complex.d
+    return xla.einsum("km,mxb->kxb", d, br.b01) - xla.einsum("kxm,mb->kxb", br.b00, d)
 
 
 def chain_b10(br) -> np.ndarray:
     """d[a,y] - [da,y], axes (out, a, y)."""
-    lhs = xla.postcompose(br.complex.d, br.b10)
-    rhs = np.moveaxis(np.tensordot(br.b00, br.complex.d, axes=([1], [0])), 2, 1)
-    return lhs - rhs
+    d = br.complex.d
+    return xla.einsum("km,may->kay", d, br.b10) - xla.einsum("kmy,ma->kay", br.b00, d)
 
 
 def chain_derived(br) -> np.ndarray:
     """[da,b] - [a,db], axes (out, a, b)."""
-    da_b = np.moveaxis(np.tensordot(br.b01, br.complex.d, axes=([1], [0])), 2, 1)
-    a_db = np.tensordot(br.b10, br.complex.d, axes=([2], [0]))
-    return da_b - a_db
+    d = br.complex.d
+    return xla.einsum("kmb,ma->kab", br.b01, d) - xla.einsum("kam,mb->kab", br.b10, d)
 
 
 def crossed_module_report(bracket: BilinearBracket, stop_after: Optional[int] = None) -> CheckReport:

@@ -20,6 +20,9 @@ nested records and dimensions first, then each tensor against the shape
 degree-string keys, its bracket table grouped by arity under ``l1``, ``l2``
 and ``l3``.
 
+A complex may be at most :data:`MAX_COMPLEX_DIM` dimensional in each
+degree, even when its tensors are empty and so cost nothing to write.
+
 Parse errors report the JSON path of the offending value.  Structural axiom
 violations (a Lie algebra document failing the Jacobi identity, say) surface
 as the constructor's own error, not as a parse error.
@@ -44,6 +47,12 @@ from .dkcore import TwoTermComplex
 from .el2 import EL2Algebra, LeibnizAlgebraFD, LieAlgebraFD, RepresentationFD
 from .exactla import TensorRecord
 from .morph import ELMorphism, ELTwoMorphism
+
+
+# The widest degree of a complex a document may declare: a check builds
+# residuals of n0**4 * n1 entries (coh.bracket-jacobiator) and n1**3
+# (chain.derived), so at most 16**5.
+MAX_COMPLEX_DIM = 16
 
 
 class ParseError(ValueError):
@@ -264,6 +273,10 @@ def _dec_value(cls: type, v: Any, path: str) -> Any:
         name: _dec_value(typ, v.get(name), f"{path}.{name}")
         for name, typ in _fields(cls) if typ is not np.ndarray
     }
+    if cls is TwoTermComplex:
+        for name in ("n0", "n1"):
+            _expect(values[name] <= MAX_COMPLEX_DIM, f"dimension {values[name]} exceeds {MAX_COMPLEX_DIM}",
+                    f"{path}.{name}")
     shapes = cls.shapes(SimpleNamespace(**values))
     for name, want in shapes.items():
         values[name] = _dec_array(v.get(name), f"{path}.{name}", want)

@@ -42,20 +42,23 @@ copy fails at exactly the basis tuples where the input fails, and dividing
 each violating residual by that power gives the report of the Fraction
 input.  Each checker yields its identities with their powers, in order, to
 ``report.check_identities``, which builds the report and stops at
-``stop_after``.  ``check_el2`` yields an identity only when it is nonzero
-modulo one of a few primes (``exactla.residue_images``), a screen that
-proves the others zero, so only the failing ones are evaluated on Python
-ints.
+``stop_after``.
 
-``categorical_coherence_check`` decides each diagram in int64, by the
-diagram's own bound B on its residual (:func:`_diagram_bound`): when B is
-below 2**63 the diagram is evaluated once on int64 tensors, exactly, and a
-nonzero residual is reported as it is; otherwise on the residues modulo the
-fewest primes whose product exceeds B, stacked on one leading axis
-(``exactla.residue_stack``) and reduced after every product, and only a
-diagram nonzero modulo some prime is evaluated again on Python ints.  A
-diagram no prime set covers is evaluated on Python ints only, as
-``_categorical_body`` evaluates every diagram without the screen.
+Both checkers decide their verdicts through one int64 plan
+(:func:`_screened_residuals`), over rows of (name, rank, terms, evaluate):
+``check_el2``'s identities, written with ``exactla.einsum`` so that one
+formula evaluates Python ints, int64 tensors and stacked residues, and the
+categorical diagrams.  Each row's residual on the integer copy is at most
+its own bound B = terms * n * M**2 (:func:`_diagram_bound`).  When B is
+below 2**63 the row is evaluated once on int64 tensors, exactly, and a
+nonzero residual is reported as it is; otherwise on the residues modulo
+the fewest primes whose product exceeds B, stacked on one leading axis
+(``exactla.residue_stack``), and only a row nonzero modulo some prime is
+evaluated again on Python ints.  A row no prime set covers is evaluated on
+Python ints only, as the unscreened bodies (``_check_el2_body``,
+``_categorical_body``) evaluate every row.  Only the plan, the bound and
+``exactla``'s residue helpers are shared: the two checkers' formulas stay
+independent.
 
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
 Jacobiator arrow at (x, y, z) is ([x,[y,z]], -jac(x,y,z)), and the bracket of
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -125,10 +128,14 @@ class EL2Algebra(TensorRecord):
         return BilinearBracket(self.complex, self.b00, self.b01, self.b10)
 
 
-def zero_el2(n0: int, n1: int, d: Optional[np.ndarray] = None) -> EL2Algebra:
+def zero_el2(n0: int, n1: int, d: Optional[np.ndarray] = None, **tensors: np.ndarray) -> EL2Algebra:
+    """The structure on C^-1 --d--> C^0 (d = 0 when omitted) with the given
+    tensors, keyed as in :data:`AXES`, and zero ones for the others; each
+    tensor is converted once, by the record."""
     dims = (n0, n1)
     c = TwoTermComplex(n0, n1, xla.zeros(n0, n1) if d is None else d)
-    return EL2Algebra(c, *(xla.zeros(*(dims[k] for k in axes)) for axes in AXES.values()))
+    return EL2Algebra(c, **{name: tensors[name] if name in tensors else xla.zeros(*(dims[k] for k in axes))
+                            for name, axes in AXES.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +177,8 @@ class LeibnizAlgebraFD(TensorRecord):
 
 def _leibniz_defect(c: np.ndarray) -> np.ndarray:
     """[x,[y,z]] - [[x,y],z] - [y,[x,z]] as a tensor over (x, y, z)."""
-    t1 = np.tensordot(c, c, axes=([2], [0]))                     # (k, i, j, l)
-    t2 = np.transpose(np.tensordot(c, c, axes=([1], [0])), (0, 2, 3, 1))
-    t3 = np.transpose(t1, (0, 2, 1, 3))
-    return t1 - t2 - t3
+    inner = xla.einsum("kxm,myz->kxyz", c, c)
+    return inner - xla.einsum("kmz,mxy->kxyz", c, c) - xla.einsum("kyxz->kxyz", inner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,120 +209,101 @@ class RepresentationFD(TensorRecord):
 # The axiom checker
 # ---------------------------------------------------------------------------
 
+# The residuals are written with xla.einsum, every axis named, so each
+# formula also evaluates residue images stacked on a leading axis.
+
 def _residual_skew00(e: EL2Algebra) -> np.ndarray:
-    return e.b00 + e.b00.swapaxes(1, 2) - xla.postcompose(e.complex.d, e.alt)
+    return e.b00 + xla.einsum("kyx->kxy", e.b00) - xla.einsum("km,mxy->kxy", e.complex.d, e.alt)
 
 
 def _residual_skew10(e: EL2Algebra) -> np.ndarray:
-    lhs = e.b10 + e.b01.swapaxes(1, 2)
-    rhs = np.moveaxis(np.tensordot(e.alt, e.complex.d, axes=([1], [0])), 2, 1)
-    return lhs - rhs
+    return e.b10 + xla.einsum("kya->kay", e.b01) - xla.einsum("kmy,ma->kay", e.alt, e.complex.d)
 
 
 def _residual_skew01(e: EL2Algebra) -> np.ndarray:
-    lhs = e.b01 + e.b10.swapaxes(1, 2)
-    rhs = np.tensordot(e.alt, e.complex.d, axes=([2], [0]))
-    return lhs - rhs
+    return e.b01 + xla.einsum("kbx->kxb", e.b10) - xla.einsum("kxm,mb->kxb", e.alt, e.complex.d)
 
 
 def _residual_jacobi000(e: EL2Algebra) -> np.ndarray:
-    return _leibniz_defect(e.b00) - xla.postcompose(e.complex.d, e.jac)
+    return _leibniz_defect(e.b00) - xla.einsum("km,mxyz->kxyz", e.complex.d, e.jac)
 
 
 def _residual_jacobi100(e: EL2Algebra) -> np.ndarray:
     # [a,[y,z]] - [[a,y],z] - [y,[a,z]] - jac(da, y, z), axes (a, y, z)
-    t1 = np.tensordot(e.b10, e.b00, axes=([2], [0]))
-    t2 = np.transpose(np.tensordot(e.b10, e.b10, axes=([1], [0])), (0, 2, 3, 1))
-    t3 = np.transpose(np.tensordot(e.b01, e.b10, axes=([2], [0])), (0, 2, 1, 3))
-    rhs = np.moveaxis(np.tensordot(e.jac, e.complex.d, axes=([1], [0])), 3, 1)
-    return t1 - t2 - t3 - rhs
+    return (xla.einsum("kam,myz->kayz", e.b10, e.b00) - xla.einsum("kmz,may->kayz", e.b10, e.b10)
+            - xla.einsum("kym,maz->kayz", e.b01, e.b10) - xla.einsum("kmyz,ma->kayz", e.jac, e.complex.d))
 
 
 def _residual_jacobi010(e: EL2Algebra) -> np.ndarray:
     # [x,[b,z]] - [[x,b],z] - [b,[x,z]] - jac(x, db, z), axes (x, b, z)
-    t1 = np.tensordot(e.b01, e.b10, axes=([2], [0]))
-    t2 = np.transpose(np.tensordot(e.b10, e.b01, axes=([1], [0])), (0, 2, 3, 1))
-    t3 = np.transpose(np.tensordot(e.b10, e.b00, axes=([2], [0])), (0, 2, 1, 3))
-    rhs = np.moveaxis(np.tensordot(e.jac, e.complex.d, axes=([2], [0])), 3, 2)
-    return t1 - t2 - t3 - rhs
+    return (xla.einsum("kxm,mbz->kxbz", e.b01, e.b10) - xla.einsum("kmz,mxb->kxbz", e.b10, e.b01)
+            - xla.einsum("kbm,mxz->kxbz", e.b10, e.b00) - xla.einsum("kxmz,mb->kxbz", e.jac, e.complex.d))
 
 
 def _residual_jacobi001(e: EL2Algebra) -> np.ndarray:
     # [x,[y,c]] - [[x,y],c] - [y,[x,c]] - jac(x, y, dc), axes (x, y, c)
-    t1 = np.tensordot(e.b01, e.b01, axes=([2], [0]))
-    t2 = np.transpose(np.tensordot(e.b01, e.b00, axes=([1], [0])), (0, 2, 3, 1))
-    t3 = np.transpose(t1, (0, 2, 1, 3))
-    rhs = np.tensordot(e.jac, e.complex.d, axes=([3], [0]))
-    return t1 - t2 - t3 - rhs
+    inner = xla.einsum("kxm,myc->kxyc", e.b01, e.b01)
+    return (inner - xla.einsum("kmc,mxy->kxyc", e.b01, e.b00) - xla.einsum("kyxc->kxyc", inner)
+            - xla.einsum("kxym,mc->kxyc", e.jac, e.complex.d))
 
 
 def _residual_bracket_jacobiator(e: EL2Algebra) -> np.ndarray:
     # [x,<y,z,w>] + <x,[y,z],w> + <x,z,[y,w]> + [<x,y,z>,w] + [z,<x,y,w>]
     #   = <x,y,[z,w]> + <[x,y],z,w> + [y,<x,z,w>] + <y,[x,z],w> + <y,z,[x,w]>
-    # residual axes (x, y, z, w)
-    # five distinct contractions; t1/t5/t8, t2/t9 and t3/t6/t10 are axis
-    # permutations of one each
-    b00, b01, b10, jac = e.b00, e.b01, e.b10, e.jac
-    bracket_jac = np.tensordot(b01, jac, axes=([2], [0]))
-    jac_in2 = np.tensordot(jac, b00, axes=([2], [0]))
-    jac_in3 = np.tensordot(jac, b00, axes=([3], [0]))
-    t1 = bracket_jac                                                           # (k,x,y,z,w)
-    t2 = np.transpose(jac_in2, (0, 1, 3, 4, 2))
-    t3 = np.transpose(jac_in3, (0, 1, 3, 2, 4))
-    t4 = np.moveaxis(np.tensordot(b10, jac, axes=([1], [0])), 1, 4)
-    t5 = np.moveaxis(bracket_jac, 1, 3)
-    t6 = jac_in3
-    t7 = np.moveaxis(np.tensordot(jac, b00, axes=([1], [0])), (3, 4), (1, 2))
-    t8 = bracket_jac.swapaxes(1, 2)
-    t9 = np.transpose(jac_in2, (0, 3, 1, 4, 2))
-    t10 = np.moveaxis(jac_in3, 3, 1)
-    return (t1 + t2 + t3 + t4 + t5) - (t6 + t7 + t8 + t9 + t10)
+    # residual axes (x, y, z, w); five distinct contractions, the other five
+    # terms axis permutations of three of them.  The terms are added in
+    # place, each shared contraction dropped before the next is made: this
+    # is the largest residual, and on stacked residues each array holds
+    # n0**4 * n1 entries per prime.
+    b00, jac = e.b00, e.jac
+    r = xla.einsum("kmw,mxyz->kxyzw", e.b10, jac)          # [<x,y,z>,w]
+    r -= xla.einsum("kmzw,mxy->kxyzw", jac, b00)           # <[x,y],z,w>
+    t = xla.einsum("kxm,myzw->kxyzw", e.b01, jac)          # [x,<y,z,w>]
+    r += t
+    r += xla.einsum("kzxyw->kxyzw", t)
+    r -= xla.einsum("kyxzw->kxyzw", t)
+    t = xla.einsum("kxmw,myz->kxyzw", jac, b00)            # <x,[y,z],w>
+    r += t
+    r -= xla.einsum("kyxzw->kxyzw", t)
+    t = xla.einsum("kxym,mzw->kxyzw", jac, b00)            # <x,y,[z,w]>
+    r -= t
+    r += xla.einsum("kxzyw->kxyzw", t)
+    r -= xla.einsum("kyzxw->kxyzw", t)
+    return r
 
 
 def _residual_jacobiator_sym12(e: EL2Algebra) -> np.ndarray:
     # <x,y,z> + <y,x,z> + [<x,y>,z]
-    comp = np.moveaxis(np.tensordot(e.b10, e.alt, axes=([1], [0])), 1, 3)
-    return e.jac + e.jac.swapaxes(1, 2) + comp
+    return e.jac + xla.einsum("kyxz->kxyz", e.jac) + xla.einsum("kmz,mxy->kxyz", e.b10, e.alt)
 
 
 def _residual_jacobiator_sym23(e: EL2Algebra) -> np.ndarray:
     # <x,y,z> + <x,z,y> - [x,<y,z>] + <[x,y],z> + <y,[x,z]>
-    t1 = np.tensordot(e.b01, e.alt, axes=([2], [0]))
-    t2 = np.moveaxis(np.tensordot(e.alt, e.b00, axes=([1], [0])), (2, 3), (1, 2))
-    t3 = np.transpose(np.tensordot(e.alt, e.b00, axes=([2], [0])), (0, 2, 1, 3))
-    return e.jac + e.jac.swapaxes(2, 3) - t1 + t2 + t3
+    return (e.jac + xla.einsum("kxzy->kxyz", e.jac) - xla.einsum("kxm,myz->kxyz", e.b01, e.alt)
+            + xla.einsum("kmz,mxy->kxyz", e.alt, e.b00) + xla.einsum("kym,mxz->kxyz", e.alt, e.b00))
 
 
 def _residual_alternator_bracket(e: EL2Algebra) -> np.ndarray:
-    # <x,[y,z]> - <[y,z],x>, axes (x, y, z); both contractions come out in
-    # (out, x, y, z) order already
-    lhs = np.tensordot(e.alt, e.b00, axes=([2], [0]))
-    rhs = np.tensordot(e.alt, e.b00, axes=([1], [0]))
-    return lhs - rhs
+    # <x,[y,z]> - <[y,z],x>, axes (x, y, z)
+    return xla.einsum("kxm,myz->kxyz", e.alt, e.b00) - xla.einsum("kmx,myz->kxyz", e.alt, e.b00)
 
 
 def _residual_red_alt_left(e: EL2Algebra) -> np.ndarray:
-    comp = np.moveaxis(np.tensordot(e.b10, e.alt, axes=([1], [0])), 1, 3)
-    comp_sw = np.moveaxis(np.tensordot(e.b10, e.alt.swapaxes(1, 2), axes=([1], [0])), 1, 3)
-    return comp - comp_sw
+    return xla.einsum("kmz,mxy->kxyz", e.b10, e.alt) - xla.einsum("kmz,myx->kxyz", e.b10, e.alt)
 
 
 def _residual_red_alt_right(e: EL2Algebra) -> np.ndarray:
-    comp = np.tensordot(e.b01, e.alt, axes=([2], [0]))
-    comp_sw = np.tensordot(e.b01, e.alt.swapaxes(1, 2), axes=([2], [0]))
-    return comp - comp_sw
+    return xla.einsum("kxm,myz->kxyz", e.b01, e.alt) - xla.einsum("kxm,mzy->kxyz", e.b01, e.alt)
 
 
 def _residual_red_d_alt(e: EL2Algebra) -> np.ndarray:
-    da = xla.postcompose(e.complex.d, e.alt)
-    return da - da.swapaxes(1, 2)
+    da = xla.einsum("km,mxy->kxy", e.complex.d, e.alt)
+    return da - xla.einsum("kyx->kxy", da)
 
 
 def _residual_red_alt_exact(e: EL2Algebra) -> np.ndarray:
     # <da, x> - <x, da>, axes (a, x)
-    lhs = np.moveaxis(np.tensordot(e.alt, e.complex.d, axes=([1], [0])), 2, 1)
-    rhs = np.tensordot(e.alt, e.complex.d, axes=([2], [0])).swapaxes(1, 2)
-    return lhs - rhs
+    return xla.einsum("kmx,ma->kax", e.alt, e.complex.d) - xla.einsum("kxm,ma->kax", e.alt, e.complex.d)
 
 
 EL2_EQUATIONS: tuple[tuple[str, Callable[[EL2Algebra], np.ndarray]], ...] = (
@@ -356,6 +342,20 @@ RESIDUAL_POWERS: dict[str, int] = {
 }
 
 
+# The rank and the term count of each identity, as in CATEGORICAL_DIAGRAMS:
+# the residual has rank basis slots and is a signed sum of at most terms
+# terms, each an entry or a contraction over one index of two entries.
+RESIDUAL_TERMS: dict[str, tuple[int, int]] = {
+    "chain.b01": (2, 2), "chain.b10": (2, 2), "chain.derived": (2, 2),
+    "skew.00": (2, 3), "skew.10": (2, 3), "skew.01": (2, 3),
+    "jacobi.000": (3, 4), "jacobi.100": (3, 4), "jacobi.010": (3, 4), "jacobi.001": (3, 4),
+    "coh.bracket-jacobiator": (4, 10), "coh.jacobiator-sym12": (3, 3), "coh.jacobiator-sym23": (3, 5),
+    "coh.alternator-bracket": (3, 2),
+    "red.alternator-left": (3, 2), "red.alternator-right": (3, 2), "red.d-alternator": (2, 2),
+    "red.alternator-exact": (2, 2),
+}
+
+
 def check_el2(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport:
     """Evaluate every defining identity on every basis tuple.
 
@@ -365,34 +365,35 @@ def check_el2(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport
     to be symmetric is reported as an informational note (it is never
     required).
 
-    Verdicts are exact.  Every residual of the integer copy is at most
-    :func:`_residual_bound` in absolute value, so an identity whose residual
-    is zero modulo primes whose product exceeds that bound
-    (:func:`exactla.residue_images`) is zero, and is never evaluated on
-    Python ints.  Every other identity is evaluated once on Python ints.
-    When no such primes are available, every identity is evaluated on
-    Python ints.  Either way the report is the one ``_check_el2_body`` gives
-    without the screen.
+    Verdicts are exact, and each identity is decided in int64 by the plan
+    both axiom checkers share (:func:`_screened_residuals`): the report is
+    the one ``_check_el2_body`` gives without the screen.
     """
-    ints, den = _integer_copy(e)
-    return _check_el2_body(ints, den, stop_after, _residue_images(ints))
+    return _check_el2_body(*_integer_copy(e), stop_after, screened=True)
 
 
-def _check_el2_body(
-    e: EL2Algebra, den: int, stop_after: Optional[int], images: Optional[list] = None
-) -> CheckReport:
-    """The checker on ``_integer_copy(x)``, reporting the residuals of x; an
-    identity that is zero modulo every prime of ``images`` is skipped."""
+def _check_el2_body(e: EL2Algebra, den: int, stop_after: Optional[int], screened: bool = False) -> CheckReport:
+    """The checker on ``_integer_copy(x)``, reporting the residuals of x.
+    Unscreened, every identity is evaluated on ``e`` as it is, on Python
+    ints; screened, each is decided in int64 first."""
     report = CheckReport()
+    rows = _identity_rows()
 
     def identities():
-        for name, fn in EL2_EQUATIONS + EL2_REDUNDANT_EQUATIONS:
-            if images is None or any(np.count_nonzero(fn(image) % p) for p, image in images):
-                yield name, fn(e), RESIDUAL_POWERS[name]
+        residuals = _screened_residuals(e, rows) if screened else _plain_residuals(e, rows)
+        for name, r in residuals:
+            yield name, r, RESIDUAL_POWERS[name]
         # reached only when check_identities has not stopped early
         report.notes.append(_alternator_note(e))
 
     return check_identities(identities(), den=den, stop_after=stop_after, report=report)
+
+
+def _identity_rows() -> list[tuple[str, int, int, Callable]]:
+    """The (name, rank, terms, evaluate) rows of the identities, read from
+    EL2_EQUATIONS and EL2_REDUNDANT_EQUATIONS at call time."""
+    return [(name, *RESIDUAL_TERMS[name], lambda view, primes, fn=fn: fn(view))
+            for name, fn in EL2_EQUATIONS + EL2_REDUNDANT_EQUATIONS]
 
 
 def _alternator_note(e: EL2Algebra) -> str:
@@ -400,32 +401,83 @@ def _alternator_note(e: EL2Algebra) -> str:
     return f"alternator symmetric: {'yes' if symmetric else 'no'}"
 
 
-# Every residual is a signed sum of at most this many terms, each an entry or
-# a contraction over one index of two entries (coh.bracket-jacobiator has ten).
-RESIDUAL_TERMS = 10
-
-
 def _width(e: EL2Algebra) -> int:
     """The length of the longest contraction: max(n0, n1, 1)."""
     return max(e.complex.n0, e.complex.n1, 1)
 
 
-def _residual_bound(e: SimpleNamespace) -> int:
-    """``RESIDUAL_TERMS * n * M**2`` for an integer copy of width n whose
-    largest entry in absolute value is M, its ``height``: no residual entry
-    exceeds it."""
-    return _diagram_bound(e, RESIDUAL_TERMS)
+# ---------------------------------------------------------------------------
+# The int64 plan of both axiom checkers
+# ---------------------------------------------------------------------------
+
+# At most this many int64 entries per prime chunk of a stacked residual of
+# width**(rank + 1) entries a prime: a few megabytes per array.
+_CHUNK_ENTRIES = 2**19
 
 
-def _residue_images(e: SimpleNamespace) -> Optional[list[tuple[int, SimpleNamespace]]]:
-    """The integer copy ``e`` modulo each prime that certifies its residuals,
-    as ``(p, image)`` pairs: each image is the view of ``e`` on its int64
-    tensors.  None when the residuals must be evaluated on Python ints."""
-    images = xla.residue_images(_tensors(e), _residual_bound(e), RESIDUAL_TERMS * _width(e))
-    if images is None:
-        return None
-    # _view takes the tensors in the order of _tensors
-    return [(p, _view(e, lambda t, k, image=iter(arrays): next(image))) for p, arrays in images]
+def _diagram_bound(e: SimpleNamespace, terms: int) -> int:
+    """``terms * n * M**2`` for a signed sum of at most ``terms`` terms (as
+    in RESIDUAL_TERMS and CATEGORICAL_DIAGRAMS) on an integer copy of width
+    n (:func:`_width`) and ``height`` M: no entry of the residual, nor of
+    any array its evaluation builds, exceeds it."""
+    return terms * _width(e) * e.height**2
+
+
+def _plain_residuals(e: SimpleNamespace, rows: Sequence) -> Iterator[tuple[str, np.ndarray]]:
+    """Each row's residual in order, evaluated on ``e`` as it is."""
+    for name, _, _, evaluate in rows:
+        yield name, evaluate(e, None)
+
+
+def _screened_residuals(e: SimpleNamespace, rows: Sequence) -> Iterator[tuple[str, np.ndarray]]:
+    """The nonzero residuals of the integer copy ``e`` in order, each row
+    of (name, rank, terms, evaluate) decided in int64 as the module
+    docstring says: its plan is () for int64 entries, the primes of its
+    residues, or None for Python ints, the last also when terms
+    contractions of two residues could reach 2**63.
+
+    ``evaluate(view, primes)`` gives the row's residual on a view: with
+    ``primes`` None, on the view's tensors as they are; with an int64
+    vector of primes, on residue images stacked on one leading axis, one
+    per prime, to be reduced by :func:`_on_residues`."""
+    plans = {}
+    for name, _, terms, _ in rows:
+        bound = _diagram_bound(e, terms)
+        fits = terms * _width(e) * xla.RESIDUE_PRIMES[0] ** 2 < 2**63     # the bound at height p
+        plans[name] = () if bound < 2**63 else xla.residue_primes(bound) if fits else None
+    if () in plans.values():
+        exact = _view(e, lambda t, k: t.astype(np.int64))
+    if any(plans.values()):
+        images = iter(xla.residue_stack(_tensors(e), max(filter(None, plans.values()), key=len)))
+        stack = _view(e, lambda t, k: next(images))
+    for name, rank, _, evaluate in rows:
+        primes = plans[name]
+        if primes == ():
+            r = evaluate(exact, None)
+            if np.count_nonzero(r):
+                yield name, r.astype(object)
+        elif primes is None or _flagged(evaluate, rank, stack, primes):
+            yield name, evaluate(e, None)
+
+
+def _flagged(evaluate: Callable, rank: int, stack: SimpleNamespace, primes: Sequence[int]) -> bool:
+    """Whether a row is nonzero modulo one of ``primes``, the leading
+    primes of the stacked residue images ``stack``, evaluated on chunks of
+    at most ``_CHUNK_ENTRIES`` residual entries."""
+    step = max(1, _CHUNK_ENTRIES // _width(stack) ** (rank + 1))
+    for lo in range(0, len(primes), step):
+        chunk = primes[lo:lo + step]
+        image = _view(stack, lambda t, k: t[lo:lo + len(chunk)])
+        if np.count_nonzero(_on_residues(evaluate, image, chunk)):
+            return True
+    return False
+
+
+def _on_residues(evaluate: Callable, image: SimpleNamespace, primes: Sequence[int]) -> np.ndarray:
+    """A row's residual on stacked residue images modulo ``primes``, reduced."""
+    mods = np.array(primes, dtype=np.int64)
+    r = evaluate(image, mods)
+    return r % mods.reshape((-1,) + (1,) * (r.ndim - 1))
 
 
 def is_semistrict(e: EL2Algebra) -> bool:
@@ -471,7 +523,7 @@ def from_leibniz(g: LeibnizAlgebraFD) -> EL2Algebra:
     b01 = coords_of(xla.precompose(g.c, 2, d))   # [e_i, d e_a]: (m, n, m)
     b10 = coords_of(xla.precompose(g.c, 1, d))   # [d e_a, e_i]: (m, m, n)
     alt = coords_of(sym)
-    return replace(zero_el2(n, m, d), b00=g.c, b01=b01, b10=b10, alt=alt)
+    return zero_el2(n, m, d, b00=g.c, b01=b01, b10=b10, alt=alt)
 
 
 def _check_pairing(g: LieAlgebraFD, pairing: np.ndarray) -> np.ndarray:
@@ -502,7 +554,7 @@ def from_quadratic_lie(g: LieAlgebraFD, pairing: np.ndarray) -> EL2Algebra:
     the alternator is the form itself."""
     pairing = _check_pairing(g, pairing)
     n = g.dim
-    return replace(zero_el2(n, 1), b00=g.c, alt=pairing.reshape(1, n, n))
+    return zero_el2(n, 1, b00=g.c, alt=pairing.reshape(1, n, n))
 
 
 def string_2_algebra(g: LieAlgebraFD, pairing: np.ndarray) -> EL2Algebra:
@@ -511,7 +563,7 @@ def string_2_algebra(g: LieAlgebraFD, pairing: np.ndarray) -> EL2Algebra:
     pairing = _check_pairing(g, pairing)
     n = g.dim
     jac = np.tensordot(g.c, pairing, axes=([0], [0])) * xla.Rat(-1, 2)
-    return replace(zero_el2(n, 1), b00=g.c, jac=jac.reshape(1, n, n, n))
+    return zero_el2(n, 1, b00=g.c, jac=jac.reshape(1, n, n, n))
 
 
 def from_skeletal_cocycle(
@@ -833,18 +885,9 @@ def categorical_coherence_check(e: EL2Algebra, *, stop_after: Optional[int] = No
     arrow parts of both composite paths.  Each diagram is evaluated once,
     over all its basis tuples at once.
 
-    Verdicts are exact, and each diagram is decided in int64.  Its residual
-    on the integer copy is at most :func:`_diagram_bound` B in absolute
-    value.  When B is below 2**63, the diagram is evaluated once on int64
-    tensors, without reduction, and a nonzero residual is reported as it
-    is, in Python ints.  Otherwise it is evaluated on the residues modulo
-    the fewest primes of ``exactla.RESIDUE_PRIMES`` whose product exceeds
-    B, stacked on one leading axis (in chunks of primes, to bound memory)
-    and reduced after every product; a diagram that is zero modulo each of
-    them is zero, and one that is not is evaluated again on Python ints.  A
-    diagram no prime set covers is evaluated on Python ints only.  Either
-    way the report is the one ``_categorical_body`` gives without the
-    screen.
+    Verdicts are exact, and each diagram is decided in int64 by the plan
+    both axiom checkers share (:func:`_screened_residuals`): the report is
+    the one ``_categorical_body`` gives without the screen.
     """
     return _categorical_body(*_integer_copy(e), stop_after, screened=True)
 
@@ -856,74 +899,19 @@ def _categorical_body(
     each identity carries the power of its partner in RESIDUAL_POWERS.
     Unscreened, every diagram is evaluated on ``e`` as it is, on Python
     ints; screened, each is decided in int64 first (:func:`_screened_residuals`)."""
-    residuals = _screened_residuals(e) if screened else _categorical_residuals(e)
+    rows = _diagram_rows()
+    residuals = _screened_residuals(e, rows) if screened else _plain_residuals(e, rows)
     identities = ((name, r, RESIDUAL_POWERS[CATEGORICAL_TO_EL2[name]]) for name, r in residuals)
     return check_identities(identities, den=den, stop_after=stop_after)
 
 
-def _categorical_residuals(e: EL2Algebra) -> Iterator[tuple[str, np.ndarray]]:
-    """Each cat.* identity in order, with its residual laid out as (output,
-    basis tuple axes), evaluated on ``e`` as it is."""
-    for name, rank, _, diagram in CATEGORICAL_DIAGRAMS:
-        yield name, diagram(_GammaEvaluator(e, rank))
-
-
-# At most this many int64 entries per prime chunk of a stacked diagram
-# residual of width**(rank + 1) entries a prime: a few megabytes per array.
-_CHUNK_ENTRIES = 2**19
-
-
-def _diagram_bound(e: SimpleNamespace, terms: int) -> int:
-    """``terms * n * M**2`` for a signed sum of at most ``terms`` terms (as
-    in CATEGORICAL_DIAGRAMS) on an integer copy of width n (:func:`_width`)
-    and ``height`` M: no entry of the residual, nor of any array its
-    evaluation builds, exceeds it."""
-    return terms * _width(e) * e.height**2
-
-
-def _screened_residuals(e: SimpleNamespace) -> Iterator[tuple[str, np.ndarray]]:
-    """The nonzero cat.* residuals of the integer copy ``e`` in order, each
-    diagram decided in int64 as :func:`categorical_coherence_check` says:
-    its plan is () for int64 entries, the primes of its residues, or None
-    for Python ints."""
-    # a product of two residues, summed over one contraction, fits in int64
-    fits = _width(e) * xla.RESIDUE_PRIMES[0] ** 2 < 2**63
-    plans = {}
-    for name, _, terms, _ in CATEGORICAL_DIAGRAMS:
-        bound = _diagram_bound(e, terms)
-        plans[name] = () if bound < 2**63 else xla.residue_primes(bound) if fits else None
-    if () in plans.values():
-        exact = _view(e, lambda t, k: t.astype(np.int64))
-    if any(plans.values()):
-        images = iter(xla.residue_stack(_tensors(e), max(filter(None, plans.values()), key=len)))
-        stack = _view(e, lambda t, k: next(images))
-    for name, rank, _, diagram in CATEGORICAL_DIAGRAMS:
-        primes = plans[name]
-        if primes == ():
-            r = diagram(_GammaEvaluator(exact, rank))
-            if np.count_nonzero(r):
-                yield name, r.astype(object)
-        elif primes is None or _flagged(diagram, rank, stack, primes):
-            yield name, diagram(_GammaEvaluator(e, rank))
-
-
-def _flagged(diagram, rank: int, stack: SimpleNamespace, primes: Sequence[int]) -> bool:
-    """Whether the diagram is nonzero modulo one of ``primes``, the leading
-    primes of the stacked residue images ``stack``, evaluated on chunks of
-    at most ``_CHUNK_ENTRIES`` residual entries."""
-    step = max(1, _CHUNK_ENTRIES // _width(stack) ** (rank + 1))
-    for lo in range(0, len(primes), step):
-        chunk = primes[lo:lo + step]
-        image = _view(stack, lambda t, k: t[lo:lo + len(chunk)])
-        if np.count_nonzero(_residue_diagram(diagram, rank, image, chunk)):
-            return True
-    return False
-
-
-def _residue_diagram(diagram, rank: int, image: SimpleNamespace, primes: Sequence[int]) -> np.ndarray:
-    """The diagram on stacked residue images modulo ``primes``, reduced."""
-    ev = _GammaEvaluator(image, rank, np.array(primes, dtype=np.int64))
-    return diagram(ev) % ev.mod
+def _diagram_rows() -> list[tuple[str, int, int, Callable]]:
+    """The (name, rank, terms, evaluate) rows of the diagrams, read from
+    CATEGORICAL_DIAGRAMS at call time: each evaluates its diagram with a
+    :class:`_GammaEvaluator` of its rank."""
+    return [(name, rank, terms, lambda view, primes, rank=rank, diagram=diagram:
+             diagram(_GammaEvaluator(view, rank, primes)))
+            for name, rank, terms, diagram in CATEGORICAL_DIAGRAMS]
 
 
 # ---------------------------------------------------------------------------

@@ -40,23 +40,20 @@ of the attributes its residual functions read), which is never a record.
 Verdicts, values, residuals and entry types are the ones Fraction
 evaluation gives.
 
-A check can decide most of its verdicts without Python ints at all
-(:func:`residue_images`).  Given a bound B on the absolute value of every
-residual, it evaluates the residuals on int64 images of the integer
-tensors modulo the fewest primes of :data:`RESIDUE_PRIMES` whose product
-exceeds B, reducing once at the end.  A residual that is zero modulo each
-of them is zero, by the Chinese remainder theorem, since its absolute value
-is below their product; only an identity that is nonzero modulo some prime
-is evaluated again, once, on Python ints, for its exact residual.  The
-int64 evaluation is exact when each residual is a signed sum of at most
-``terms`` products of two entries with ``terms * p**2 < 2**63``; when that
-fails, or the table's product does not exceed B, there are no images and
-the check evaluates on Python ints.  ``el2.check_el2`` decides its verdicts
-this way: the screen filters the identities it yields to
-``report.check_identities``.  ``el2.categorical_coherence_check`` picks
-primes per diagram (:func:`residue_primes`) and evaluates each diagram on
-all of them at once, on images stacked on a leading axis
-(:func:`residue_stack`), reducing after every product.
+A check decides most of its verdicts without Python ints at all.  Given
+a bound B on the absolute value of a residual, it evaluates the residual
+on int64 tensors: exactly when B is below 2**63, and otherwise on the
+images of the integer tensors modulo the fewest primes of
+:data:`RESIDUE_PRIMES` whose product exceeds B (:func:`residue_primes`),
+stacked on one leading axis (:func:`residue_stack`).  A residual that is
+zero modulo each of them is zero, by the Chinese remainder theorem, since
+its absolute value is below their product; only one that is nonzero
+modulo some prime is evaluated again, once, on Python ints, for its exact
+residual.  ``el2`` holds the one plan that makes this choice for both
+axiom checkers.  The tensor checker's formulas are written with
+:func:`einsum`, which lets leading axes pass through every operand, so one
+formula evaluates Python ints, Fractions, int64 tensors and stacked
+residues.
 
 Row reduction is fraction-free for the same reason: :func:`rref` clears
 denominators row by row, eliminates on Python ints (Bareiss) and divides once
@@ -66,8 +63,9 @@ quotient representatives) are the ones Fraction elimination gives.  The
 kernels take arrays of any dtype: one that is not object goes through
 :func:`as_exact`, and :func:`rref` refuses an object entry that is not
 rational, a boolean included, while it clears denominators.  The
-contraction helpers and :func:`alternate` take object and integer arrays
-and refuse float, complex and boolean dtypes from the dtype alone.  Bases
+contraction helpers, :func:`einsum` among them, and :func:`alternate` take
+object and integer arrays and refuse float, complex and boolean dtypes
+from the dtype alone.  Bases
 independent by construction (the identity, kernel and image bases) skip the
 rank check the public :class:`Subspace` constructor makes.
 
@@ -271,30 +269,6 @@ def residue_primes(bound: int) -> Optional[tuple[int, ...]]:
             return RESIDUE_PRIMES[:k]
         product *= p
     return RESIDUE_PRIMES if product > bound else None
-
-
-def residue_images(
-    arrays: Sequence[np.ndarray], bound: int, terms: int
-) -> Optional[list[tuple[int, list[np.ndarray]]]]:
-    """The integer ``arrays`` modulo each prime of :func:`residue_primes`:
-    one ``(p, images)`` pair per prime, each image an int64 array with
-    entries in ``[0, p)``.
-
-    An integer of absolute value at most ``bound`` that is zero modulo each
-    of these primes is zero.  A signed sum of at most ``terms`` products of
-    two images stays below 2**63 in absolute value, so it is evaluated
-    exactly in int64 and reduced once at the end.  None when ``terms * p**2``
-    could reach 2**63, or when the product of the whole table does not
-    exceed ``bound``; the caller then evaluates on Python ints.  The images
-    of a prime are the slices of :func:`residue_stack` at that prime.
-    """
-    if terms * RESIDUE_PRIMES[0] ** 2 >= 2**63:
-        return None
-    primes = residue_primes(bound)
-    if not primes:
-        return None if primes is None else []
-    stack = residue_stack(arrays, primes)
-    return [(p, [s[k] for s in stack]) for k, p in enumerate(primes)]
 
 
 def residue_stack(arrays: Sequence[np.ndarray], primes: Sequence[int]) -> list[np.ndarray]:
@@ -725,6 +699,17 @@ def _operand(a) -> np.ndarray:
     if a.dtype.kind in "fcb":
         raise ShapeError(f"{a.dtype} entries are not exact rationals")
     return a
+
+
+def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands)`` with ``...`` prepended to every
+    operand and to the output: leading axes broadcast and pass through, so
+    a formula written for plain tensors also evaluates stacked residue
+    images (:func:`residue_stack`) one image per leading index.  Every
+    axis is named, so no leading axis is mistaken for a tensor axis."""
+    inputs, output = subscripts.split("->")
+    spec = ",".join("..." + s for s in inputs.split(",")) + "->..." + output
+    return np.einsum(spec, *map(_operand, operands))
 
 
 def contract(t: np.ndarray, slot: int, arg: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ counterexample, not get patched over.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +55,7 @@ def skew_symmetrize(e: EL2Algebra) -> EL2Algebra:
     b01 = (e.b01 - np.moveaxis(e.b10, 1, 2)) * _HALF
     b10 = -np.moveaxis(b01, 1, 2)
     jac = skew_jacobiator(e.jac, e.alt, e.b00)
-    return replace(zero_el2(e.complex.n0, e.complex.n1, e.complex.d), b00=b00, b01=b01, b10=b10, jac=jac)
+    return zero_el2(e.complex.n0, e.complex.n1, e.complex.d, b00=b00, b01=b01, b10=b10, jac=jac)
 
 
 def skew_symmetrize_morphism(m: ELMorphism) -> ELMorphism:

@@ -78,12 +78,13 @@ def test_independent_of_tensor_checker(monkeypatch, el2_corpus):
     bad = perturb(dict(el2_corpus)["string:sl2/killing"], "jac", 5)
     inputs = [e for _, e in el2_corpus] + [bad, wide(bad)]
     before = [el2.categorical_coherence_check(e).render(10**6) for e in inputs]
-    # the tensor checker's residue screen: its images, its bound and its
-    # term count
+    # the tensor checker's formulas, the einsum helper they are written
+    # with, its rows and their term counts: only the plan is shared
     monkeypatch.setattr(el2, "RESIDUAL_TERMS", None)
     for name in dir(el2):
-        if name.startswith("_residual_") or name == "_residue_images":
+        if name.startswith("_residual_") or name in ("_leibniz_defect", "_identity_rows"):
             monkeypatch.setattr(el2, name, refuse)
+    monkeypatch.setattr(xla, "einsum", refuse)
     for module in (dkcore, el2):
         for name in ("chain_b01", "chain_b10", "chain_derived"):
             monkeypatch.setattr(module, name, refuse)

@@ -243,6 +243,29 @@ def test_cli_deeply_nested_json_is_input_error(tmp_path, capsys):
     assert "input error: $: invalid JSON" in capsys.readouterr().err
 
 
+def empty_el2_document(n0, n1):
+    """An el2 document on a complex of dimensions (n0, n1) whose tensors,
+    with n0 = 0, all have no entries."""
+    shapes = {"b00": [n0] * 3, "b01": [n1, n0, n1], "b10": [n1, n1, n0], "alt": [n1, n0, n0],
+              "jac": [n1, n0, n0, n0]}
+    payload = {name: {"shape": shape, "entries": []} for name, shape in shapes.items()}
+    payload["complex"] = {"n0": n0, "n1": n1, "d": {"shape": [n0, n1], "entries": []}}
+    return json.dumps({"kind": "el2", "metadata": {"name": "", "description": ""}, "payload": payload})
+
+
+def test_cli_wide_empty_complex_is_input_error(tmp_path, capsys):
+    # a few hundred bytes declaring n1 = 3000 with no entries at all: its
+    # check would build n1**3 residual entries
+    path = tmp_path / "wide.json"
+    path.write_text(empty_el2_document(0, 3000))
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: $.payload.complex.n1: dimension 3000 exceeds {documents.MAX_COMPLEX_DIM}" in err
+    # the cap itself is accepted and checked
+    path.write_text(empty_el2_document(0, documents.MAX_COMPLEX_DIM))
+    assert cli.main(["check", str(path)]) == 0
+
+
 def test_cli_check_lie_axiom_violation(tmp_path, capsys):
     path = tmp_path / "bad_lie.json"
     path.write_text(

@@ -7,12 +7,53 @@ import numpy as np
 import pytest
 
 from conftest import perturb, rand_tensor
-from lie2alg import catalog, dkcore, el2, exactla as xla
+from lie2alg import catalog, dkcore, el2, exactla as xla, skew
 
 
 def test_check_el2_zero_structure_passes():
     for n0, n1 in [(0, 0), (2, 1), (3, 2)]:
         assert el2.check_el2(el2.zero_el2(n0, n1)).passed
+
+
+SL2 = catalog.sl2()
+KILLING = catalog.killing_form(SL2)
+SQUARE = catalog.leibniz_square()
+STRING = el2.string_2_algebra(SL2, KILLING)
+
+# (constructor, tensors it converts before building the record: the span
+# basis of from_leibniz, the pairing of the quadratic constructions)
+CONSTRUCTORS = (
+    (lambda: el2.from_leibniz(SQUARE), 1),
+    (lambda: el2.from_quadratic_lie(SL2, KILLING), 1),
+    (lambda: el2.string_2_algebra(SL2, KILLING), 1),
+    (lambda: skew.skew_symmetrize(STRING), 0),
+    (lambda: el2.zero_el2(3, 1, b00=SL2.c, jac=STRING.jac), 0),
+)
+
+
+@pytest.mark.parametrize("build, inputs", CONSTRUCTORS, ids=(
+    "from_leibniz", "from_quadratic_lie", "string_2_algebra", "skew_symmetrize", "zero_el2"))
+def test_constructors_convert_each_tensor_once(monkeypatch, build, inputs):
+    """A constructor that sets only some tensors builds one record, whose
+    six tensors (d first) are each converted once, last."""
+    converted = []
+    as_exact = xla.as_exact
+
+    def counted(a):
+        converted.append(np.shape(a))
+        return as_exact(a)
+
+    monkeypatch.setattr(xla, "as_exact", counted)
+    e = build()
+    assert converted[inputs:] == [t.shape for t in el2._tensors(e)]
+
+
+def test_zero_el2_fills_only_the_missing_tensors():
+    g = catalog.sl2()
+    e = el2.zero_el2(3, 1, b00=g.c, alt=catalog.killing_form(g).reshape(1, 3, 3))
+    assert xla.arrays_equal(e.b00, g.c) and xla.arrays_equal(e.alt[0], catalog.killing_form(g))
+    assert all(xla.is_zero(t) for t in (e.complex.d, e.b01, e.b10, e.jac))
+    assert e == el2.from_quadratic_lie(g, catalog.killing_form(g))
 
 
 def test_float_structure_constants_are_refused():

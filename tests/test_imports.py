@@ -1,10 +1,16 @@
 """Static checks on the package source: every module uses each name it
-imports, and every dataclass holding arrays compares them entry by entry."""
+imports, every dataclass holding arrays compares them entry by entry, and
+the tensor checker's formulas name every axis they contract."""
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
+import numpy as np
+
 import lie2alg
+from lie2alg import dkcore, el2
 
 PACKAGE = Path(lie2alg.__file__).parent
 
@@ -126,3 +132,57 @@ def test_private_names_are_read():
     """No private helper, class or constant is left that nothing reads."""
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+# Operations that read tensor axes by position: on a stacked residue image,
+# whose leading axis is the prime, each would take that axis for a tensor
+# axis.  ``T`` is read as an attribute, the others are called.
+POSITIONAL_AXIS_OPS = {"tensordot", "swapaxes", "moveaxis", "transpose", "dot",
+                       "precompose", "postcompose", "contract", "plug", "T"}
+
+
+def positional_axis_uses(fn) -> list[str]:
+    """The positional-axis operations that ``fn`` uses, and those of the
+    functions it calls by name, transitively."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(f)))):
+            if isinstance(node, ast.Attribute) and node.attr in POSITIONAL_AXIS_OPS:
+                found.append(f"{f.__name__}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in POSITIONAL_AXIS_OPS:
+                    found.append(f"{f.__name__}: {node.func.id}")
+                callee = f.__globals__.get(node.func.id)
+                if inspect.isfunction(callee):
+                    todo.append(callee)
+    return found
+
+
+def _sample_helper(t):
+    return t.swapaxes(1, 2)
+
+
+def _sample_residual(e):
+    from numpy import moveaxis
+    return np.tensordot(e.b00, e.d, axes=1) + _sample_helper(e.alt) + e.jac.T + moveaxis(e.b01, 1, 2)
+
+
+def test_positional_axis_uses_detected():
+    assert sorted(positional_axis_uses(_sample_residual)) == [
+        "_sample_helper: t.swapaxes", "_sample_residual: e.jac.T", "_sample_residual: moveaxis",
+        "_sample_residual: np.tensordot",
+    ]
+    assert positional_axis_uses(el2._alternator_note) == ["_alternator_note: e.alt.swapaxes"]
+
+
+def test_residual_formulas_name_every_axis():
+    """The tensor checker's formulas evaluate stacked residue images, so
+    they use no operation that reads an axis by position."""
+    formulas = [fn for _, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS]
+    formulas += [dkcore.chain_b01, dkcore.chain_b10, dkcore.chain_derived]
+    assert {fn.__module__ for fn in formulas} == {"lie2alg.el2", "lie2alg.dkcore"}
+    assert [use for fn in formulas for use in positional_axis_uses(fn)] == []

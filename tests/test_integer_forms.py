@@ -36,11 +36,7 @@ def reference_copy(x):
     return view, den
 
 
-def _check_el2_reference(view, den, stop_after):
-    return el2._check_el2_body(view, den, stop_after, el2._residue_images(view))
-
-
-STRUCTURE_CHECKS = ((el2.check_el2, _check_el2_reference),
+STRUCTURE_CHECKS = ((el2.check_el2, el2._check_el2_body),
                     (el2.categorical_coherence_check, el2._categorical_body))
 MORPHISM_CHECKS = ((morph.check_morphism, morph._check_morphism_body),)
 TWO_MORPHISM_CHECKS = ((morph.check_2morphism, morph._check_2morphism_body),)

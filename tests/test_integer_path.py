@@ -16,6 +16,7 @@ once.  They must return the values, entry types and reports of the Fraction
 references kept here.
 """
 
+import collections
 import contextlib
 import dataclasses
 import math
@@ -391,36 +392,55 @@ def test_planted_structure_defect(coprime_structure, name):
     assert not any(r.passed for r in reports)
 
 
-def test_failing_check_evaluates_only_failing_identities_on_ints(coprime_structure, monkeypatch):
-    """An identity reaches the integer copy exactly once when its residue
+def el2_modes(e):
+    """How check_el2 decides each identity of e: on int64 entries, on
+    stacked residues, or on Python ints."""
+    ints, _ = el2._integer_copy(e)
+    out = {}
+    for name, (_, terms) in el2.RESIDUAL_TERMS.items():
+        bound = el2._diagram_bound(ints, terms)
+        out[name] = "int64" if bound < 2**63 else "residues" if xla.residue_primes(bound) else "ints"
+    return out
+
+
+@pytest.fixture
+def identity_evaluations(monkeypatch):
+    """Counts each identity evaluation by (identity, kind of view): Python
+    ints, int64 entries, or int64 residues stacked on a leading axis."""
+    calls = collections.Counter()
+
+    def wrap(name, fn):
+        def counted(x):
+            kind = "ints" if x.b00.dtype == object else "residues" if x.b00.ndim == 4 else "int64"
+            calls[name, kind] += 1
+            return fn(x)
+        return name, counted
+
+    for table in ("EL2_EQUATIONS", "EL2_REDUNDANT_EQUATIONS"):
+        monkeypatch.setattr(el2, table, tuple(wrap(name, fn) for name, fn in getattr(el2, table)))
+    return calls
+
+
+def test_failing_check_evaluates_only_failing_identities_on_ints(coprime_structure, identity_evaluations):
+    """Each identity is evaluated once in the mode its bound picks.  One
+    decided on residues reaches Python ints exactly once when its residue
     modulo some prime is nonzero, and never when it is zero modulo every
-    prime."""
-    _, _, _, e = coprime_structure
-    bad = plant(e, "jac", 5, F(1, 23))
-    images = el2._residue_images(el2._integer_copy(bad)[0])
-    assert len(images) >= 3
-    nonzero = {
-        name for name, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS
-        if any(np.any(fn(image) % p) for p, image in images)
-    }
-    assert 0 < len(nonzero) < len(el2.RESIDUAL_POWERS)
-    on_ints, on_residues = {}, {}
-
-    def counted(table):
-        def wrap(name, fn):
-            def counting(x):
-                calls = on_ints if x.b00.dtype == object else on_residues
-                calls[name] = calls.get(name, 0) + 1
-                return fn(x)
-            return name, counting
-        return tuple(wrap(name, fn) for name, fn in table)
-
-    monkeypatch.setattr(el2, "EL2_EQUATIONS", counted(el2.EL2_EQUATIONS))
-    monkeypatch.setattr(el2, "EL2_REDUNDANT_EQUATIONS", counted(el2.EL2_REDUNDANT_EQUATIONS))
-    report = el2.check_el2(bad)
-    assert set(report.equations_violated()) == nonzero
-    assert on_ints == dict.fromkeys(nonzero, 1)
-    assert set(on_residues) == set(el2.RESIDUAL_POWERS)
+    prime; one decided exactly in int64 never reaches them."""
+    base, _, _, e = coprime_structure
+    for bad, mode in ((plant(e, "jac", 5, F(1, 23)), "residues"), (plant(base, "jac", 5, F(1, 23)), "int64")):
+        assert set(el2_modes(bad).values()) == {mode}
+        want = el2._check_el2_body(*el2._integer_copy(bad), None)
+        violated = set(want.equations_violated())
+        assert 0 < len(violated) < len(el2.RESIDUAL_POWERS)
+        identity_evaluations.clear()
+        with int_columns_only():
+            got = el2.check_el2(bad)
+        assert_same_report(got, want)
+        assert got.notes == want.notes
+        on_ints = {name: n for (name, kind), n in identity_evaluations.items() if kind == "ints"}
+        assert on_ints == (dict.fromkeys(violated, 1) if mode == "residues" else {})
+        screened = {name: n for (name, kind), n in identity_evaluations.items() if kind == mode}
+        assert screened == dict.fromkeys(el2.RESIDUAL_POWERS, 1)
 
 
 def test_planted_f2_and_theta_defects(coprime_structure):
@@ -655,33 +675,51 @@ def test_residue_primes_are_the_largest_below_2_26():
     assert [n for n in range(2**26 - 1, table[-1] - 1, -1) if is_prime(n)] == list(table)
 
 
-def test_residue_images_guard():
+def test_residue_stack_and_prime_count():
     a = np.array([[3, -5], [2**200 + 1, 0]], dtype=object)
     first = xla.RESIDUE_PRIMES[0]
-    assert xla.residue_images([a], 0, 1) == []     # |r| <= 0 needs no prime
-    images = xla.residue_images([a, a[0]], 1, 1)
-    assert [p for p, _ in images] == [first]
-    image = images[0][1][0]
-    assert image.dtype == np.int64 and image.tolist() == [[3, first - 5], [(2**200 + 1) % first, 0]]
-    # the width guard: ten terms of n products stay below 2**63 up to n = 204
-    assert el2.RESIDUAL_TERMS == 10
-    assert xla.residue_images([a], 1, 10 * 204) is not None
-    assert xla.residue_images([a], 1, 10 * 205) is None
+    assert xla.residue_primes(0) == ()     # |r| <= 0 needs no prime
+    assert xla.residue_primes(1) == (first,)
+    image, row = xla.residue_stack([a, a[0]], (first,))
+    assert image.dtype == np.int64 and image.tolist() == [[[3, first - 5], [(2**200 + 1) % first, 0]]]
+    assert row.tolist() == [[3, first - 5]]
     # the fewest leading primes whose product exceeds the bound
     two = math.prod(xla.RESIDUE_PRIMES[:2])
-    assert len(xla.residue_images([a], two - 1, 10)) == 2
-    assert len(xla.residue_images([a], two, 10)) == 3
+    assert len(xla.residue_primes(two - 1)) == 2
+    assert len(xla.residue_primes(two)) == 3
     whole = math.prod(xla.RESIDUE_PRIMES)
-    assert len(xla.residue_images([a], whole - 1, 10)) == 64
-    assert xla.residue_images([a], whole, 10) is None
+    assert len(xla.residue_primes(whole - 1)) == 64
+    assert xla.residue_primes(whole) is None
+    stacked = xla.residue_stack([a], xla.RESIDUE_PRIMES[:3])[0]
+    assert stacked.shape == (3, 2, 2)
+    for k, p in enumerate(xla.RESIDUE_PRIMES[:3]):
+        assert stacked[k].tolist() == (a % p).tolist()
 
 
-def test_check_el2_falls_back_beyond_the_prime_table():
+def test_residues_need_terms_of_width_products_below_2_63(identity_evaluations, monkeypatch):
+    """Ten terms of n products of two residues stay below 2**63 up to
+    n = 204: at width 205, coh.bracket-jacobiator (ten terms) is evaluated
+    on Python ints only, while the others are still decided on residues."""
+    first = xla.RESIDUE_PRIMES[0]
+    assert 10 * 204 * first**2 < 2**63 <= 10 * 205 * first**2
+    assert 5 * 205 * first**2 < 2**63
+    e = plant(el2.zero_el2(3, 1), "jac", 5, F(2**40))
+    monkeypatch.setattr(el2, "_width", lambda e: 205)
+    assert el2.check_el2(e).render() == el2._check_el2_body(e, 1, None).render()
+    kinds = collections.defaultdict(set)
+    for name, kind in identity_evaluations:
+        kinds[name].add(kind)
+    assert kinds.pop("coh.bracket-jacobiator") == {"ints"}
+    assert {frozenset(k) - {"ints"} for k in kinds.values()} == {frozenset({"residues"})}
+
+
+def test_check_el2_falls_back_beyond_the_prime_table(identity_evaluations):
     huge = F(2**900 + 1, 3)
     e = plant(el2.zero_el2(3, 1), "jac", 5, huge)
-    assert el2._residue_images(el2._integer_copy(e)[0]) is None
+    assert set(el2_modes(e).values()) == {"ints"}
     assert_matches_reference(e)
     assert not el2.check_el2(e).passed
+    assert {kind for _, kind in identity_evaluations} == {"ints"}
 
 
 class Magnitude:
@@ -708,28 +746,52 @@ def magnitude(x):
     return x.bound if isinstance(x, Magnitude) else abs(x)
 
 
-@pytest.mark.parametrize("n0, n1", [(3, 3), (2, 4), (4, 2), (1, 1), (0, 3), (3, 0)])
-def test_residual_bound_covers_every_identity(n0, n1):
-    largest = 7
+def bound_views(n0, n1, largest):
+    """Views of the shape (n0, n1) with every entry -largest: on Python
+    ints, on int64 entries, on Magnitudes, and on residues modulo the first
+    two primes stacked on a leading axis."""
     shapes = [t.shape for t in el2._tensors(el2.zero_el2(n0, n1))]
-    ints = [np.full(shape, -largest, dtype=object) for shape in shapes]
-    mags = [np.full(shape, Magnitude(largest), dtype=object) for shape in shapes]
 
-    def record(d, b00, b01, b10, alt, jac):
-        height = max((magnitude(x) for t in (d, b00, b01, b10, alt, jac) for x in t.flat), default=0)
+    def view(tensors, height):
+        d, b00, b01, b10, alt, jac = tensors
         return SimpleNamespace(complex=SimpleNamespace(n0=n0, n1=n1, d=d), b00=b00, b01=b01,
                                b10=b10, alt=alt, jac=jac, height=height)
 
-    bound = el2._residual_bound(record(*ints))
-    assert bound == (10 * max(n0, n1, 1) * largest**2 if n0 else 0)   # n0 = 0: every tensor is empty
-    worst = max(
-        (magnitude(x) for _, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS
-         for x in np.asarray(fn(record(*mags))).flat),
-        default=0,
-    )
-    assert worst <= bound
-    if n0 == n1:
-        assert worst == bound   # coh.bracket-jacobiator attains it
+    objects = view([np.full(shape, -largest, dtype=object) for shape in shapes], largest if n0 else 0)
+    ints = view([np.full(shape, -largest, dtype=np.int64) for shape in shapes], largest if n0 else 0)
+    mags = view([np.full(shape, Magnitude(largest), dtype=object) for shape in shapes], largest)
+    residues = view(xla.residue_stack(el2._tensors(ints), xla.RESIDUE_PRIMES[:2]), 0)
+    return objects, ints, mags, residues
+
+
+def assert_rows_within_bounds(rows, n0, n1, largest, attained):
+    """Each row's residual on Magnitudes stays within its bound, with
+    equality for the row named ``attained`` when n0 = n1; its int64
+    evaluation equals the Python-int one, and its reduced residue image
+    equals the exact residual modulo each prime."""
+    objects, ints, mags, residues = bound_views(n0, n1, largest)
+    primes = xla.RESIDUE_PRIMES[:2]
+    for name, _, terms, evaluate in rows:
+        bound = el2._diagram_bound(ints, terms)
+        assert bound == (terms * max(n0, n1, 1) * largest**2 if n0 else 0)   # n0 = 0: every tensor is empty
+        worst = max((magnitude(x) for x in np.asarray(evaluate(mags, None)).flat), default=0)
+        assert worst <= bound, name
+        if n0 == n1 and name == attained:
+            assert worst == bound
+        exact = evaluate(ints, None)
+        assert exact.dtype == np.int64
+        assert exact.tolist() == evaluate(objects, None).tolist()
+        reduced = el2._on_residues(evaluate, residues, primes)
+        assert reduced.shape == (len(primes),) + exact.shape
+        for k, p in enumerate(primes):
+            assert np.array_equal(reduced[k], exact % p), name
+
+
+@pytest.mark.parametrize("n0, n1", [(3, 3), (2, 4), (4, 2), (1, 1), (0, 3), (3, 0)])
+def test_identity_bounds_cover_every_identity(n0, n1):
+    """Each identity, evaluated on tensors of height M, stays within its
+    own bound terms * n * M**2 (RESIDUAL_TERMS)."""
+    assert_rows_within_bounds(el2._identity_rows(), n0, n1, 7, "coh.bracket-jacobiator")
 
 
 @pytest.mark.parametrize("n0, n1", [(3, 3), (2, 4), (4, 2), (1, 1), (0, 3), (3, 0)])
@@ -738,16 +800,6 @@ def test_diagram_bounds_cover_every_diagram(n0, n1, monkeypatch):
     tensors of height M, stays within the bound its screen uses; every
     product in it is of a tensor entry and at most one batched entry, which
     on stacked residues lies in (-p, p), and is reduced."""
-    largest = 7
-    shapes = [t.shape for t in el2._tensors(el2.zero_el2(n0, n1))]
-
-    def view(tensors, height):
-        d, b00, b01, b10, alt, jac = tensors
-        return SimpleNamespace(complex=SimpleNamespace(n0=n0, n1=n1, d=d), b00=b00, b01=b01,
-                               b10=b10, alt=alt, jac=jac, height=height)
-
-    ints = view([np.full(shape, -largest, dtype=np.int64) for shape in shapes], largest if n0 else 0)
-    mags = view([np.full(shape, Magnitude(largest), dtype=object) for shape in shapes], largest)
     operands = []
     apply = el2._GammaEvaluator._apply
 
@@ -761,30 +813,15 @@ def test_diagram_bounds_cover_every_diagram(n0, n1, monkeypatch):
         return out
 
     monkeypatch.setattr(el2._GammaEvaluator, "_apply", counted)
-    primes = xla.RESIDUE_PRIMES[:2]
-    objects = view([np.full(shape, -largest, dtype=object) for shape in shapes], largest)
-    residues = view(xla.residue_stack(el2._tensors(ints), primes), 0)
-    for name, rank, terms, diagram in el2.CATEGORICAL_DIAGRAMS:
-        bound = el2._diagram_bound(ints, terms)
-        assert bound == (terms * max(n0, n1, 1) * largest**2 if n0 else 0)
-        worst = max((magnitude(x) for x in diagram(el2._GammaEvaluator(mags, rank)).flat), default=0)
-        assert worst <= bound, name
-        if n0 == n1 and name == "cat.pentagon":
-            assert worst == bound
-        exact = diagram(el2._GammaEvaluator(ints, rank))
-        assert exact.dtype == np.int64
-        assert exact.tolist() == diagram(el2._GammaEvaluator(objects, rank)).tolist()
-        reduced = el2._residue_diagram(diagram, rank, residues, primes)
-        assert reduced.shape == (len(primes),) + exact.shape
-        for k, p in enumerate(primes):
-            assert np.array_equal(reduced[k], exact % p), name
+    assert_rows_within_bounds(el2._diagram_rows(), n0, n1, 7, "cat.pentagon")
     assert operands and max(operands) == 1
 
 
 def test_screen_with_too_few_primes_passes_a_defect(monkeypatch):
     """A residual equal to the product of the first k primes is zero modulo
-    each of them: with the bound forced one prime short of it, the screen
-    passes a broken structure, and the real checker reports it."""
+    each of them: with the bound of every identity forced one prime short
+    of it, the screen passes a broken structure whose failing identities
+    are decided on stacked residues, and the real checker reports it."""
     k = 3
     product = math.prod(xla.RESIDUE_PRIMES[:k])
     bad = plant(el2.zero_el2(3, 1), "jac", 5, F(product))     # jac[0, 0, 1, 2]
@@ -794,10 +831,12 @@ def test_screen_with_too_few_primes_passes_a_defect(monkeypatch):
     assert residual[0, 0, 1, 2] == product and set(np.unique(residual)) == {0, product}
     want = el2._check_el2_body(bad, 1, None)
     assert want.equations_violated() == ("coh.jacobiator-sym12", "coh.jacobiator-sym23")
-    assert len(el2._residue_images(ints)) > k
+    for name in want.equations_violated():
+        assert el2_modes(bad)[name] == "residues"
+        assert len(xla.residue_primes(el2._diagram_bound(ints, el2.RESIDUAL_TERMS[name][1]))) > k
     assert_matches_reference(bad)
-    monkeypatch.setattr(el2, "_residual_bound", lambda e: product - 1)
-    assert len(el2._residue_images(ints)) == k
+    monkeypatch.setattr(el2, "_diagram_bound", lambda e, terms: product - 1)
+    assert len(xla.residue_primes(product - 1)) == k
     assert el2.check_el2(bad).passed
 
 
@@ -822,13 +861,17 @@ Q = 2**31 - 1
 
 @settings(max_examples=15, deadline=None)
 @given(moved_structures(SHAPE_BASES), st.sampled_from(["none", "d", "b00", "b01", "b10", "alt", "jac"]),
-       st.integers(0, 200), entries.filter(lambda x: x != 0))
-def test_check_el2_matches_exact_reference(moved, defect, flat_idx, delta):
+       st.integers(0, 200), entries.filter(lambda x: x != 0), st.booleans())
+def test_check_el2_matches_exact_reference(moved, defect, flat_idx, delta, scaled):
     base, phi0, phi1 = moved
     n0, n1 = base.complex.n0, base.complex.n1
-    e = el2.transport(el2.transport(base, phi0, phi1), xla.identity(n0) * Q, xla.identity(n1) * Q)
+    e = el2.transport(base, phi0, phi1)
+    if scaled:
+        e = el2.transport(e, xla.identity(n0) * Q, xla.identity(n1) * Q)
     if defect != "none" and dict(zip(("d", "b00", "b01", "b10", "alt", "jac"), el2._tensors(e)))[defect].size:
         e = plant(e, defect, flat_idx, delta)
-    images = el2._residue_images(el2._integer_copy(e)[0])
-    assert len(images) >= 3 or n0 == 0     # n0 = 0: every tensor is empty
+    if scaled and n0:     # n0 = 0: every tensor is empty
+        ints, _ = el2._integer_copy(e)
+        assert all(len(xla.residue_primes(el2._diagram_bound(ints, terms))) >= 3
+                   for _, terms in el2.RESIDUAL_TERMS.values())
     assert_matches_reference(e)

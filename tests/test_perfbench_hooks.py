@@ -31,17 +31,18 @@ def test_tracer_hooks_resolve(tracer):
 
 
 def test_tracer_records_every_identity_of_check_el2(tracer):
-    """Each identity is evaluated once per prime of the residue screen."""
+    """Each identity is evaluated once per check, on all primes of its
+    residue screen at once."""
     g = catalog.sl2()
     e = el2.transport(el2.string_2_algebra(g, catalog.killing_form(g)),
                       xla.identity(3) * xla.Rat(5, 3), xla.identity(1) * xla.Rat(2, 7))
-    primes = len(el2._residue_images(el2._integer_copy(e)[0]))
-    assert primes >= 2
+    ints, _ = el2._integer_copy(e)
+    assert len(xla.residue_primes(el2._diagram_bound(ints, 2))) >= 2    # every identity is screened on residues
     assert el2.check_el2(e).passed
     names = [rec[0] for rec in tracer.spans]
     assert names.count("el2.check_el2") == 1
     for identity in tracer.identities:
-        assert names.count(f"el2.identity.{identity}") == primes, identity
+        assert names.count(f"el2.identity.{identity}") == 1, identity
 
 
 def test_tracer_records_one_span_per_categorical_check(tracer):
