@@ -3,7 +3,15 @@
 A skeletal structure on a Lie algebra g with module M is a pair of tensors
 (s, j) - the alternator and the Jacobiator - subject to four cocycle
 equations; coboundaries come from a single bilinear map f.  The quotient
-space classifies skeletal structures up to equivalence.  Skew-symmetrization
+space classifies skeletal structures up to equivalence.
+
+Each formula is the one the package already has.  The cocycle equations
+are el2's four coh.* identities on the skeletal structure (d = 0) with
+bracket c, b01 = rho, b10 = -rho^T, alt = s and jac = j; the coboundary of
+f is (f + f(y,x), j_f), with j_f minus morph's Jacobiator residual of the
+morphism (1, 1, f) between skeletal structures with zero Jacobiator.  Both
+formula families name every axis, so the operators are assembled by one
+evaluation over a leading batch of unit cochains.  Skew-symmetrization
 projects this space onto degree-3 Chevalley-Eilenberg cohomology, with
 kernel the alternating bilinear maps on the abelianization, giving the exact
 sequence checked by :func:`exact_sequence_report`.
@@ -35,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,6 +55,10 @@ from .el2 import (
     LieAlgebraFD,
     RepresentationFD,
     _push,
+    _residual_alternator_bracket,
+    _residual_bracket_jacobiator,
+    _residual_jacobiator_sym12,
+    _residual_jacobiator_sym23,
     _scaled,
     check_el2,
     extract_skeletal_data,
@@ -116,59 +129,28 @@ def unflatten_pair(g: LieAlgebraFD, m: RepresentationFD, v: np.ndarray) -> Cocyc
 _COCYCLE_EQUATIONS = ("cocycle.jacobiator", "cocycle.sym12", "cocycle.sym23", "cocycle.alternator")
 
 
-def _act(rho: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Left module action on the output of a tensor: [x, t(...)], with an
-    extra input axis for x at position 1."""
-    return np.tensordot(rho, t, axes=([2], [0]))           # (out, x, inputs...)
+def _skeletal_view(c: np.ndarray, rho: np.ndarray, s: Optional[np.ndarray], j: np.ndarray) -> SimpleNamespace:
+    """The skeletal structure (d = 0) of the bracket c, the action rho and
+    the pair (s, j), as the namespace the formulas of ``el2`` and ``morph``
+    read: b00 = c, b01 = rho, b10 = -rho^T (the right action), alt = s and
+    jac = j.  s and j may carry leading batch axes."""
+    return SimpleNamespace(b00=c, b01=rho, b10=-xla.einsum("kxa->kax", rho), alt=s, jac=j)
 
 
-def _cocycle_equations(c: np.ndarray, rho: np.ndarray, s: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
+def _coherence_residuals(c: np.ndarray, rho: np.ndarray, s: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
     """Residuals of the four cocycle equations (``_COCYCLE_EQUATIONS``) of
-    (s, j) for the bracket c and the action rho.  s and j may carry one
-    trailing batch axis, which every residual keeps."""
-
-    def j_plug(slot: int) -> np.ndarray:
-        """j with the bracket substituted into one slot, axes ordered as
-        (out, x, y, then the two bracket arguments in place)."""
-        return xla.plug(j, slot, c)
-
-    # equation 1 (from the bracket-Jacobiator coherence with d = 0):
-    #  [x, j(y,z,w)] - [y, j(x,z,w)] + [z, j(x,y,w)] + [j(x,y,z), w]
-    #  - j([x,y],z,w) - j(y,[x,z],w) - j(y,z,[x,w])
-    #  + j(x,[y,z],w) + j(x,z,[y,w]) - j(x,y,[z,w]) = 0
-    a1 = _act(rho, j)                                        # (out, x, y, z, w)
-    a2 = a1.swapaxes(1, 2)                                   # [y, j(x,z,w)]
-    a3 = np.moveaxis(a1, 1, 3)                               # [z, j(x,y,w)]
-    a4 = -np.moveaxis(a1, 1, 4)                              # [j(x,y,z), w] = -[w, j(x,y,z)]
-    b1 = j_plug(1)                                           # j([x,y], z, w) as (out, x, y, z, w)
-    b2 = np.swapaxes(j_plug(2), 1, 2)                        # j(y, [x,z], w): plug axes (out, y, x, z, w)
-    b3 = np.moveaxis(j_plug(3), 3, 1)                        # j(y, z, [x,w]): plug axes (out, y, z, x, w)
-    b4 = j_plug(2)                                           # j(x, [y,z], w)
-    b5 = np.moveaxis(j_plug(3), 3, 2)                        # j(x, z, [y,w]): plug axes (out, x, z, y, w)
-    b6 = j_plug(3)                                           # j(x, y, [z,w])
-    eq1 = a1 - a2 + a3 + a4 - b1 - b2 - b3 + b4 + b5 - b6
-
-    # equation 2: j(x,y,z) + j(y,x,z) - [z, s(x,y)] = 0
-    zs = np.moveaxis(_act(rho, s), 1, 3)                     # [z, s(x,y)] as (out, x, y, z)
-    eq2 = j + j.swapaxes(1, 2) - zs
-
-    # equation 3: j(x,y,z) + j(x,z,y) - [x, s(y,z)] + s([x,y], z) + s(y, [x,z]) = 0
-    xs = _act(rho, s)                                        # [x, s(y,z)] as (out, x, y, z)
-    s_b_first = xla.plug(s, 1, c)                            # s([x,y], z): (out, x, y, z)
-    s_b_second = np.swapaxes(xla.plug(s, 2, c), 1, 2)        # s(y, [x,z]): plug axes (out,y,x,z)
-    eq3 = j + j.swapaxes(2, 3) - xs + s_b_first + s_b_second
-
-    # equation 4: s([x,y], z) - s(z, [x,y]) = 0
-    right = np.moveaxis(xla.plug(s, 2, c), 1, 3)             # s(z, [x,y]) -> (out, x, y, z)
-    eq4 = s_b_first - right
-
-    return eq1, eq2, eq3, eq4
+    (s, j): el2's coh.* identities on the skeletal view, the last one
+    relabelled and negated, s([x,y],z) - s(z,[x,y]) at (x, y, z).  s and j
+    may carry leading batch axes, which every residual keeps."""
+    e = _skeletal_view(c, rho, s, j)
+    return (_residual_bracket_jacobiator(e), _residual_jacobiator_sym12(e), _residual_jacobiator_sym23(e),
+            -xla.einsum("kzxy->kxyz", _residual_alternator_bracket(e)))
 
 
 def cocycle_residuals(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> list[tuple[str, np.ndarray]]:
     """The four cocycle equations as residual tensors, on Fractions.  The
     module is acted on from the left; the right action is [a, z] = -[z, a]."""
-    return list(zip(_COCYCLE_EQUATIONS, _cocycle_equations(g.c, m.rho, p.s, p.j)))
+    return list(zip(_COCYCLE_EQUATIONS, _coherence_residuals(g.c, m.rho, p.s, p.j)))
 
 
 def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bool, CheckReport]:
@@ -179,7 +161,7 @@ def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bo
     violating one is divided back by its equation's scale, so the report is
     the Fraction one."""
     den = xla.common_denominator(g.c, m.rho, p.s, p.j)
-    residuals = _cocycle_equations(
+    residuals = _coherence_residuals(
         xla.scaled_ints(g.c, den), xla.scaled_ints(m.rho, den),
         xla.scaled_ints(p.s, den), xla.scaled_ints(p.j, den**2),
     )
@@ -187,16 +169,15 @@ def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bo
     return report.passed, report
 
 
-def _coboundary_terms(c: np.ndarray, rho: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s_f, j_f) of :func:`coboundary`; f may carry one trailing batch axis."""
-    s_f = f + f.swapaxes(1, 2)
-    t1 = _act(rho, f)                                        # [x, f(y,z)]
-    t2 = t1.swapaxes(1, 2)                                   # [y, f(x,z)]
-    t3 = -np.moveaxis(t1, 1, 3)                              # [f(x,y), z] = -[z, f(x,y)]
-    t4 = xla.plug(f, 1, c)                                   # f([x,y], z)
-    t5 = np.swapaxes(xla.plug(f, 2, c), 1, 2)                # f(y, [x,z])
-    t6 = xla.plug(f, 2, c)                                   # f(x, [y,z])
-    return s_f, t1 - t2 - t3 - t4 - t5 + t6
+def _coboundary_jacobiator(c: np.ndarray, rho: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """j_f of :func:`coboundary`: minus the Jacobiator residual of the
+    morphism (1, 1, f) between skeletal structures with zero Jacobiator,
+    with f0 and f1 identities in Python ints.  f may carry leading batch
+    axes."""
+    n, dm = c.shape[0], rho.shape[0]
+    e = _skeletal_view(c, rho, None, np.zeros((dm, n, n, n), dtype=object))
+    ones = SimpleNamespace(src=e, dst=e, f0=np.identity(n, dtype=object), f1=np.identity(dm, dtype=object), f2=f)
+    return -morph_mod._morphism_jacobiator(ones)
 
 
 def coboundary(g: LieAlgebraFD, m: RepresentationFD, f: np.ndarray) -> CocyclePair:
@@ -215,12 +196,13 @@ def coboundary(g: LieAlgebraFD, m: RepresentationFD, f: np.ndarray) -> CocyclePa
         raise ShapeError(f"f has shape {f.shape}, expected {(m.dim, g.dim, g.dim)}")
     den_f = xla.common_denominator(f)
     den, c, rho = _scaled_structure(g, m)
-    s_f, j_f = _coboundary_terms(c, rho, xla.scaled_ints(f, den_f))
-    return CocyclePair(xla.unscaled(s_f, den_f), xla.unscaled(j_f, den * den_f))
+    f = xla.scaled_ints(f, den_f)
+    s_f = f + xla.einsum("kyx->kxy", f)
+    return CocyclePair(xla.unscaled(s_f, den_f), xla.unscaled(_coboundary_jacobiator(c, rho, f), den * den_f))
 
 
 # The operators below are assembled in one evaluation of the formulas above
-# over the whole unit basis, held as a trailing batch axis, on Python ints:
+# over the whole unit basis, held as a leading batch axis, on Python ints:
 # c and rho are scaled by D, their common denominator.
 
 
@@ -231,16 +213,14 @@ def _scaled_structure(g: LieAlgebraFD, m: RepresentationFD) -> tuple[int, np.nda
 
 def _unit_batch(shape: tuple[int, ...]) -> np.ndarray:
     """The unit basis of the given shape in Python ints: the batch axis k
-    (last) holds the k-th basis tensor in row-major order."""
+    (first) holds the k-th basis tensor in row-major order."""
     size = math.prod(shape)
-    out = np.zeros((size, size), dtype=object)
-    np.fill_diagonal(out, 1)
-    return out.reshape(*shape, size)
+    return np.identity(size, dtype=object).reshape(size, *shape)
 
 
 def _batch_rows(t: np.ndarray) -> np.ndarray:
     """A batched tensor as a matrix: one row per entry, one column per batch."""
-    return t.reshape(math.prod(t.shape[:-1]), t.shape[-1])
+    return t.reshape(t.shape[0], math.prod(t.shape[1:])).T
 
 
 def coboundary_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
@@ -248,9 +228,10 @@ def coboundary_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
     structure multiplies the j block by D, which is divided back out."""
     n, dm = g.dim, m.dim
     den, c, rho = _scaled_structure(g, m)
-    s_f, j_f = _coboundary_terms(c, rho, _unit_batch((dm, n, n)))
+    f = _unit_batch((dm, n, n))
+    s_f = f + xla.einsum("kyx->kxy", f)
     return xla.freeze(np.concatenate([xla.unscaled(_batch_rows(s_f), 1),
-                                      xla.unscaled(_batch_rows(j_f), den)]))
+                                      xla.unscaled(_batch_rows(_coboundary_jacobiator(c, rho, f)), den)]))
 
 
 def _cocycle_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
@@ -262,10 +243,10 @@ def _cocycle_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
     den, c, rho = _scaled_structure(g, m)
     split, ambient = dm * n * n, pair_ambient_dim(g, m)
     probes = _unit_batch((ambient,))
-    probes[split:] *= den
-    s = probes[:split].reshape(dm, n, n, ambient)
-    j = probes[split:].reshape(dm, n, n, n, ambient)
-    return xla.freeze(np.concatenate([_batch_rows(e) for e in _cocycle_equations(c, rho, s, j)]))
+    probes[:, split:] *= den
+    s = probes[:, :split].reshape(ambient, dm, n, n)
+    j = probes[:, split:].reshape(ambient, dm, n, n, n)
+    return xla.freeze(np.concatenate([_batch_rows(r) for r in _coherence_residuals(c, rho, s, j)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,9 +584,9 @@ def quasi_inverse_data(
 
     and the 2-morphism theta: (1,g) . (1,f) => identity."""
     theta = xla.as_exact(theta)
-    t1 = np.tensordot(src.b01, theta, axes=([2], [0]))        # [x, theta y]
-    t2 = np.swapaxes(np.tensordot(src.b10, theta, axes=([1], [0])), 1, 2)
-    t3 = xla.postcompose(theta, src.b00)
+    t1 = xla.einsum("kxm,my->kxy", src.b01, theta)            # [x, theta y]
+    t2 = xla.einsum("kmy,mx->kxy", src.b10, theta)            # [theta x, y]
+    t3 = xla.einsum("km,mxy->kxy", theta, src.b00)            # theta [x, y]
     gmat = -np.asarray(f) + t1 + t2 - t3
     back = skeletal_morphism(dst, src, xla.freeze(gmat))
     composite = morph_mod.compose(back, skeletal_morphism(src, dst, f))

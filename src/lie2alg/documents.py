@@ -21,7 +21,9 @@ degree-string keys, its bracket table grouped by arity under ``l1``, ``l2``
 and ``l3``.
 
 A complex may be at most :data:`MAX_COMPLEX_DIM` dimensional in each
-degree, even when its tensors are empty and so cost nothing to write.
+degree, even when its tensors are empty and so cost nothing to write, and
+so may a graded algebra in degrees -2, -1 and 0, from which the symmetry
+constructions build their complexes.
 
 Parse errors report the JSON path of the offending value.  Structural axiom
 violations (a Lie algebra document failing the Jacobi identity, say) surface
@@ -249,6 +251,8 @@ def _dec_graded(v: Any, path: str) -> GradedL3Algebra:
         except ValueError as exc:
             raise ParseError(f"bad degree {k!r}", path + ".dims") from exc
         dims[deg] = _dec_int(d, f"{path}.dims.{k}")
+        _expect(deg not in (-2, -1, 0) or dims[deg] <= MAX_COMPLEX_DIM,
+                f"dimension {dims[deg]} exceeds {MAX_COMPLEX_DIM}", f"{path}.dims.{k}")
     tmp = GradedL3Algebra(dims=dims)
     brackets = {}
     for arity, name in enumerate(("l1", "l2", "l3"), 1):

@@ -197,9 +197,9 @@ class RepresentationFD(TensorRecord):
         # rho scaled by their common denominator: both sides are quadratic
         den = xla.common_denominator(self.algebra.c, self.rho)
         c, rho = xla.scaled_ints(self.algebra.c, den), xla.scaled_ints(self.rho, den)
-        lhs = np.transpose(np.tensordot(rho, c, axes=([1], [0])), (0, 2, 3, 1))
-        comp = np.tensordot(rho, rho, axes=([2], [0]))           # (m, x, y, a)
-        rhs = comp - comp.swapaxes(1, 2)
+        lhs = xla.einsum("mka,kxy->mxya", rho, c)                # rho([x,y]) a
+        comp = xla.einsum("mxb,bya->mxya", rho, rho)             # rho(x) rho(y) a
+        rhs = comp - xla.einsum("myxa->mxya", comp)
         report = check_identities([("module-axiom", lhs - rhs, 2)], den=den)
         if not report.passed:
             raise InvalidStructureError("not a representation", report)

@@ -18,6 +18,11 @@ Composition formulas:
 
 A morphism is an equivalence exactly when its chain map part is a
 quasi-isomorphism.
+
+The identities of morphisms and 2-morphisms are written with
+``exactla.einsum``, every axis named, so a formula reads no axis by
+position: ``cohom`` evaluates the Jacobiator identity over a leading batch
+of bilinear maps f2 for its coboundary operator.
 """
 
 from __future__ import annotations
@@ -77,47 +82,55 @@ def _morphism_identities(m: ELMorphism) -> Iterator[tuple[str, np.ndarray, int]]
     d, dp = src.complex.d, dst.complex.d
     f0, f1, f2 = m.f0, m.f1, m.f2
 
-    yield "chain-map", np.dot(f0, d) - np.dot(dp, f1), 4
+    yield "chain-map", xla.einsum("km,ma->ka", f0, d) - xla.einsum("km,ma->ka", dp, f1), 4
 
     # [f0 x, f0 y]' - f0[x, y] = d' f2(x, y)
-    b00_ff = xla.precompose(xla.precompose(dst.b00, 1, f0), 2, f0)
-    yield "bracket.00", b00_ff - xla.postcompose(f0, src.b00) - xla.postcompose(dp, f2), 6
+    yield "bracket.00", (_pullback(dst.b00, f0, f0) - xla.einsum("km,mxy->kxy", f0, src.b00)
+                         - xla.einsum("km,mxy->kxy", dp, f2)), 6
 
     # [f1 a, f0 y]' - f1[a, y] = f2(da, y)
-    b10_ff = xla.precompose(xla.precompose(dst.b10, 1, f1), 2, f0)
-    f2_da = np.moveaxis(np.tensordot(f2, d, axes=([1], [0])), 2, 1)
-    yield "bracket.10", b10_ff - xla.postcompose(f1, src.b10) - f2_da, 7
+    yield "bracket.10", (_pullback(dst.b10, f1, f0) - xla.einsum("km,may->kay", f1, src.b10)
+                         - xla.einsum("kmy,ma->kay", f2, d)), 7
 
     # [f0 x, f1 b]' - f1[x, b] = f2(x, db)
-    b01_ff = xla.precompose(xla.precompose(dst.b01, 1, f0), 2, f1)
-    f2_db = np.tensordot(f2, d, axes=([2], [0]))
-    yield "bracket.01", b01_ff - xla.postcompose(f1, src.b01) - f2_db, 7
+    yield "bracket.01", (_pullback(dst.b01, f0, f1) - xla.einsum("km,mxb->kxb", f1, src.b01)
+                         - xla.einsum("kxm,mb->kxb", f2, d)), 7
 
     # <f0 x, f0 y>' - f1<x, y> = f2(x, y) + f2(y, x)
-    alt_ff = xla.precompose(xla.precompose(dst.alt, 1, f0), 2, f0)
-    yield "alternator", alt_ff - xla.postcompose(f1, src.alt) - f2 - f2.swapaxes(1, 2), 5
+    yield "alternator", (_pullback(dst.alt, f0, f0) - xla.einsum("km,mxy->kxy", f1, src.alt)
+                         - f2 - xla.einsum("kyx->kxy", f2)), 5
     yield "jacobiator", _morphism_jacobiator(m), 9
+
+
+def _pullback(t: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """t(a x, b y) for a bilinear t, axes (out, x, y)."""
+    return xla.einsum("kxm,my->kxy", xla.einsum("kmy,mx->kxy", t, a), b)
 
 
 def _morphism_jacobiator(m: ELMorphism) -> np.ndarray:
     """Residual of the Jacobiator identity of a morphism (``cohom``'s
-    homotopy transfer solves it for the source Jacobiator):
+    homotopy transfer solves it for the source Jacobiator, and its
+    coboundary is minus it for (1, 1, f) between skeletal structures with
+    zero Jacobiator):
 
         <f0 x, f0 y, f0 z>' - f1<x, y, z> =
           [f0x, f2(y,z)]' - [f0y, f2(x,z)]' - [f2(x,y), f0z]'
-          - f2([x,y], z) - f2(y, [x,z]) + f2(x, [y,z])"""
+          - f2([x,y], z) - f2(y, [x,z]) + f2(x, [y,z])
+
+    Axes (out, x, y, z); four distinct contractions of f2, the second and
+    fifth terms axis permutations of the first and sixth."""
     src, dst = m.src, m.dst
     f0, f1, f2 = m.f0, m.f1, m.f2
-    jac_ff = xla.precompose(xla.precompose(xla.precompose(dst.jac, 1, f0), 2, f0), 3, f0)
-    lhs = jac_ff - xla.postcompose(f1, src.jac)
-    b01p_f0 = xla.precompose(dst.b01, 1, f0)
-    t1 = np.tensordot(b01p_f0, f2, axes=([2], [0]))                       # (k, x, y, z)
-    t2 = np.tensordot(b01p_f0, f2, axes=([2], [0])).swapaxes(1, 2)         # [f0y, f2(x,z)]
-    b10p_f0 = xla.precompose(dst.b10, 2, f0)
-    t3 = np.moveaxis(np.tensordot(b10p_f0, f2, axes=([1], [0])), 1, 3)     # (k, x, y, z)
-    t4 = np.moveaxis(np.tensordot(f2, src.b00, axes=([1], [0])), (2, 3), (1, 2))
-    t5 = np.swapaxes(np.tensordot(f2, src.b00, axes=([2], [0])), 1, 2)
-    t6 = np.tensordot(f2, src.b00, axes=([2], [0]))
+    jac_ff = xla.einsum("kmyz,mx->kxyz", dst.jac, f0)
+    jac_ff = xla.einsum("kxmz,my->kxyz", jac_ff, f0)
+    jac_ff = xla.einsum("kxym,mz->kxyz", jac_ff, f0)
+    lhs = jac_ff - xla.einsum("km,mxyz->kxyz", f1, src.jac)
+    t1 = xla.einsum("kxm,myz->kxyz", xla.einsum("kmb,mx->kxb", dst.b01, f0), f2)    # [f0x, f2(y,z)]'
+    t2 = xla.einsum("kyxz->kxyz", t1)                                              # [f0y, f2(x,z)]'
+    t3 = xla.einsum("kmz,mxy->kxyz", xla.einsum("kam,mz->kaz", dst.b10, f0), f2)    # [f2(x,y), f0z]'
+    t4 = xla.einsum("kmz,mxy->kxyz", f2, src.b00)                                  # f2([x,y], z)
+    t6 = xla.einsum("kxm,myz->kxyz", f2, src.b00)                                  # f2(x, [y,z])
+    t5 = xla.einsum("kyxz->kxyz", t6)                                              # f2(y, [x,z])
     return lhs - (t1 - t2 - t3 - t4 - t5 + t6)
 
 
@@ -125,10 +138,7 @@ def compose(g: ELMorphism, f: ELMorphism) -> ELMorphism:
     """(g . f)^2(x, y) = g2(f0 x, f0 y) + g1 f2(x, y)."""
     if f.dst != g.src:
         raise CompositionError("morphism endpoints do not match")
-    f2 = (
-        xla.precompose(xla.precompose(g.f2, 1, f.f0), 2, f.f0)
-        + xla.postcompose(g.f1, f.f2)
-    )
+    f2 = _pullback(g.f2, f.f0, f.f0) + xla.postcompose(g.f1, f.f2)
     return ELMorphism(f.src, g.dst, np.dot(g.f0, f.f0), np.dot(g.f1, f.f1), f2)
 
 
@@ -179,20 +189,15 @@ def _2morphism_identities(t: ELTwoMorphism) -> Iterator[tuple[str, np.ndarray, i
     dst = f.dst
     d, dp = src.complex.d, dst.complex.d
 
-    yield "homotopy.objects", g.f0 - f.f0 - np.dot(dp, theta), 2
-    yield "homotopy.parts", g.f1 - f.f1 - np.dot(theta, d), 3
+    dtheta = xla.einsum("km,mx->kx", dp, theta)
+    yield "homotopy.objects", g.f0 - f.f0 - dtheta, 2
+    yield "homotopy.parts", g.f1 - f.f1 - xla.einsum("km,ma->ka", theta, d), 3
 
-    t1 = np.tensordot(xla.precompose(dst.b01, 1, f.f0), theta, axes=([2], [0]))
-    t2 = np.swapaxes(
-        np.tensordot(xla.precompose(dst.b10, 2, f.f0), theta, axes=([1], [0])), 1, 2
-    )
-    # t2 axes: b10'[k, m, y-slot after f0] theta[m, x] -> (k, y, x) -> (k, x, y)
-    t3 = xla.postcompose(theta, src.b00)
-    dtheta = np.dot(dp, theta)
-    t4 = np.tensordot(
-        np.tensordot(dst.b01, dtheta, axes=([1], [0])), theta, axes=([1], [0])
-    )
-    # t4 axes: b01'[k, m, b] dtheta[m, x] -> (k, b, x); then theta[b, y] -> (k, x, y)
+    # f2 - g2 = [f0x, theta y]' + [theta x, f0y]' - theta[x, y] - [d'theta x, theta y]'
+    t1 = _pullback(dst.b01, f.f0, theta)
+    t2 = _pullback(dst.b10, theta, f.f0)
+    t3 = xla.einsum("km,mxy->kxy", theta, src.b00)
+    t4 = _pullback(dst.b01, dtheta, theta)
     yield "homotopy.bracket", f.f2 - g.f2 - t1 - t2 + t3 + t4, 5
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import cohom_reference
 from lie2alg import catalog, cohom, defo, dkcore, el2, exactla as xla
 
 
@@ -87,9 +88,9 @@ def homotopy_invariance_trials():
 
 
 def coboundary_reference(g, m, f):
-    """The coboundary formula of ``cohom.coboundary`` evaluated on
+    """The kept coboundary formula (``cohom_reference``) evaluated on
     Fractions, with no scaling."""
-    return cohom.CocyclePair(*cohom._coboundary_terms(g.c, m.rho, xla.as_exact(f)))
+    return cohom.CocyclePair(*cohom_reference._coboundary_terms(g.c, m.rho, xla.as_exact(f)))
 
 
 def rational_basis(g, p):

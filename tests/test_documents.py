@@ -266,6 +266,27 @@ def test_cli_wide_empty_complex_is_input_error(tmp_path, capsys):
     assert cli.main(["check", str(path)]) == 0
 
 
+@pytest.mark.parametrize("dims, flags", [({"-1": 3000, "0": 0, "1": 0}, ["--n", "2"]),
+                                          ({"-2": 3000, "-1": 0, "0": 0, "1": 0}, [])])
+def test_cli_wide_empty_graded_degree_is_input_error(tmp_path, capsys, dims, flags):
+    # an empty degree of a graded algebra becomes a degree of the complex
+    # the symmetry constructions build; 3000 would make residuals of 3000**3
+    wide = next(k for k, v in dims.items() if v)
+    doc = {"kind": "graded_l3", "payload": {"dims": dims}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")))
+    assert cli.main(["inner-sym", str(path), *flags]) == 2
+    assert f"input error: $.payload.dims.{wide}: dimension 3000 exceeds {documents.MAX_COMPLEX_DIM}" in (
+        capsys.readouterr().err)
+    path.write_text(json.dumps({"kind": "mc_problem", "payload": {"graded": doc["payload"], "gamma": {
+        "shape": [0], "entries": []}}}))
+    assert cli.main(["inner-sym", str(path), *flags]) == 2
+    assert f"input error: $.payload.graded.dims.{wide}: dimension 3000" in capsys.readouterr().err
+    # the cap itself is accepted and constructed
+    path.write_text(json.dumps({"kind": "graded_l3", "payload": {"dims": {**dims, wide: documents.MAX_COMPLEX_DIM}}}))
+    assert cli.main(["inner-sym", str(path), *flags]) == 0
+
+
 def test_cli_check_lie_axiom_violation(tmp_path, capsys):
     path = tmp_path / "bad_lie.json"
     path.write_text(

@@ -1,6 +1,7 @@
 """Static checks on the package source: every module uses each name it
 imports, every dataclass holding arrays compares them entry by entry, and
-the tensor checker's formulas name every axis they contract."""
+the formulas of the tensor checker, of morph and of cohom's cocycle
+equations name every axis they contract."""
 
 import ast
 import inspect
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import lie2alg
-from lie2alg import dkcore, el2
+from lie2alg import cohom, dkcore, el2, morph
 
 PACKAGE = Path(lie2alg.__file__).parent
 
@@ -180,9 +181,12 @@ def test_positional_axis_uses_detected():
 
 
 def test_residual_formulas_name_every_axis():
-    """The tensor checker's formulas evaluate stacked residue images, so
-    they use no operation that reads an axis by position."""
+    """The tensor checker's formulas evaluate stacked residue images, and
+    morph's formulas and cohom's cocycle equations take a leading batch of
+    cochains, so they use no operation that reads an axis by position."""
     formulas = [fn for _, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS]
     formulas += [dkcore.chain_b01, dkcore.chain_b10, dkcore.chain_derived]
-    assert {fn.__module__ for fn in formulas} == {"lie2alg.el2", "lie2alg.dkcore"}
+    formulas += [morph._morphism_identities, morph._morphism_jacobiator, morph._2morphism_identities]
+    formulas += [cohom._skeletal_view, cohom._coherence_residuals, cohom._coboundary_jacobiator]
+    assert {fn.__module__ for fn in formulas} == {"lie2alg.el2", "lie2alg.dkcore", "lie2alg.morph", "lie2alg.cohom"}
     assert [use for fn in formulas for use in positional_axis_uses(fn)] == []
