@@ -18,6 +18,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -109,14 +110,24 @@ def cmd_ss(args) -> int:
 
 
 def _representation_from(parsed: ParsedDocument) -> cohom.RepresentationFD:
+    """The module a cohomology document describes, refused with the JSON
+    path of the dimension that makes its cocycle matrix too large."""
     if parsed.kind == "representation":
-        return parsed.obj
-    if parsed.kind == "lie_algebra":
+        rep, paths = parsed.obj, ("$.payload.algebra.dim", "$.payload.dim")
+    elif parsed.kind == "lie_algebra":
         g = parsed.obj
-        return el2.RepresentationFD(g, 1, xla.zeros(1, g.dim, 1))
-    raise ParseError(
-        f"cohomology expects a representation or lie_algebra document, got {parsed.kind!r}"
-    )
+        rep, paths = el2.RepresentationFD(g, 1, xla.zeros(1, g.dim, 1)), ("$.payload.dim",) * 2
+    else:
+        raise ParseError(
+            f"cohomology expects a representation or lie_algebra document, got {parsed.kind!r}"
+        )
+    rows, cols = cohom.cocycle_matrix_shape(rep.algebra.dim, rep.dim)
+    if rows * cols > documents.MAX_COCYCLE_ENTRIES:
+        # the algebra's dimension when it is too large even with a one-dimensional module
+        alone = math.prod(cohom.cocycle_matrix_shape(rep.algebra.dim, 1)) > documents.MAX_COCYCLE_ENTRIES
+        raise ParseError(f"cocycle matrix of {rows} x {cols} entries exceeds {documents.MAX_COCYCLE_ENTRIES}",
+                         paths[0] if alone else paths[1])
+    return rep
 
 
 def cmd_cohomology(args) -> int:

@@ -140,11 +140,17 @@ def _skeletal_view(c: np.ndarray, rho: np.ndarray, s: Optional[np.ndarray], j: n
 def _coherence_residuals(c: np.ndarray, rho: np.ndarray, s: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, ...]:
     """Residuals of the four cocycle equations (``_COCYCLE_EQUATIONS``) of
     (s, j): el2's coh.* identities on the skeletal view, the last one
-    relabelled and negated, s([x,y],z) - s(z,[x,y]) at (x, y, z).  s and j
-    may carry leading batch axes, which every residual keeps."""
+    relabelled and negated (:func:`_cocycle_alternator`).  s and j may carry
+    leading batch axes, which every residual keeps."""
     e = _skeletal_view(c, rho, s, j)
     return (_residual_bracket_jacobiator(e), _residual_jacobiator_sym12(e), _residual_jacobiator_sym23(e),
-            -xla.einsum("kzxy->kxyz", _residual_alternator_bracket(e)))
+            _cocycle_alternator(e))
+
+
+def _cocycle_alternator(e: SimpleNamespace) -> np.ndarray:
+    """s([x,y],z) - s(z,[x,y]) at (x, y, z): coh.alternator-bracket
+    relabelled and negated."""
+    return -xla.einsum("kzxy->kxyz", _residual_alternator_bracket(e))
 
 
 def cocycle_residuals(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> list[tuple[str, np.ndarray]]:
@@ -234,11 +240,21 @@ def coboundary_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
                                       xla.unscaled(_batch_rows(_coboundary_jacobiator(c, rho, f)), den)]))
 
 
+def cocycle_matrix_shape(n: int, dm: int) -> tuple[int, int]:
+    """The (rows, columns) of :func:`_cocycle_matrix` for an algebra of
+    dimension n and a module of dimension dm: one row per entry of the
+    four equations' residuals, one column per coordinate of a pair."""
+    return dm * (n**4 + 3 * n**3), dm * (n**2 + n**3)
+
+
 def _cocycle_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
     """Stacked integer matrix of the four cocycle equations acting on
     flattened pairs.  The Jacobiator probes are scaled by D as well, so the
     rows of equation 1 come out multiplied by D**2 and the others by D: the
-    row space, and with it the kernel, is the exact operator's."""
+    row space, and with it the kernel, is the exact operator's.
+
+    Equation 1 reads only j and equation 4 only s, so each is evaluated on
+    the probes it can see, and its block is zero on the others."""
     n, dm = g.dim, m.dim
     den, c, rho = _scaled_structure(g, m)
     split, ambient = dm * n * n, pair_ambient_dim(g, m)
@@ -246,7 +262,15 @@ def _cocycle_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
     probes[:, split:] *= den
     s = probes[:, :split].reshape(ambient, dm, n, n)
     j = probes[:, split:].reshape(ambient, dm, n, n, n)
-    return xla.freeze(np.concatenate([_batch_rows(r) for r in _coherence_residuals(c, rho, s, j)]))
+    both = _skeletal_view(c, rho, s, j)
+    jacobiator = _batch_rows(_residual_bracket_jacobiator(_skeletal_view(c, rho, None, j[split:])))
+    alternator = _batch_rows(_cocycle_alternator(_skeletal_view(c, rho, s[:split], None)))
+    return xla.freeze(np.concatenate([
+        np.hstack([np.zeros((len(jacobiator), split), dtype=object), jacobiator]),
+        _batch_rows(_residual_jacobiator_sym12(both)),
+        _batch_rows(_residual_jacobiator_sym23(both)),
+        np.hstack([alternator, np.zeros((len(alternator), ambient - split), dtype=object)]),
+    ]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,6 +56,11 @@ from .morph import ELMorphism, ELTwoMorphism
 # (chain.derived), so at most 16**5.
 MAX_COMPLEX_DIM = 16
 
+# The most entries the cocycle matrix of an algebra and module may have
+# (``cohom.cocycle_matrix_shape``), which ``cohomology`` assembles densely
+# before it eliminates: sl3 with the trivial module (5632 x 576) fits.
+MAX_COCYCLE_ENTRIES = 2**22
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, path: str = "$"):

@@ -48,17 +48,24 @@ Both checkers decide their verdicts through one int64 plan
 (:func:`_screened_residuals`), over rows of (name, rank, terms, evaluate):
 ``check_el2``'s identities, written with ``exactla.einsum`` so that one
 formula evaluates Python ints, int64 tensors and stacked residues, and the
-categorical diagrams.  Each row's residual on the integer copy is at most
-its own bound B = terms * n * M**2 (:func:`_diagram_bound`).  When B is
-below 2**63 the row is evaluated once on int64 tensors, exactly, and a
-nonzero residual is reported as it is; otherwise on the residues modulo
-the fewest primes whose product exceeds B, stacked on one leading axis
+categorical diagrams.  Each row declares its terms as data next to its
+formula (``RESIDUAL_TERMS``, the terms column of ``CATEGORICAL_DIAGRAMS``):
+for each term, the one or two tensors it multiplies.  The integer copy
+keeps the height of each tensor, the largest absolute value of its entries,
+and a row's residual on it is at most its own bound B, the sum over its
+terms of n**(factors - 1) times the heights the term multiplies, with n
+the longest contraction (:func:`_diagram_bound`); B also covers the height
+of every tensor the row reads.  When B is below 2**63 the row is evaluated
+once on int64 tensors, exactly, and a nonzero residual is reported as it
+is; the int64 view converts only the tensors whose height fits.
+Otherwise the row is evaluated on the residues modulo the fewest primes
+whose product exceeds B, stacked on one leading axis
 (``exactla.residue_stack``), and only a row nonzero modulo some prime is
 evaluated again on Python ints.  A row no prime set covers is evaluated on
 Python ints only, as the unscreened bodies (``_check_el2_body``,
 ``_categorical_body``) evaluate every row.  Only the plan, the bound and
-``exactla``'s residue helpers are shared: the two checkers' formulas stay
-independent.
+``exactla``'s residue helpers are shared: the two checkers' formulas and
+term tables stay independent.
 
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
 Jacobiator arrow at (x, y, z) is ([x,[y,z]], -jac(x,y,z)), and the bracket of
@@ -342,17 +349,30 @@ RESIDUAL_POWERS: dict[str, int] = {
 }
 
 
-# The rank and the term count of each identity, as in CATEGORICAL_DIAGRAMS:
-# the residual has rank basis slots and is a signed sum of at most terms
-# terms, each an entry or a contraction over one index of two entries.
-RESIDUAL_TERMS: dict[str, tuple[int, int]] = {
-    "chain.b01": (2, 2), "chain.b10": (2, 2), "chain.derived": (2, 2),
-    "skew.00": (2, 3), "skew.10": (2, 3), "skew.01": (2, 3),
-    "jacobi.000": (3, 4), "jacobi.100": (3, 4), "jacobi.010": (3, 4), "jacobi.001": (3, 4),
-    "coh.bracket-jacobiator": (4, 10), "coh.jacobiator-sym12": (3, 3), "coh.jacobiator-sym23": (3, 5),
-    "coh.alternator-bracket": (3, 2),
-    "red.alternator-left": (3, 2), "red.alternator-right": (3, 2), "red.d-alternator": (2, 2),
-    "red.alternator-exact": (2, 2),
+# The rank and the terms of each identity, as in CATEGORICAL_DIAGRAMS: the
+# residual has rank basis slots and is a signed sum of the terms, each an
+# entry of one tensor or a contraction over one index of entries of two,
+# named as in _heights (d, then AXES), in the order the formula adds them.
+RESIDUAL_TERMS: dict[str, tuple[int, tuple[tuple[str, ...], ...]]] = {
+    "chain.b01": (2, (("d", "b01"), ("b00", "d"))),
+    "chain.b10": (2, (("d", "b10"), ("b00", "d"))),
+    "chain.derived": (2, (("b01", "d"), ("b10", "d"))),
+    "skew.00": (2, (("b00",), ("b00",), ("d", "alt"))),
+    "skew.10": (2, (("b10",), ("b01",), ("alt", "d"))),
+    "skew.01": (2, (("b01",), ("b10",), ("alt", "d"))),
+    "jacobi.000": (3, (("b00", "b00"),) * 3 + (("d", "jac"),)),
+    "jacobi.100": (3, (("b10", "b00"), ("b10", "b10"), ("b01", "b10"), ("jac", "d"))),
+    "jacobi.010": (3, (("b01", "b10"), ("b10", "b01"), ("b10", "b00"), ("jac", "d"))),
+    "jacobi.001": (3, (("b01", "b01"), ("b01", "b00"), ("b01", "b01"), ("jac", "d"))),
+    "coh.bracket-jacobiator": (4, (("b10", "jac"), ("jac", "b00")) + (("b01", "jac"),) * 3
+                               + (("jac", "b00"),) * 5),
+    "coh.jacobiator-sym12": (3, (("jac",), ("jac",), ("b10", "alt"))),
+    "coh.jacobiator-sym23": (3, (("jac",), ("jac",), ("b01", "alt"), ("alt", "b00"), ("alt", "b00"))),
+    "coh.alternator-bracket": (3, (("alt", "b00"),) * 2),
+    "red.alternator-left": (3, (("b10", "alt"),) * 2),
+    "red.alternator-right": (3, (("b01", "alt"),) * 2),
+    "red.d-alternator": (2, (("d", "alt"),) * 2),
+    "red.alternator-exact": (2, (("alt", "d"),) * 2),
 }
 
 
@@ -415,12 +435,36 @@ def _width(e: EL2Algebra) -> int:
 _CHUNK_ENTRIES = 2**19
 
 
-def _diagram_bound(e: SimpleNamespace, terms: int) -> int:
-    """``terms * n * M**2`` for a signed sum of at most ``terms`` terms (as
-    in RESIDUAL_TERMS and CATEGORICAL_DIAGRAMS) on an integer copy of width
-    n (:func:`_width`) and ``height`` M: no entry of the residual, nor of
-    any array its evaluation builds, exceeds it."""
-    return terms * _width(e) * e.height**2
+def _heights(e: SimpleNamespace) -> dict[str, int]:
+    """The height of each tensor of the integer copy ``e`` of a structure,
+    keyed d, then as in :data:`AXES`."""
+    return dict(zip(("d", *AXES), e.heights))
+
+
+def _diagram_bound(e: SimpleNamespace, terms: Sequence[tuple[str, ...]]) -> int:
+    """The bound of a row (as in RESIDUAL_TERMS and CATEGORICAL_DIAGRAMS)
+    on the integer copy ``e`` of width n (:func:`_width`): the sum over its
+    terms of n**(factors - 1) times the heights of the tensors the term
+    multiplies, or the height of a tensor the row reads when that is larger.
+    No entry of the residual, of any array its evaluation builds, nor of any
+    tensor it reads exceeds it."""
+    heights, n = _heights(e), _width(e)
+    total = sum(n ** (len(factors) - 1) * math.prod(heights[t] for t in factors) for factors in terms)
+    return max([total] + [heights[t] for factors in terms for t in factors])
+
+
+def _row_plan(e: SimpleNamespace, terms: Sequence[tuple[str, ...]]) -> Optional[tuple[int, ...]]:
+    """How :func:`_screened_residuals` decides a row with these terms on
+    ``e``: () in int64, the primes of its residues, or None on Python ints,
+    the last also when len(terms) contractions of two residues could reach
+    2**63."""
+    if len(terms) * _width(e) * max(e.heights, default=0) ** 2 < 2**63:
+        return ()       # terms * n * M**2, M the largest height, bounds every row: no sum needed
+    bound = _diagram_bound(e, terms)
+    if bound < 2**63:
+        return ()
+    fits = len(terms) * _width(e) * xla.RESIDUE_PRIMES[0] ** 2 < 2**63     # the bound at height p
+    return xla.residue_primes(bound) if fits else None
 
 
 def _plain_residuals(e: SimpleNamespace, rows: Sequence) -> Iterator[tuple[str, np.ndarray]]:
@@ -431,22 +475,18 @@ def _plain_residuals(e: SimpleNamespace, rows: Sequence) -> Iterator[tuple[str, 
 
 def _screened_residuals(e: SimpleNamespace, rows: Sequence) -> Iterator[tuple[str, np.ndarray]]:
     """The nonzero residuals of the integer copy ``e`` in order, each row
-    of (name, rank, terms, evaluate) decided in int64 as the module
-    docstring says: its plan is () for int64 entries, the primes of its
-    residues, or None for Python ints, the last also when terms
-    contractions of two residues could reach 2**63.
+    of (name, rank, terms, evaluate) decided as its :func:`_row_plan` says.
+    The int64 view holds the tensors whose height fits in int64, and None
+    for the others, which no row decided in int64 reads.
 
     ``evaluate(view, primes)`` gives the row's residual on a view: with
     ``primes`` None, on the view's tensors as they are; with an int64
     vector of primes, on residue images stacked on one leading axis, one
     per prime, to be reduced by :func:`_on_residues`."""
-    plans = {}
-    for name, _, terms, _ in rows:
-        bound = _diagram_bound(e, terms)
-        fits = terms * _width(e) * xla.RESIDUE_PRIMES[0] ** 2 < 2**63     # the bound at height p
-        plans[name] = () if bound < 2**63 else xla.residue_primes(bound) if fits else None
+    plans = {name: _row_plan(e, terms) for name, _, terms, _ in rows}
     if () in plans.values():
-        exact = _view(e, lambda t, k: t.astype(np.int64))
+        fits = iter([h < 2**63 for h in e.heights])
+        exact = _view(e, lambda t, k: t.astype(np.int64) if next(fits) else None)
     if any(plans.values()):
         images = iter(xla.residue_stack(_tensors(e), max(filter(None, plans.values()), key=len)))
         stack = _view(e, lambda t, k: next(images))
@@ -474,10 +514,15 @@ def _flagged(evaluate: Callable, rank: int, stack: SimpleNamespace, primes: Sequ
 
 
 def _on_residues(evaluate: Callable, image: SimpleNamespace, primes: Sequence[int]) -> np.ndarray:
-    """A row's residual on stacked residue images modulo ``primes``, reduced."""
+    """A row's residual on stacked residue images modulo ``primes``, reduced
+    in place when the residual is a fresh writeable array, one that shares
+    no memory with the images."""
     mods = np.array(primes, dtype=np.int64)
     r = evaluate(image, mods)
-    return r % mods.reshape((-1,) + (1,) * (r.ndim - 1))
+    mods = mods.reshape((-1,) + (1,) * (r.ndim - 1))
+    if r.flags.writeable and not any(np.may_share_memory(r, t) for t in _tensors(image)):
+        return np.remainder(r, mods, out=r)
+    return r % mods
 
 
 def is_semistrict(e: EL2Algebra) -> bool:
@@ -703,9 +748,9 @@ def _integer_copy(x) -> tuple[SimpleNamespace, int]:
     (``TensorRecord.integer_form``): den is the lcm of their dens, a common
     denominator of every entry, and the view tensor is the form's ints times
     ``den**k // den_t``, with k its power in :func:`_view`; a factor of 1
-    takes the form's array as it is.  The view's ``height``, the largest
-    absolute value of its entries, is the largest ``height_t`` times its
-    factor."""
+    takes the form's array as it is.  The view's ``heights`` are the
+    largest absolute values of its tensors' entries, in the order of
+    :func:`_tensors`: each ``height_t`` times its factor."""
     forms = [owner.integer_form(name) for owner, name in _slots(x)]
     den = math.lcm(*(form.den for form in forms))
     heights = []
@@ -717,7 +762,7 @@ def _integer_copy(x) -> tuple[SimpleNamespace, int]:
         return ints if factor == 1 else xla.freeze(ints * factor)
 
     view = _view(x, scale)
-    view.height = max(heights, default=0)
+    view.heights = tuple(heights)
     return view, den
 
 
@@ -818,9 +863,11 @@ class _GammaEvaluator:
         kept = [t for t in terms if t is not None]
         if not kept:
             # zeros of the tensors' dtype: a Fraction constant would turn the
-            # integer-scaled run back into Fraction arithmetic
+            # integer-scaled run back into Fraction arithmetic.  b00 is None
+            # only in the int64 view, when it is too wide for int64
             lead = () if self.mod is None else self.mod.shape[:1]
-            return np.zeros(lead + (n,) + (1,) * self.rank, dtype=self.e.b00.dtype)
+            dtype = np.int64 if self.e.b00 is None else self.e.b00.dtype
+            return np.zeros(lead + (n,) + (1,) * self.rank, dtype=dtype)
         if len(kept) == 1:
             return kept[0]
         total = sum(kept[1:], kept[0])
@@ -1070,21 +1117,30 @@ def _cat_triangle_symm(ev: _GammaEvaluator) -> np.ndarray:
 
 
 # (name, rank, terms, diagram) in report order: rank is the number of basis
-# slots, and the residual is a signed sum of at most ``terms`` terms, each an
-# entry or a contraction over one index of two entries.
-CATEGORICAL_DIAGRAMS: tuple[tuple[str, int, int, Callable[[_GammaEvaluator], np.ndarray]], ...] = (
-    ("cat.target.b01", 2, 2, _cat_target_b01),
-    ("cat.target.b10", 2, 2, _cat_target_b10),
-    ("cat.compose", 2, 2, _cat_compose),
-    ("cat.alternator.arrow", 2, 3, _cat_alternator_arrow),
-    ("cat.alternator.nat10", 2, 3, _cat_alternator_nat10),
-    ("cat.alternator.nat01", 2, 3, _cat_alternator_nat01),
-    ("cat.jacobiator.arrow", 3, 4, _cat_jacobiator_arrow),
-    ("cat.jacobiator.nat100", 3, 4, _cat_jacobiator_nat100),
-    ("cat.jacobiator.nat010", 3, 4, _cat_jacobiator_nat010),
-    ("cat.jacobiator.nat001", 3, 4, _cat_jacobiator_nat001),
-    ("cat.pentagon", 4, 10, _cat_pentagon),
-    ("cat.triangle-sym12", 3, 3, _cat_triangle_sym12),
-    ("cat.square-sym23", 3, 5, _cat_square_sym23),
-    ("cat.triangle-symm", 3, 2, _cat_triangle_symm),
+# slots, and the residual is a signed sum of the terms, each an entry of one
+# tensor or a contraction over one index of entries of two, named as in
+# _heights, in the order the diagram adds them.
+CATEGORICAL_DIAGRAMS: tuple[tuple[str, int, tuple[tuple[str, ...], ...], Callable[[_GammaEvaluator], np.ndarray]],
+                            ...] = (
+    ("cat.target.b01", 2, (("d", "b01"), ("b00", "d")), _cat_target_b01),
+    ("cat.target.b10", 2, (("d", "b10"), ("b00", "d")), _cat_target_b10),
+    ("cat.compose", 2, (("b01", "d"), ("b10", "d")), _cat_compose),
+    ("cat.alternator.arrow", 2, (("b00",), ("d", "alt"), ("b00",)), _cat_alternator_arrow),
+    ("cat.alternator.nat10", 2, (("b10",), ("alt", "d"), ("b01",)), _cat_alternator_nat10),
+    ("cat.alternator.nat01", 2, (("b01",), ("alt", "d"), ("b10",)), _cat_alternator_nat01),
+    ("cat.jacobiator.arrow", 3, (("b00", "b00"), ("d", "jac"), ("b00", "b00"), ("b00", "b00")),
+     _cat_jacobiator_arrow),
+    ("cat.jacobiator.nat100", 3, (("b10", "b00"), ("jac", "d"), ("b10", "b10"), ("b01", "b10")),
+     _cat_jacobiator_nat100),
+    ("cat.jacobiator.nat010", 3, (("b01", "b10"), ("jac", "d"), ("b10", "b01"), ("b10", "b00")),
+     _cat_jacobiator_nat010),
+    ("cat.jacobiator.nat001", 3, (("b01", "b01"), ("jac", "d"), ("b01", "b00"), ("b01", "b01")),
+     _cat_jacobiator_nat001),
+    ("cat.pentagon", 4, (("b01", "jac"), ("jac", "b00"), ("jac", "b00"), ("b10", "jac"), ("b01", "jac"),
+                         ("jac", "b00"), ("jac", "b00"), ("b01", "jac"), ("jac", "b00"), ("jac", "b00")),
+     _cat_pentagon),
+    ("cat.triangle-sym12", 3, (("b10", "alt"), ("jac",), ("jac",)), _cat_triangle_sym12),
+    ("cat.square-sym23", 3, (("b01", "alt"), ("jac",), ("jac",), ("alt", "b00"), ("alt", "b00")),
+     _cat_square_sym23),
+    ("cat.triangle-symm", 3, (("alt", "b00"), ("alt", "b00")), _cat_triangle_symm),
 )

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from categorical_reference import categorical_reference
 from conftest import perturb, twisted_nonskeletal
 from lie2alg import dkcore, el2, exactla as xla
-from test_integer_path import SHAPE_BASES, Q, entries, int_columns_only, moved_structures
+from test_integer_path import SHAPE_BASES, Q, entries, int_columns_only, moved_structures, plan_kind, wide_everywhere
 
 STOPS = (None, 1, 3)
 TENSORS = ("d", "b00", "b01", "b10", "alt", "jac")
@@ -105,9 +105,10 @@ def test_independent_of_tensor_checker(monkeypatch, el2_corpus):
 # ---------------------------------------------------------------------------
 
 def wide(e):
-    """e moved along Q on both degrees: the integer copy has entries of at
-    least 31 bits, so every diagram's bound exceeds 2**63 and the diagram
-    is decided on stacked residues."""
+    """e moved along Q on both degrees: each nonzero tensor of the integer
+    copy has entries of at least 31 bits, so when every tensor is nonzero
+    every diagram's bound exceeds 2**63 and the diagram is decided on
+    stacked residues."""
     return el2.transport(e, xla.identity(e.complex.n0) * Q, xla.identity(e.complex.n1) * Q)
 
 
@@ -115,11 +116,7 @@ def modes(e):
     """How the checker decides each diagram of e: on int64 entries, on
     stacked residues, or on Python ints."""
     ints, _ = el2._integer_copy(e)
-    out = {}
-    for name, _, terms, _ in el2.CATEGORICAL_DIAGRAMS:
-        bound = el2._diagram_bound(ints, terms)
-        out[name] = "int64" if bound < 2**63 else "residues" if xla.residue_primes(bound) else "ints"
-    return out
+    return {name: plan_kind(el2._row_plan(ints, terms)) for name, _, terms, _ in el2.CATEGORICAL_DIAGRAMS}
 
 
 @pytest.fixture
@@ -202,7 +199,7 @@ def test_screen_with_too_few_primes_passes_a_defect(monkeypatch):
     product = math.prod(xla.RESIDUE_PRIMES[:k])
     bad = perturb(el2.zero_el2(3, 1), "jac", 5, F(product))       # jac[0, 0, 1, 2]
     ints, den = el2._integer_copy(bad)
-    assert den == 1 and ints.height == product
+    assert den == 1 and max(ints.heights) == product
     want = el2._categorical_body(ints, 1, None)
     assert want.equations_violated() == ("cat.triangle-sym12", "cat.square-sym23")
     assert {abs(x) for v in want.violations for x in v.residual} == {product}
@@ -216,17 +213,24 @@ def test_screen_with_too_few_primes_passes_a_defect(monkeypatch):
 
 
 def test_int64_only_below_2_63(evaluations):
-    """On a (1, 1) structure of height M, cat.compose is bounded by 2 * M**2:
-    decided exactly in int64 for M = 2**31 - 1, on residues for M = 2**31."""
+    """On a valid (1, 1) structure with d, b00, b01 and b10 of height M,
+    cat.compose ([da,b] - [a,db]) is bounded by 2 * M**2: decided exactly
+    in int64 for M = 2**31 - 1, on residues for M = 2**31."""
     for height, kind in ((2**31 - 1, "int64"), (2**31, "residues")):
-        e = perturb(el2.zero_el2(1, 1), "d", 0, F(height))
+        e = el2.zero_el2(1, 1)
+        for name, value in (("d", height), ("b00", height), ("b01", height), ("b10", height), ("alt", 2),
+                            ("jac", -height)):
+            e = perturb(e, name, 0, F(value))
+        ints, _ = el2._integer_copy(e)
+        terms = {name: t for name, _, t, _ in el2.CATEGORICAL_DIAGRAMS}["cat.compose"]
+        assert el2._diagram_bound(ints, terms) == 2 * height**2
         evaluations.clear()
         assert el2.categorical_coherence_check(e).passed
         assert evaluations[("cat.compose", kind)] == 1
 
 
 def test_falls_back_to_python_ints_beyond_the_prime_table(evaluations):
-    bad = perturb(el2.zero_el2(3, 1), "jac", 5, F(2**900 + 1, 3))
+    bad = wide_everywhere(el2.zero_el2(3, 1), F(2**900 + 1, 3))
     assert set(modes(bad).values()) == {"ints"}
     assert_matches_reference(bad)
     assert {kind for _, kind in evaluations} == {"ints"}

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -285,6 +286,40 @@ def test_cli_wide_empty_graded_degree_is_input_error(tmp_path, capsys, dims, fla
     # the cap itself is accepted and constructed
     path.write_text(json.dumps({"kind": "graded_l3", "payload": {"dims": {**dims, wide: documents.MAX_COMPLEX_DIM}}}))
     assert cli.main(["inner-sym", str(path), *flags]) == 0
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_cli_cohomology_of_a_wide_zero_algebra_is_input_error(tmp_path, capsys, n):
+    # an all-zero bracket of dimension 12 (5 KB) or 20 (24 KB): its cocycle
+    # matrix would have 25920 x 1872 or 184000 x 8400 entries
+    doc = {"kind": "lie_algebra", "payload": {"dim": n, "c": {"shape": [n, n, n], "entries": [0] * n**3}}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")))
+    for flags in (["--ce"], []):
+        assert cli.main(["cohomology", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "input error: $.payload.dim: cocycle matrix of" in err
+        assert f"exceeds {documents.MAX_COCYCLE_ENTRIES}" in err
+    rows, cols = cohom.cocycle_matrix_shape(n, 1)
+    assert rows * cols > documents.MAX_COCYCLE_ENTRIES
+
+
+def test_cli_cohomology_of_a_wide_module_is_input_error(tmp_path, capsys):
+    # sl2 with a trivial module of dimension 48: the algebra alone fits
+    g = catalog.sl2()
+    rep = el2.RepresentationFD(g, 48, xla.zeros(48, 3, 48))
+    path = tmp_path / "wide_module.json"
+    path.write_text(documents.serialize(rep))
+    assert cli.main(["cohomology", str(path)]) == 2
+    assert "input error: $.payload.dim: cocycle matrix of" in capsys.readouterr().err
+
+
+def test_cocycle_matrix_cap_admits_the_fixtures():
+    # the largest cohomology inputs of the goldens and of sl3 with the
+    # trivial module fit under the cap, and the shape is the assembled one
+    assert math.prod(cohom.cocycle_matrix_shape(8, 1)) <= documents.MAX_COCYCLE_ENTRIES
+    g, m = catalog.sl2(), catalog.adjoint_rep(catalog.sl2())
+    assert cohom._cocycle_matrix(g, m).shape == cohom.cocycle_matrix_shape(3, 3)
 
 
 def test_cli_check_lie_axiom_violation(tmp_path, capsys):

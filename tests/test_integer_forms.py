@@ -6,7 +6,7 @@ A record derives each tensor's integer form once
 into the view each check runs on.  The reference kept here clears
 denominators the way the checkers did before the memo: one common
 denominator over every entry, a per-entry ``scaled_ints`` of each tensor at
-its power, and the view's height read off a scan of its entries.  Views and
+its power, and each tensor's height read off a scan of its entries.  Views and
 reports must be the same, and the memo must neither go stale nor outlive its
 record.
 """
@@ -32,7 +32,7 @@ def reference_copy(x):
     """The integer view of x as the checkers built it before the memo."""
     den = xla.common_denominator(*el2._tensors(x))
     view = el2._view(x, lambda t, k: xla.scaled_ints(t, den**k))
-    view.height = max((abs(v) for t in el2._tensors(view) for v in t.flat), default=0)
+    view.heights = tuple(max((abs(v) for v in t.flat), default=0) for t in el2._tensors(view))
     return view, den
 
 
@@ -46,7 +46,7 @@ def assert_same_view(x):
     got, den = el2._integer_copy(x)
     want, want_den = reference_copy(x)
     assert den == want_den
-    assert got.height == want.height
+    assert got.heights == want.heights
     for a, b in zip(el2._tensors(got), el2._tensors(want), strict=True):
         assert a.shape == b.shape and a.tolist() == b.tolist()
         assert all(type(v) is int for v in a.flat)
@@ -95,7 +95,7 @@ def test_el2_corpus_matches_reference(el2_corpus):
 def test_shapes_without_arrows_or_objects_match_reference():
     for e in (lie_only(catalog.sl2()), el2.zero_el2(0, 2, xla.zeros(0, 2))):
         assert all(r.passed for r in assert_matches_reference(e, STRUCTURE_CHECKS))
-        assert el2._integer_copy(e)[0].height == (0 if e.complex.n0 == 0 else 2)
+        assert max(el2._integer_copy(e)[0].heights) == (0 if e.complex.n0 == 0 else 2)
 
 
 def morphism_corpus():

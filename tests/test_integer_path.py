@@ -398,11 +398,19 @@ def el2_modes(e):
     """How check_el2 decides each identity of e: on int64 entries, on
     stacked residues, or on Python ints."""
     ints, _ = el2._integer_copy(e)
-    out = {}
-    for name, (_, terms) in el2.RESIDUAL_TERMS.items():
-        bound = el2._diagram_bound(ints, terms)
-        out[name] = "int64" if bound < 2**63 else "residues" if xla.residue_primes(bound) else "ints"
-    return out
+    return {name: plan_kind(el2._row_plan(ints, terms)) for name, (_, terms) in el2.RESIDUAL_TERMS.items()}
+
+
+def plan_kind(plan):
+    return "int64" if plan == () else "residues" if plan else "ints"
+
+
+def wide_everywhere(e, delta):
+    """e with delta added to the first entry of each of its six tensors, so
+    that every tensor of the integer copy is about as tall as delta."""
+    for name in ("d", "b00", "b01", "b10", "alt", "jac"):
+        e = plant(e, name, 0, delta)
+    return e
 
 
 @pytest.fixture
@@ -429,6 +437,7 @@ def test_failing_check_evaluates_only_failing_identities_on_ints(coprime_structu
     modulo some prime is nonzero, and never when it is zero modulo every
     prime; one decided exactly in int64 never reaches them."""
     base, _, _, e = coprime_structure
+    e = el2.transport(e, xla.identity(3) * Q, xla.identity(3) * Q)    # every tensor of at least 68 bits
     for bad, mode in ((plant(e, "jac", 5, F(1, 23)), "residues"), (plant(base, "jac", 5, F(1, 23)), "int64")):
         assert set(el2_modes(bad).values()) == {mode}
         want = el2._check_el2_body(*el2._integer_copy(bad), None)
@@ -701,11 +710,12 @@ def test_residue_stack_and_prime_count():
 def test_residues_need_terms_of_width_products_below_2_63(identity_evaluations, monkeypatch):
     """Ten terms of n products of two residues stay below 2**63 up to
     n = 204: at width 205, coh.bracket-jacobiator (ten terms) is evaluated
-    on Python ints only, while the others are still decided on residues."""
+    on Python ints only, while the others are still decided on residues
+    (every tensor is wider than int64)."""
     first = xla.RESIDUE_PRIMES[0]
     assert 10 * 204 * first**2 < 2**63 <= 10 * 205 * first**2
     assert 5 * 205 * first**2 < 2**63
-    e = plant(el2.zero_el2(3, 1), "jac", 5, F(2**40))
+    e = wide_everywhere(el2.zero_el2(3, 1), F(2**64))
     monkeypatch.setattr(el2, "_width", lambda e: 205)
     assert el2.check_el2(e).render() == el2._check_el2_body(e, 1, None).render()
     kinds = collections.defaultdict(set)
@@ -717,7 +727,7 @@ def test_residues_need_terms_of_width_products_below_2_63(identity_evaluations, 
 
 def test_check_el2_falls_back_beyond_the_prime_table(identity_evaluations):
     huge = F(2**900 + 1, 3)
-    e = plant(el2.zero_el2(3, 1), "jac", 5, huge)
+    e = wide_everywhere(el2.zero_el2(3, 1), huge)
     assert set(el2_modes(e).values()) == {"ints"}
     assert_matches_reference(e)
     assert not el2.check_el2(e).passed
@@ -748,38 +758,44 @@ def magnitude(x):
     return x.bound if isinstance(x, Magnitude) else abs(x)
 
 
-def bound_views(n0, n1, largest):
-    """Views of the shape (n0, n1) with every entry -largest: on Python
-    ints, on int64 entries, on Magnitudes, and on residues modulo the first
-    two primes stacked on a leading axis."""
+# Distinct heights for d, b00, b01, b10, alt and jac, so that a term table
+# naming a wrong tensor, or missing or adding a term, shows in its bound.
+HEIGHTS = (2, 3, 5, 7, 11, 13)
+
+
+def bound_views(n0, n1):
+    """Views of the shape (n0, n1) with every entry of each tensor minus its
+    height in HEIGHTS: on Python ints, on int64 entries, on Magnitudes, and
+    on residues modulo the first two primes stacked on a leading axis."""
     shapes = [t.shape for t in el2._tensors(el2.zero_el2(n0, n1))]
 
-    def view(tensors, height):
+    def view(tensors):
         d, b00, b01, b10, alt, jac = tensors
-        return SimpleNamespace(complex=SimpleNamespace(n0=n0, n1=n1, d=d), b00=b00, b01=b01,
-                               b10=b10, alt=alt, jac=jac, height=height)
+        return SimpleNamespace(complex=SimpleNamespace(n0=n0, n1=n1, d=d), b00=b00, b01=b01, b10=b10, alt=alt,
+                               jac=jac, heights=tuple(h if math.prod(shape) else 0 for h, shape in zip(HEIGHTS, shapes)))
 
-    objects = view([np.full(shape, -largest, dtype=object) for shape in shapes], largest if n0 else 0)
-    ints = view([np.full(shape, -largest, dtype=np.int64) for shape in shapes], largest if n0 else 0)
-    mags = view([np.full(shape, Magnitude(largest), dtype=object) for shape in shapes], largest)
-    residues = view(xla.residue_stack(el2._tensors(ints), xla.RESIDUE_PRIMES[:2]), 0)
+    objects = view([np.full(shape, -h, dtype=object) for h, shape in zip(HEIGHTS, shapes)])
+    ints = view([np.full(shape, -h, dtype=np.int64) for h, shape in zip(HEIGHTS, shapes)])
+    mags = view([np.full(shape, Magnitude(h), dtype=object) for h, shape in zip(HEIGHTS, shapes)])
+    residues = view(xla.residue_stack(el2._tensors(ints), xla.RESIDUE_PRIMES[:2]))
     return objects, ints, mags, residues
 
 
-def assert_rows_within_bounds(rows, n0, n1, largest, attained):
+def assert_rows_within_bounds(rows, n0, n1):
     """Each row's residual on Magnitudes stays within its bound, with
-    equality for the row named ``attained`` when n0 = n1; its int64
-    evaluation equals the Python-int one, and its reduced residue image
-    equals the exact residual modulo each prime."""
-    objects, ints, mags, residues = bound_views(n0, n1, largest)
+    equality when n0 = n1 > 0, where every term attains its product of
+    heights; its int64 evaluation equals the Python-int one, and its reduced
+    residue image equals the exact residual modulo each prime."""
+    objects, ints, mags, residues = bound_views(n0, n1)
     primes = xla.RESIDUE_PRIMES[:2]
     for name, _, terms, evaluate in rows:
         bound = el2._diagram_bound(ints, terms)
-        assert bound == (terms * max(n0, n1, 1) * largest**2 if n0 else 0)   # n0 = 0: every tensor is empty
+        if not n0:     # every tensor is empty
+            assert bound == 0
         worst = max((magnitude(x) for x in np.asarray(evaluate(mags, None)).flat), default=0)
         assert worst <= bound, name
-        if n0 == n1 and name == attained:
-            assert worst == bound
+        if n0 == n1 > 0:
+            assert worst == bound, name
         exact = evaluate(ints, None)
         assert exact.dtype == np.int64
         assert exact.tolist() == evaluate(objects, None).tolist()
@@ -791,15 +807,15 @@ def assert_rows_within_bounds(rows, n0, n1, largest, attained):
 
 @pytest.mark.parametrize("n0, n1", [(3, 3), (2, 4), (4, 2), (1, 1), (0, 3), (3, 0)])
 def test_identity_bounds_cover_every_identity(n0, n1):
-    """Each identity, evaluated on tensors of height M, stays within its
-    own bound terms * n * M**2 (RESIDUAL_TERMS)."""
-    assert_rows_within_bounds(el2._identity_rows(), n0, n1, 7, "coh.bracket-jacobiator")
+    """Each identity, evaluated on tensors of distinct heights, stays within
+    the bound of its own terms (RESIDUAL_TERMS), and attains it."""
+    assert_rows_within_bounds(el2._identity_rows(), n0, n1)
 
 
 @pytest.mark.parametrize("n0, n1", [(3, 3), (2, 4), (4, 2), (1, 1), (0, 3), (3, 0)])
 def test_diagram_bounds_cover_every_diagram(n0, n1, monkeypatch):
     """Each categorical diagram, evaluated by the int64 mode's evaluator on
-    tensors of height M, stays within the bound its screen uses; every
+    tensors of distinct heights, stays within the bound its screen uses; every
     product in it is of a tensor entry and at most one batched entry, which
     on stacked residues lies in (-p, p), and is reduced."""
     operands = []
@@ -815,8 +831,56 @@ def test_diagram_bounds_cover_every_diagram(n0, n1, monkeypatch):
         return out
 
     monkeypatch.setattr(el2._GammaEvaluator, "_apply", counted)
-    assert_rows_within_bounds(el2._diagram_rows(), n0, n1, 7, "cat.pentagon")
+    assert_rows_within_bounds(el2._diagram_rows(), n0, n1)
     assert operands and max(operands) == 1
+
+
+@pytest.mark.parametrize("rows", [el2._identity_rows, el2._diagram_rows])
+def test_a_term_table_missing_a_term_fails_its_bound(rows):
+    """A row whose term table misses any one of its terms is caught: on
+    distinct heights its residual exceeds the bound of the terms left."""
+    for name, rank, terms, evaluate in rows():
+        for k in range(len(terms)):
+            with pytest.raises(AssertionError):
+                assert_rows_within_bounds([(name, rank, terms[:k] + terms[k + 1:], evaluate)], 3, 3)
+
+
+def test_one_wide_tensor_leaves_the_others_in_int64(identity_evaluations):
+    """A tensor wider than int64 is left out of the int64 view, so casting
+    it cannot fail: the identities that do not read it are still decided in
+    int64, the others on residues, and both checkers give their unscreened
+    bodies' reports."""
+    e = plant(plant(el2.zero_el2(3, 1), "b00", 1, F(3)), "jac", 5, F(2**70))
+    ints, _ = el2._integer_copy(e)
+    assert max(ints.heights) == 2**70
+    modes = el2_modes(e)
+    for name, (_, terms) in el2.RESIDUAL_TERMS.items():
+        reads_jac = any("jac" in factors for factors in terms)
+        assert modes[name] == ("residues" if reads_jac else "int64"), name
+    assert_matches_reference(e)
+    identity_evaluations.clear()
+    el2.check_el2(e)
+    assert {kind for (name, kind) in identity_evaluations if name == "skew.00"} == {"int64"}
+    assert {kind for (name, kind) in identity_evaluations if name == "coh.jacobiator-sym12"} >= {"residues"}
+    for stop_after in (None, 1):
+        assert (el2.categorical_coherence_check(e, stop_after=stop_after).render(10**6)
+                == el2._categorical_body(*el2._integer_copy(e), stop_after).render(10**6))
+
+
+def test_row_reading_a_wide_tensor_with_zero_products_is_not_int64():
+    """skew.00 multiplies d by alt; with d zero its products are all 0, but
+    it still reads alt, which is too wide for int64: its bound covers that
+    height, so it is decided on residues."""
+    e = plant(el2.zero_el2(3, 1), "alt", 5, F(2**70))
+    ints, _ = el2._integer_copy(e)
+    assert ints.heights[0] == 0
+    assert el2._diagram_bound(ints, el2.RESIDUAL_TERMS["skew.00"][1]) == 2**70
+    assert el2_modes(e)["skew.00"] == "residues"
+    terms = {name: t for name, _, t, _ in el2.CATEGORICAL_DIAGRAMS}
+    assert plan_kind(el2._row_plan(ints, terms["cat.alternator.arrow"])) == "residues"
+    assert_matches_reference(e)
+    assert (el2.categorical_coherence_check(e).render(10**6)
+            == el2._categorical_body(*el2._integer_copy(e), None).render(10**6))
 
 
 def test_screen_with_too_few_primes_passes_a_defect(monkeypatch):
@@ -856,8 +920,11 @@ def assert_matches_reference(e):
 
 SHAPE_BASES = BASES + (lie_only(catalog.sl2()), el2.zero_el2(0, 2, xla.zeros(0, 2)))
 # Moving along Q on both degrees divides the brackets and the alternator by
-# Q and the Jacobiator by Q**2, so a nonempty integer copy has entries of
-# at least 31 bits and its bound needs at least three primes.
+# Q and the Jacobiator by Q**2.  Moving along Q**3, every nonzero product
+# of heights a term of an identity multiplies has at least 93 bits (the
+# alternator, with the lowest power of den, can stay small, but it is only
+# ever multiplied by d or a bracket), so every identity with a nonzero term
+# needs at least three primes.
 Q = 2**31 - 1
 
 
@@ -869,11 +936,13 @@ def test_check_el2_matches_exact_reference(moved, defect, flat_idx, delta, scale
     n0, n1 = base.complex.n0, base.complex.n1
     e = el2.transport(base, phi0, phi1)
     if scaled:
-        e = el2.transport(e, xla.identity(n0) * Q, xla.identity(n1) * Q)
+        e = el2.transport(e, xla.identity(n0) * Q**3, xla.identity(n1) * Q**3)
     if defect != "none" and dict(zip(("d", "b00", "b01", "b10", "alt", "jac"), el2._tensors(e)))[defect].size:
         e = plant(e, defect, flat_idx, delta)
     if scaled and n0:     # n0 = 0: every tensor is empty
         ints, _ = el2._integer_copy(e)
+        heights = el2._heights(ints)
         assert all(len(xla.residue_primes(el2._diagram_bound(ints, terms))) >= 3
-                   for _, terms in el2.RESIDUAL_TERMS.values())
+                   for _, terms in el2.RESIDUAL_TERMS.values()
+                   if any(math.prod(heights[t] for t in factors) for factors in terms))
     assert_matches_reference(e)
