@@ -23,7 +23,9 @@ and ``l3``.
 A complex may be at most :data:`MAX_COMPLEX_DIM` dimensional in each
 degree, even when its tensors are empty and so cost nothing to write, and
 so may a graded algebra in degrees -2, -1 and 0, from which the symmetry
-constructions build their complexes.
+constructions build their complexes.  A Lie algebra, Leibniz algebra or
+module is refused before its tensors are decoded when its axiom check
+would take more than :data:`MAX_VALIDATION_WORK` multiply-adds.
 
 Parse errors report the JSON path of the offending value.  Structural axiom
 violations (a Lie algebra document failing the Jacobi identity, say) surface
@@ -60,6 +62,13 @@ MAX_COMPLEX_DIM = 16
 # (``cohom.cocycle_matrix_shape``), which ``cohomology`` assembles densely
 # before it eliminates: sl3 with the trivial module (5632 x 576) fits.
 MAX_COCYCLE_ENTRIES = 2**22
+
+# The most work (residual entries times contraction length) the axiom check
+# of a parsed record may take: n**5 for a Lie or Leibniz algebra of
+# dimension n (the Jacobi or Leibniz residual), n**2 * m**2 * (n + m) for a
+# module of dimension m over one of dimension n.  Dimension 24, and sl2
+# with a 48-dimensional module, fit.
+MAX_VALIDATION_WORK = 2**23
 
 
 class ParseError(ValueError):
@@ -286,10 +295,27 @@ def _dec_value(cls: type, v: Any, path: str) -> Any:
         for name in ("n0", "n1"):
             _expect(values[name] <= MAX_COMPLEX_DIM, f"dimension {values[name]} exceeds {MAX_COMPLEX_DIM}",
                     f"{path}.{name}")
+    work = _validation_work(cls, values)
+    if work > MAX_VALIDATION_WORK:
+        raise ParseError(f"validating dimension {values['dim']} takes {work} multiply-adds, "
+                         f"more than {MAX_VALIDATION_WORK}", f"{path}.dim")
     shapes = cls.shapes(SimpleNamespace(**values))
     for name, want in shapes.items():
         values[name] = _dec_array(v.get(name), f"{path}.{name}", want)
     return cls(**values)
+
+
+def _validation_work(cls: type, values: dict) -> int:
+    """Residual entries times contraction length of the axiom check a
+    record of type ``cls`` runs on construction; 0 for the types whose
+    construction checks no axiom at that cost.  The nested algebra of a
+    module is bounded by its own decoding."""
+    if cls in (LieAlgebraFD, LeibnizAlgebraFD):
+        return values["dim"] ** 5
+    if cls is RepresentationFD:
+        n, m = values["algebra"].dim, values["dim"]
+        return n**2 * m**2 * (n + m)
+    return 0
 
 
 def from_payload(kind: str, payload: Any, path: str = "$.payload") -> Any:

@@ -74,6 +74,7 @@ two arrow parts is the derived one, [a,b] = [da,b].
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -798,6 +799,43 @@ class _Arrow(NamedTuple):
     part: object
 
 
+# The pattern entry of a batched argument in :func:`_apply_plan`; a basis
+# argument enters as its tuple axis.
+_BATCHED = -1
+
+
+@functools.lru_cache(maxsize=None)
+def _apply_plan(rank: int, residues: bool, pattern: tuple[int, ...]) -> tuple:
+    """How :meth:`_GammaEvaluator._apply` evaluates a tensor (out, m_1, ...,
+    m_r), with a leading prime axis when ``residues``, on r arguments over
+    ``rank`` tuple axes: ``pattern`` holds, for each argument, the tuple
+    axis it runs along or :data:`_BATCHED`.
+
+    The plan is (subscripts, perm, index).  With a batched argument it is
+    one einsum whose tuple axes broadcast (perm and index None).  With basis
+    arguments only, the tensor's input axes become their tuple axes, with
+    no arithmetic: by the transpose perm when the axes are distinct
+    (subscripts None), by an einsum taking the diagonal when one repeats
+    (perm None); index then inserts a unit axis for each tuple axis no
+    argument runs along.  The table holds strings and tuples, no arrays."""
+    axes, lead = "abcd"[:rank], "y" if residues else ""
+    subs, out = [lead + "z"], lead + "z"
+    for slot, p in enumerate(pattern):
+        if p == _BATCHED:
+            subs[0] += "pqr"[slot]
+            subs.append(lead + "pqr"[slot] + axes)
+        else:
+            subs[0] += axes[p]
+    if len(subs) > 1:
+        return ",".join(subs) + "->" + out + axes, None, None
+    used = sorted(set(pattern))
+    index = (slice(None),) * len(out) + tuple(slice(None) if p in used else None for p in range(rank))
+    if len(used) < len(pattern):
+        return subs[0] + "->" + out + "".join(axes[p] for p in used), None, index
+    order = sorted(range(len(pattern)), key=pattern.__getitem__)
+    return None, tuple(range(len(out))) + tuple(len(out) + slot for slot in order), index
+
+
 class _GammaEvaluator:
     """Arrow-level evaluation of the structure on the associated category,
     over every basis tuple of a diagram at once.
@@ -807,21 +845,25 @@ class _GammaEvaluator:
     ``rank`` basis slots has tuple axes 0, ..., rank - 1, and an argument is
 
     * an int p: the basis vector that runs along tuple axis p, so the
-      tensor's input axis becomes that tuple axis at no arithmetic cost;
+      tensor's input axis becomes that tuple axis at no arithmetic cost: a
+      call on distinct basis arguments only returns a transposed view of
+      the tensor and calls no einsum;
     * an array of shape (n, s_0, ..., s_{rank-1}), one vector per basis
       tuple, with s_p = 1 along each axis p it does not depend on;
     * None: the zero vector, the part of an identity arrow or the object 0;
       terms multiplied by it are elided.
 
     Every operation returns arrays of the second kind; the object of an
-    arrow from :meth:`on_arrows` is None when it is 0.  Agreement with the
-    reference arrow operations at every index is pinned by tests.
+    arrow from :meth:`on_arrows` is None when it is 0.  A call looks up its
+    einsum subscripts, or its transpose, in :func:`_apply_plan`, a table
+    keyed by the rank, the residue mode and the pattern of its arguments,
+    so they are built once per pattern, not once per call.  Agreement with
+    the reference arrow operations at every index is pinned by tests.
 
     The tensors of ``e`` hold Python ints (or Fractions), or int64
-    entries.  With
-    ``primes`` (an int64 vector), each tensor and each array carries one
-    leading axis more, a residue image per prime, and every product and
-    every sum is reduced modulo its prime, so each entry an operation
+    entries.  With ``primes`` (an int64 vector), each tensor and each array
+    carries one leading axis more, a residue image per prime, and every
+    product and every sum is reduced modulo its prime, so each entry an operation
     returns lies in (-p, p).  Each product then is of a tensor entry and at
     most one batched entry, summed over one contraction, which stays below
     ``max(n0, n1) * p**2`` in absolute value."""
@@ -829,49 +871,45 @@ class _GammaEvaluator:
     def __init__(self, e: EL2Algebra, rank: int, primes: Optional[np.ndarray] = None):
         self.e = e
         self.rank = rank
-        self.lead = "" if primes is None else "y"
         self.mod = None if primes is None else primes.reshape((-1,) + (1,) * (rank + 1))
 
     def _apply(self, t: np.ndarray, *args) -> Optional[np.ndarray]:
-        """t (out, m_1, ..., m_r) on r batched arguments, as one einsum whose
-        tuple axes broadcast; None when an argument is zero."""
-        axes, lead = "abcd"[: self.rank], self.lead
-        subs, operands = [lead + "z"], [t]
-        for slot, a in enumerate(args):
+        """t (out, m_1, ..., m_r) on r batched arguments, as planned by
+        :func:`_apply_plan` for their pattern; None when an argument is zero."""
+        pattern, batched = [], []
+        for a in args:
             if a is None:
                 return None
             if isinstance(a, int):
-                subs[0] += axes[a]
+                pattern.append(a)
             else:
-                subs[0] += "pqr"[slot]
-                subs.append(lead + "pqr"[slot] + axes)
-                operands.append(a)
-        if len(operands) > 1:
-            out = np.einsum(",".join(subs) + "->" + lead + "z" + axes, *operands)
+                pattern.append(_BATCHED)
+                batched.append(a)
+        subscripts, perm, index = _apply_plan(self.rank, self.mod is not None, tuple(pattern))
+        if batched:
+            out = np.einsum(subscripts, t, *batched)
             return out if self.mod is None else out % self.mod
-        # basis arguments only: a transpose, with a unit axis for each tuple
-        # axis no argument runs along
-        used = sorted(set(args))
-        out = np.einsum(subs[0] + "->" + lead + "z" + "".join(axes[p] for p in used), t)
-        shape = [1] * self.rank
-        for p, size in zip(used, out.shape[len(lead) + 1:]):
-            shape[p] = size
-        return out.reshape(out.shape[: len(lead) + 1] + tuple(shape))
+        return (t.transpose(perm) if subscripts is None else np.einsum(subscripts, t))[index]
 
     def _sum(self, n: int, *terms: Optional[np.ndarray]) -> np.ndarray:
-        """The sum of the terms that are not elided; zero when all are."""
-        kept = [t for t in terms if t is not None]
-        if not kept:
+        """The sum of the terms that are not elided, reduced when it adds
+        two or more; zero when all are elided."""
+        total, added = None, False
+        for term in terms:
+            if term is None:
+                continue
+            if total is None:
+                total = term
+            else:
+                total, added = total + term, True
+        if total is None:
             # zeros of the tensors' dtype: a Fraction constant would turn the
             # integer-scaled run back into Fraction arithmetic.  b00 is None
             # only in the int64 view, when it is too wide for int64
             lead = () if self.mod is None else self.mod.shape[:1]
             dtype = np.int64 if self.e.b00 is None else self.e.b00.dtype
             return np.zeros(lead + (n,) + (1,) * self.rank, dtype=dtype)
-        if len(kept) == 1:
-            return kept[0]
-        total = sum(kept[1:], kept[0])
-        return total if self.mod is None else total % self.mod
+        return total % self.mod if added and self.mod is not None else total
 
     def one(self, x) -> _Arrow:
         return _Arrow(x, None)

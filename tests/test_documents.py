@@ -314,6 +314,65 @@ def test_cli_cohomology_of_a_wide_module_is_input_error(tmp_path, capsys):
     assert "input error: $.payload.dim: cocycle matrix of" in capsys.readouterr().err
 
 
+class ValidationRan(Exception):
+    pass
+
+
+def refuse_validation(self):
+    raise ValidationRan
+
+
+def zero_algebra_document(kind, n):
+    return json.dumps({"kind": kind, "payload": {"dim": n, "c": {"shape": [n, n, n], "entries": [0] * n**3}}},
+                      separators=(",", ":"))
+
+
+@pytest.mark.parametrize("kind, commands", [("lie_algebra", ["check", "cohomology"]),
+                                            ("leibniz_algebra", ["check"])])
+def test_cli_wide_algebra_is_refused_before_validation(tmp_path, capsys, monkeypatch, kind, commands):
+    # an all-zero bracket of dimension 64 (0.8 MB): its Jacobi or Leibniz
+    # residual would take 64**5 multiply-adds; the refusal comes before the
+    # record is built, so its axiom check never runs
+    monkeypatch.setattr(documents.KINDS[kind], "validate", refuse_validation)
+    path = tmp_path / "wide.json"
+    path.write_text(zero_algebra_document(kind, 64))
+    for command in commands:
+        assert cli.main([command, str(path)]) == 2
+        assert (f"input error: $.payload.dim: validating dimension 64 takes {64**5} multiply-adds, "
+                f"more than {documents.MAX_VALIDATION_WORK}") in capsys.readouterr().err
+
+
+def test_cli_wide_module_is_refused_before_validation(tmp_path, capsys, monkeypatch):
+    # sl2 with a module of dimension 97 costs 3**2 * 97**2 * (3 + 97)
+    # multiply-adds, just above the bound; over an algebra of dimension 25
+    # the algebra alone is too large
+    path = tmp_path / "wide_module.json"
+    doc = json.loads(documents.serialize(el2.RepresentationFD(catalog.sl2(), 1, xla.zeros(1, 3, 1))))
+    monkeypatch.setattr(el2.RepresentationFD, "validate", refuse_validation)
+    doc["payload"].update(dim=97, rho={"shape": [97, 3, 97], "entries": [0] * (97 * 3 * 97)})
+    path.write_text(json.dumps(doc))
+    for command in ("check", "cohomology"):
+        assert cli.main([command, str(path)]) == 2
+        assert f"input error: $.payload.dim: validating dimension 97 takes {9 * 97**2 * 100} multiply-adds" in (
+            capsys.readouterr().err)
+    doc["payload"].update(algebra=json.loads(zero_algebra_document("lie_algebra", 25))["payload"], dim=1,
+                          rho={"shape": [1, 25, 1], "entries": [0] * 25})
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(el2.LieAlgebraFD, "validate", refuse_validation)
+    assert cli.main(["check", str(path)]) == 2
+    assert "input error: $.payload.algebra.dim: validating dimension 25" in capsys.readouterr().err
+
+
+def test_validation_bound_admits_the_stated_inputs():
+    # dimension 24, and sl2 with a 48-dimensional module, fit; dimension 25
+    # and sl2 with a 97-dimensional module do not
+    work = documents._validation_work
+    assert work(el2.LieAlgebraFD, {"dim": 24}) <= documents.MAX_VALIDATION_WORK < work(el2.LieAlgebraFD, {"dim": 25})
+    sl2 = catalog.sl2()
+    assert work(el2.RepresentationFD, {"algebra": sl2, "dim": 48}) <= documents.MAX_VALIDATION_WORK
+    assert work(el2.RepresentationFD, {"algebra": sl2, "dim": 97}) > documents.MAX_VALIDATION_WORK
+
+
 def test_cocycle_matrix_cap_admits_the_fixtures():
     # the largest cohomology inputs of the goldens and of sl3 with the
     # trivial module fit under the cap, and the shape is the assembled one
