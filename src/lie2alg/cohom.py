@@ -55,10 +55,7 @@ from .el2 import (
     LieAlgebraFD,
     RepresentationFD,
     _push,
-    _residual_alternator_bracket,
-    _residual_bracket_jacobiator,
-    _residual_jacobiator_sym12,
-    _residual_jacobiator_sym23,
+    _ROWS,
     _scaled,
     check_el2,
     extract_skeletal_data,
@@ -128,6 +125,15 @@ def unflatten_pair(g: LieAlgebraFD, m: RepresentationFD, v: np.ndarray) -> Cocyc
 
 _COCYCLE_EQUATIONS = ("cocycle.jacobiator", "cocycle.sym12", "cocycle.sym23", "cocycle.alternator")
 
+# el2's rows of the four equations (cocycle.alternator is the last one
+# relabelled, with the same terms), and the power of D on each residual
+# when c, rho and s carry D and j carries D**2 (:func:`is_cocycle`)
+_COHERENCE = {name: _ROWS[name] for name in ("coh.bracket-jacobiator", "coh.jacobiator-sym12",
+                                             "coh.jacobiator-sym23", "coh.alternator-bracket")}
+_bracket_jacobiator, _jacobiator_sym12, _jacobiator_sym23, _alternator_bracket = _COHERENCE.values()
+_COCYCLE_POWERS = tuple(row.power({"b00": 1, "b01": 1, "b10": 1, "alt": 1, "jac": 2})
+                        for row in _COHERENCE.values())
+
 
 def _skeletal_view(c: np.ndarray, rho: np.ndarray, s: Optional[np.ndarray], j: np.ndarray) -> SimpleNamespace:
     """The skeletal structure (d = 0) of the bracket c, the action rho and
@@ -143,14 +149,13 @@ def _coherence_residuals(c: np.ndarray, rho: np.ndarray, s: np.ndarray, j: np.nd
     relabelled and negated (:func:`_cocycle_alternator`).  s and j may carry
     leading batch axes, which every residual keeps."""
     e = _skeletal_view(c, rho, s, j)
-    return (_residual_bracket_jacobiator(e), _residual_jacobiator_sym12(e), _residual_jacobiator_sym23(e),
-            _cocycle_alternator(e))
+    return _bracket_jacobiator(e), _jacobiator_sym12(e), _jacobiator_sym23(e), _cocycle_alternator(e)
 
 
 def _cocycle_alternator(e: SimpleNamespace) -> np.ndarray:
     """s([x,y],z) - s(z,[x,y]) at (x, y, z): coh.alternator-bracket
     relabelled and negated."""
-    return -xla.einsum("kzxy->kxyz", _residual_alternator_bracket(e))
+    return -xla.einsum("kzxy->kxyz", _alternator_bracket(e))
 
 
 def cocycle_residuals(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> list[tuple[str, np.ndarray]]:
@@ -163,7 +168,8 @@ def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bo
     """The verdict and report of :func:`cocycle_residuals`, computed on
     Python ints: with D the common denominator of (c, rho, s, j), the
     equations run on (c, rho, s) * D and j * D**2, so equation 1 comes out
-    times D**3 and equations 2-4 times D**2.  A zero residual is final; a
+    times D**3 and equations 2-4 times D**2 (``_COCYCLE_POWERS``, read off
+    their terms).  A zero residual is final; a
     violating one is divided back by its equation's scale, so the report is
     the Fraction one."""
     den = xla.common_denominator(g.c, m.rho, p.s, p.j)
@@ -171,7 +177,7 @@ def is_cocycle(g: LieAlgebraFD, m: RepresentationFD, p: CocyclePair) -> tuple[bo
         xla.scaled_ints(g.c, den), xla.scaled_ints(m.rho, den),
         xla.scaled_ints(p.s, den), xla.scaled_ints(p.j, den**2),
     )
-    report = check_identities(zip(_COCYCLE_EQUATIONS, residuals, (3, 2, 2, 2)), den=den)
+    report = check_identities(zip(_COCYCLE_EQUATIONS, residuals, _COCYCLE_POWERS), den=den)
     return report.passed, report
 
 
@@ -263,12 +269,12 @@ def _cocycle_matrix(g: LieAlgebraFD, m: RepresentationFD) -> np.ndarray:
     s = probes[:, :split].reshape(ambient, dm, n, n)
     j = probes[:, split:].reshape(ambient, dm, n, n, n)
     both = _skeletal_view(c, rho, s, j)
-    jacobiator = _batch_rows(_residual_bracket_jacobiator(_skeletal_view(c, rho, None, j[split:])))
+    jacobiator = _batch_rows(_bracket_jacobiator(_skeletal_view(c, rho, None, j[split:])))
     alternator = _batch_rows(_cocycle_alternator(_skeletal_view(c, rho, s[:split], None)))
     return xla.freeze(np.concatenate([
         np.hstack([np.zeros((len(jacobiator), split), dtype=object), jacobiator]),
-        _batch_rows(_residual_jacobiator_sym12(both)),
-        _batch_rows(_residual_jacobiator_sym23(both)),
+        _batch_rows(_jacobiator_sym12(both)),
+        _batch_rows(_jacobiator_sym23(both)),
         np.hstack([alternator, np.zeros((len(alternator), ambient - split), dtype=object)]),
     ]))
 

@@ -200,27 +200,24 @@ class BilinearBracket(TensorRecord):
         return Arrow(obj, part)
 
 
-# The chain-map identities of a bracket, as residual tensors of any object
-# with ``complex``, ``b00``, ``b01`` and ``b10`` (a BilinearBracket, an
-# EL2Algebra or a check-local view of one, stacked residues included);
-# check_el2 lists them as chain.b01, chain.b10, chain.derived.
+# The attribute path of d in a bracket, a structure or a view of one, for
+# exactla.SignedSum; each other tensor is the attribute of its name.
+TENSOR_PATHS = {"d": "complex.d"}
 
-def chain_b01(br) -> np.ndarray:
-    """d[x,b] - [x,db], axes (out, x, b)."""
-    d = br.complex.d
-    return xla.einsum("km,mxb->kxb", d, br.b01) - xla.einsum("kxm,mb->kxb", br.b00, d)
+# The chain-map identities of a bracket, as rows of exactla.SignedSum over
+# the tensors of any object with ``complex``, ``b00``, ``b01`` and ``b10``
+# (a BilinearBracket, an EL2Algebra or a check-local view of one, stacked
+# residues included); check_el2 lists them under the same names.
+CHAIN_IDENTITIES: dict[str, tuple[tuple[str, ...], ...]] = {
+    # d[x,b] - [x,db], axes (out, x, b)
+    "chain.b01": (("+kxb", "km,mxb->kxb", "d", "b01"), ("-kxb", "kxm,mb->kxb", "b00", "d")),
+    # d[a,y] - [da,y], axes (out, a, y)
+    "chain.b10": (("+kay", "km,may->kay", "d", "b10"), ("-kay", "kmy,ma->kay", "b00", "d")),
+    # [da,b] - [a,db], axes (out, a, b)
+    "chain.derived": (("+kab", "kmb,ma->kab", "b01", "d"), ("-kab", "kam,mb->kab", "b10", "d")),
+}
 
-
-def chain_b10(br) -> np.ndarray:
-    """d[a,y] - [da,y], axes (out, a, y)."""
-    d = br.complex.d
-    return xla.einsum("km,may->kay", d, br.b10) - xla.einsum("kmy,ma->kay", br.b00, d)
-
-
-def chain_derived(br) -> np.ndarray:
-    """[da,b] - [a,db], axes (out, a, b)."""
-    d = br.complex.d
-    return xla.einsum("kmb,ma->kab", br.b01, d) - xla.einsum("kam,mb->kab", br.b10, d)
+_CHAIN_ROWS = {name: xla.SignedSum(groups, TENSOR_PATHS) for name, groups in CHAIN_IDENTITIES.items()}
 
 
 def crossed_module_report(bracket: BilinearBracket, stop_after: Optional[int] = None) -> CheckReport:
@@ -229,11 +226,11 @@ def crossed_module_report(bracket: BilinearBracket, stop_after: Optional[int] = 
 
         d[x,b] = [x,db]   d[a,y] = [da,y]   [da,b] = [a,db]   d[a,b] = [da,db]
     """
-    r_b01 = chain_b01(bracket)
+    r_b01, r_b10, r_derived = (row(bracket) for row in _CHAIN_ROWS.values())
     identities = (
         ("d[x,b]=[x,db]", r_b01, 0),
-        ("d[a,y]=[da,y]", chain_b10(bracket), 0),
-        ("[da,b]=[a,db]", chain_derived(bracket), 0),
+        ("d[a,y]=[da,y]", r_b10, 0),
+        ("[da,b]=[a,db]", r_derived, 0),
         # the first identity at x = da: d[da,b] - [da,db]
         ("d[a,b]=[da,db]", xla.precompose(r_b01, 1, bracket.complex.d), 0),
     )

@@ -23,7 +23,8 @@ and ``l3``.
 A complex may be at most :data:`MAX_COMPLEX_DIM` dimensional in each
 degree, even when its tensors are empty and so cost nothing to write, and
 so may a graded algebra in degrees -2, -1 and 0, from which the symmetry
-constructions build their complexes.  A Lie algebra, Leibniz algebra or
+constructions build their complexes; its other degrees may be at most
+:data:`MAX_GRADED_DIM` dimensional.  A Lie algebra, Leibniz algebra or
 module is refused before its tensors are decoded when its axiom check
 would take more than :data:`MAX_VALIDATION_WORK` multiply-adds.
 
@@ -57,6 +58,11 @@ from .morph import ELMorphism, ELTwoMorphism
 # residuals of n0**4 * n1 entries (coh.bracket-jacobiator) and n1**3
 # (chain.derived), so at most 16**5.
 MAX_COMPLEX_DIM = 16
+
+# The widest degree of a graded algebra outside -2, -1 and 0: ``mc`` and
+# ``inner-sym`` build dense arrays of dim(1) and dim(1) * dim(0) entries,
+# at the cap about 40 MB and 200 MB (dim(0) = 16) at peak.
+MAX_GRADED_DIM = 2**19
 
 # The most entries the cocycle matrix of an algebra and module may have
 # (``cohom.cocycle_matrix_shape``), which ``cohomology`` assembles densely
@@ -213,7 +219,7 @@ def _dec_scalar(v: Any, path: str):
     raise ParseError(f"scalar must be an integer or 'p/q' string, got {v!r}", path)
 
 
-def _dec_array(v: Any, path: str, expect_shape=None) -> np.ndarray:
+def _dec_array(v: Any, path: str, expect_shape: tuple[int, ...]) -> np.ndarray:
     _expect(isinstance(v, dict), "array must be an object with 'shape' and 'entries'", path)
     _expect("shape" in v and "entries" in v, "array needs 'shape' and 'entries'", path)
     shape = v["shape"]
@@ -235,8 +241,7 @@ def _dec_array(v: Any, path: str, expect_shape=None) -> np.ndarray:
     data = [
         _dec_scalar(x, f"{path}.entries[{i}]") for i, x in enumerate(entries)
     ]
-    if expect_shape is not None:
-        _expect(tuple(shape) == tuple(expect_shape), f"expected shape {tuple(expect_shape)}, got {tuple(shape)}", path)
+    _expect(tuple(shape) == tuple(expect_shape), f"expected shape {tuple(expect_shape)}, got {tuple(shape)}", path)
     return xla.tensor(shape, data)
 
 
@@ -265,8 +270,8 @@ def _dec_graded(v: Any, path: str) -> GradedL3Algebra:
         except ValueError as exc:
             raise ParseError(f"bad degree {k!r}", path + ".dims") from exc
         dims[deg] = _dec_int(d, f"{path}.dims.{k}")
-        _expect(deg not in (-2, -1, 0) or dims[deg] <= MAX_COMPLEX_DIM,
-                f"dimension {dims[deg]} exceeds {MAX_COMPLEX_DIM}", f"{path}.dims.{k}")
+        cap = MAX_COMPLEX_DIM if deg in (-2, -1, 0) else MAX_GRADED_DIM
+        _expect(dims[deg] <= cap, f"dimension {dims[deg]} exceeds {cap}", f"{path}.dims.{k}")
     tmp = GradedL3Algebra(dims=dims)
     brackets = {}
     for arity, name in enumerate(("l1", "l2", "l3"), 1):

@@ -17,7 +17,13 @@ integer copy's powers and ``cohom.transfer_to_skeletal`` read it;
 one per space on its input axes, on Python ints.
 
 ``check_el2`` evaluates every defining identity on every basis tuple, which
-is complete by multilinearity, and reports exact residuals.
+is complete by multilinearity, and reports exact residuals.  Each identity
+is stated once, as data, in :data:`IDENTITIES`: a signed sum of
+named-axis contractions of the tensors (``exactla.SignedSum``), so one row
+evaluates Python ints, int64 tensors and stacked residues.  The rest is
+read off the rows: their ranks and terms (``RESIDUAL_TERMS``), their
+powers of den (``RESIDUAL_POWERS``), ``EL2_EQUATIONS`` and
+``EL2_REDUNDANT_EQUATIONS``, and ``cohom``'s cocycle equations.
 ``categorical_coherence_check`` re-derives the same identities independently
 on the associated linear category: it checks that the bracket is a functor,
 that the alternator and Jacobiator are well-formed natural transformations,
@@ -46,11 +52,9 @@ input.  Each checker yields its identities with their powers, in order, to
 
 Both checkers decide their verdicts through one int64 plan
 (:func:`_screened_residuals`), over rows of (name, rank, terms, evaluate):
-``check_el2``'s identities, written with ``exactla.einsum`` so that one
-formula evaluates Python ints, int64 tensors and stacked residues, and the
-categorical diagrams.  Each row declares its terms as data next to its
-formula (``RESIDUAL_TERMS``, the terms column of ``CATEGORICAL_DIAGRAMS``):
-for each term, the one or two tensors it multiplies.  The integer copy
+``check_el2``'s identities and the categorical diagrams, whose terms
+column is declared next to them; a term is the one or two tensors it
+multiplies.  The integer copy
 keeps the height of each tensor, the largest absolute value of its entries,
 and a row's residual on it is at most its own bound B, the sum over its
 terms of n**(factors - 1) times the heights the term multiplies, with n
@@ -65,7 +69,7 @@ evaluated again on Python ints.  A row no prime set covers is evaluated on
 Python ints only, as the unscreened bodies (``_check_el2_body``,
 ``_categorical_body``) evaluate every row.  Only the plan, the bound and
 ``exactla``'s residue helpers are shared: the two checkers' formulas and
-term tables stay independent.
+terms stay independent.
 
 Sign conventions: the alternator arrow at (x, y) is ([x,y], -alt(x,y)), the
 Jacobiator arrow at (x, y, z) is ([x,[y,z]], -jac(x,y,z)), and the bracket of
@@ -84,7 +88,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import exactla as xla
-from .dkcore import BilinearBracket, TwoTermComplex, chain_b01, chain_b10, chain_derived
+from .dkcore import CHAIN_IDENTITIES, TENSOR_PATHS, BilinearBracket, TwoTermComplex
 from .exactla import ShapeError, TensorRecord
 from .report import CheckReport, ReportError, check_identities
 
@@ -146,6 +150,33 @@ def zero_el2(n0: int, n1: int, d: Optional[np.ndarray] = None, **tensors: np.nda
                             for name, axes in AXES.items()})
 
 
+# The axioms the algebra and module validators check, rows of
+# exactla.SignedSum (as IDENTITIES) over the bracket b00 = c and the action
+# rho.  [x,[y,z]] - [[x,y],z] - [y,[x,z]] is also the bracket part of
+# jacobi.000.
+_LEIBNIZ = (("+kxyz -kyxz", "kxm,myz->kxyz", "b00", "b00"), ("-kxyz", "kmz,mxy->kxyz", "b00", "b00"))
+_AXIOMS = {name: xla.SignedSum(groups) for name, groups in {
+    "skew-symmetry": (("+kxy +kyx", "kxy->kxy", "b00"),),
+    "jacobi": _LEIBNIZ,
+    "leibniz": _LEIBNIZ,
+    # rho([x,y]) a - rho(x) rho(y) a + rho(y) rho(x) a
+    "module-axiom": (("+mxya", "mka,kxy->mxya", "rho", "b00"), ("-mxya +myxa", "mxb,bya->mxya", "rho", "rho")),
+}.items()}
+
+
+def _validate(message: str, axioms: Sequence[str], **tensors: np.ndarray) -> None:
+    """Check the named axioms on the tensors scaled by their common
+    denominator D, on Python ints: each residual is D to its row's power
+    times the Fraction one.  Raise with the report when one fails."""
+    den = xla.common_denominator(*tensors.values())
+    ints = SimpleNamespace(**{name: xla.scaled_ints(t, den) for name, t in tensors.items()})
+    scale = dict.fromkeys(tensors, 1)
+    report = check_identities([(name, _AXIOMS[name](ints), _AXIOMS[name].power(scale)) for name in axioms],
+                              den=den)
+    if not report.passed:
+        raise InvalidStructureError(message, report)
+
+
 @dataclass(frozen=True, eq=False)
 class LieAlgebraFD(TensorRecord):
     """Finite-dimensional Lie algebra by structure constants c[k,i,j]."""
@@ -157,13 +188,7 @@ class LieAlgebraFD(TensorRecord):
         return {"c": (self.dim,) * 3}
 
     def validate(self) -> None:
-        den = xla.common_denominator(self.c)
-        c = xla.scaled_ints(self.c, den)
-        report = check_identities(
-            [("skew-symmetry", c + c.swapaxes(1, 2), 1), ("jacobi", _leibniz_defect(c), 2)], den=den
-        )
-        if not report.passed:
-            raise InvalidStructureError("not a Lie algebra", report)
+        _validate("not a Lie algebra", ("skew-symmetry", "jacobi"), b00=self.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,16 +202,7 @@ class LeibnizAlgebraFD(TensorRecord):
         return {"c": (self.dim,) * 3}
 
     def validate(self) -> None:
-        den = xla.common_denominator(self.c)
-        report = check_identities([("leibniz", _leibniz_defect(xla.scaled_ints(self.c, den)), 2)], den=den)
-        if not report.passed:
-            raise InvalidStructureError("not a Leibniz algebra", report)
-
-
-def _leibniz_defect(c: np.ndarray) -> np.ndarray:
-    """[x,[y,z]] - [[x,y],z] - [y,[x,z]] as a tensor over (x, y, z)."""
-    inner = xla.einsum("kxm,myz->kxyz", c, c)
-    return inner - xla.einsum("kmz,mxy->kxyz", c, c) - xla.einsum("kyxz->kxyz", inner)
+        _validate("not a Leibniz algebra", ("leibniz",), b00=self.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,180 +217,72 @@ class RepresentationFD(TensorRecord):
         return {"rho": (self.dim, self.algebra.dim, self.dim)}
 
     def validate(self) -> None:
-        # rho([x,y]) = rho(x) rho(y) - rho(y) rho(x) on basis pairs, on c and
-        # rho scaled by their common denominator: both sides are quadratic
-        den = xla.common_denominator(self.algebra.c, self.rho)
-        c, rho = xla.scaled_ints(self.algebra.c, den), xla.scaled_ints(self.rho, den)
-        lhs = xla.einsum("mka,kxy->mxya", rho, c)                # rho([x,y]) a
-        comp = xla.einsum("mxb,bya->mxya", rho, rho)             # rho(x) rho(y) a
-        rhs = comp - xla.einsum("myxa->mxya", comp)
-        report = check_identities([("module-axiom", lhs - rhs, 2)], den=den)
-        if not report.passed:
-            raise InvalidStructureError("not a representation", report)
+        _validate("not a representation", ("module-axiom",), b00=self.algebra.c, rho=self.rho)
 
 
 # ---------------------------------------------------------------------------
 # The axiom checker
 # ---------------------------------------------------------------------------
 
-# The residuals are written with xla.einsum, every axis named, so each
-# formula also evaluates residue images stacked on a leading axis.
+# Each identity of check_el2, a row of exactla.SignedSum over d (the field
+# of the complex) and the tensors of AXES: groups of (signed placements,
+# subscripts, tensor names), each one contraction added once per placement
+# with its sign and its axes relabelled.  The chain.* rows are dkcore's.
 
-def _residual_skew00(e: EL2Algebra) -> np.ndarray:
-    return e.b00 + xla.einsum("kyx->kxy", e.b00) - xla.einsum("km,mxy->kxy", e.complex.d, e.alt)
-
-
-def _residual_skew10(e: EL2Algebra) -> np.ndarray:
-    return e.b10 + xla.einsum("kya->kay", e.b01) - xla.einsum("kmy,ma->kay", e.alt, e.complex.d)
-
-
-def _residual_skew01(e: EL2Algebra) -> np.ndarray:
-    return e.b01 + xla.einsum("kbx->kxb", e.b10) - xla.einsum("kxm,mb->kxb", e.alt, e.complex.d)
-
-
-def _residual_jacobi000(e: EL2Algebra) -> np.ndarray:
-    return _leibniz_defect(e.b00) - xla.einsum("km,mxyz->kxyz", e.complex.d, e.jac)
-
-
-def _residual_jacobi100(e: EL2Algebra) -> np.ndarray:
-    # [a,[y,z]] - [[a,y],z] - [y,[a,z]] - jac(da, y, z), axes (a, y, z)
-    return (xla.einsum("kam,myz->kayz", e.b10, e.b00) - xla.einsum("kmz,may->kayz", e.b10, e.b10)
-            - xla.einsum("kym,maz->kayz", e.b01, e.b10) - xla.einsum("kmyz,ma->kayz", e.jac, e.complex.d))
-
-
-def _residual_jacobi010(e: EL2Algebra) -> np.ndarray:
-    # [x,[b,z]] - [[x,b],z] - [b,[x,z]] - jac(x, db, z), axes (x, b, z)
-    return (xla.einsum("kxm,mbz->kxbz", e.b01, e.b10) - xla.einsum("kmz,mxb->kxbz", e.b10, e.b01)
-            - xla.einsum("kbm,mxz->kxbz", e.b10, e.b00) - xla.einsum("kxmz,mb->kxbz", e.jac, e.complex.d))
-
-
-def _residual_jacobi001(e: EL2Algebra) -> np.ndarray:
-    # [x,[y,c]] - [[x,y],c] - [y,[x,c]] - jac(x, y, dc), axes (x, y, c)
-    inner = xla.einsum("kxm,myc->kxyc", e.b01, e.b01)
-    return (inner - xla.einsum("kmc,mxy->kxyc", e.b01, e.b00) - xla.einsum("kyxc->kxyc", inner)
-            - xla.einsum("kxym,mc->kxyc", e.jac, e.complex.d))
-
-
-def _residual_bracket_jacobiator(e: EL2Algebra) -> np.ndarray:
+IDENTITIES: dict[str, tuple[tuple[str, ...], ...]] = {
+    **CHAIN_IDENTITIES,
+    # [x,y] + [y,x] - d<x,y>, then at an arrow part a: [a,y] + [y,a] - <da,y>
+    "skew.00": (("+kxy +kyx", "kxy->kxy", "b00"), ("-kxy", "km,mxy->kxy", "d", "alt")),
+    "skew.10": (("+kay", "kay->kay", "b10"), ("+kay", "kya->kay", "b01"), ("-kay", "kmy,ma->kay", "alt", "d")),
+    "skew.01": (("+kxb", "kxb->kxb", "b01"), ("+kxb", "kbx->kxb", "b10"), ("-kxb", "kxm,mb->kxb", "alt", "d")),
+    # the Leibniz defect (_LEIBNIZ) minus d<x,y,z>, then at an arrow part a:
+    # [a,[y,z]] - [[a,y],z] - [y,[a,z]] - <da,y,z>
+    "jacobi.000": _LEIBNIZ + (("-kxyz", "km,mxyz->kxyz", "d", "jac"),),
+    "jacobi.100": (("+kayz", "kam,myz->kayz", "b10", "b00"), ("-kayz", "kmz,may->kayz", "b10", "b10"),
+                   ("-kayz", "kym,maz->kayz", "b01", "b10"), ("-kayz", "kmyz,ma->kayz", "jac", "d")),
+    "jacobi.010": (("+kxbz", "kxm,mbz->kxbz", "b01", "b10"), ("-kxbz", "kmz,mxb->kxbz", "b10", "b01"),
+                   ("-kxbz", "kbm,mxz->kxbz", "b10", "b00"), ("-kxbz", "kxmz,mb->kxbz", "jac", "d")),
+    "jacobi.001": (("+kxyc -kyxc", "kxm,myc->kxyc", "b01", "b01"), ("-kxyc", "kmc,mxy->kxyc", "b01", "b00"),
+                   ("-kxyc", "kxym,mc->kxyc", "jac", "d")),
     # [x,<y,z,w>] + <x,[y,z],w> + <x,z,[y,w]> + [<x,y,z>,w] + [z,<x,y,w>]
-    #   = <x,y,[z,w]> + <[x,y],z,w> + [y,<x,z,w>] + <y,[x,z],w> + <y,z,[x,w]>
-    # residual axes (x, y, z, w); five distinct contractions, the other five
-    # terms axis permutations of three of them.  The terms are added in
-    # place, each shared contraction dropped before the next is made: this
-    # is the largest residual, and on stacked residues each array holds
-    # n0**4 * n1 entries per prime.
-    b00, jac = e.b00, e.jac
-    r = xla.einsum("kmw,mxyz->kxyzw", e.b10, jac)          # [<x,y,z>,w]
-    r -= xla.einsum("kmzw,mxy->kxyzw", jac, b00)           # <[x,y],z,w>
-    t = xla.einsum("kxm,myzw->kxyzw", e.b01, jac)          # [x,<y,z,w>]
-    r += t
-    r += xla.einsum("kzxyw->kxyzw", t)
-    r -= xla.einsum("kyxzw->kxyzw", t)
-    t = xla.einsum("kxmw,myz->kxyzw", jac, b00)            # <x,[y,z],w>
-    r += t
-    r -= xla.einsum("kyxzw->kxyzw", t)
-    t = xla.einsum("kxym,mzw->kxyzw", jac, b00)            # <x,y,[z,w]>
-    r -= t
-    r += xla.einsum("kxzyw->kxyzw", t)
-    r -= xla.einsum("kyzxw->kxyzw", t)
-    return r
-
-
-def _residual_jacobiator_sym12(e: EL2Algebra) -> np.ndarray:
+    #   - <x,y,[z,w]> - <[x,y],z,w> - [y,<x,z,w>] - <y,[x,z],w> - <y,z,[x,w]>
+    "coh.bracket-jacobiator": (
+        ("+kxyzw", "kmw,mxyz->kxyzw", "b10", "jac"), ("-kxyzw", "kmzw,mxy->kxyzw", "jac", "b00"),
+        ("+kxyzw +kzxyw -kyxzw", "kxm,myzw->kxyzw", "b01", "jac"),
+        ("+kxyzw -kyxzw", "kxmw,myz->kxyzw", "jac", "b00"),
+        ("-kxyzw +kxzyw -kyzxw", "kxym,mzw->kxyzw", "jac", "b00")),
     # <x,y,z> + <y,x,z> + [<x,y>,z]
-    return e.jac + xla.einsum("kyxz->kxyz", e.jac) + xla.einsum("kmz,mxy->kxyz", e.b10, e.alt)
-
-
-def _residual_jacobiator_sym23(e: EL2Algebra) -> np.ndarray:
+    "coh.jacobiator-sym12": (("+kxyz +kyxz", "kxyz->kxyz", "jac"), ("+kxyz", "kmz,mxy->kxyz", "b10", "alt")),
     # <x,y,z> + <x,z,y> - [x,<y,z>] + <[x,y],z> + <y,[x,z]>
-    return (e.jac + xla.einsum("kxzy->kxyz", e.jac) - xla.einsum("kxm,myz->kxyz", e.b01, e.alt)
-            + xla.einsum("kmz,mxy->kxyz", e.alt, e.b00) + xla.einsum("kym,mxz->kxyz", e.alt, e.b00))
-
-
-def _residual_alternator_bracket(e: EL2Algebra) -> np.ndarray:
-    # <x,[y,z]> - <[y,z],x>, axes (x, y, z)
-    return xla.einsum("kxm,myz->kxyz", e.alt, e.b00) - xla.einsum("kmx,myz->kxyz", e.alt, e.b00)
-
-
-def _residual_red_alt_left(e: EL2Algebra) -> np.ndarray:
-    return xla.einsum("kmz,mxy->kxyz", e.b10, e.alt) - xla.einsum("kmz,myx->kxyz", e.b10, e.alt)
-
-
-def _residual_red_alt_right(e: EL2Algebra) -> np.ndarray:
-    return xla.einsum("kxm,myz->kxyz", e.b01, e.alt) - xla.einsum("kxm,mzy->kxyz", e.b01, e.alt)
-
-
-def _residual_red_d_alt(e: EL2Algebra) -> np.ndarray:
-    da = xla.einsum("km,mxy->kxy", e.complex.d, e.alt)
-    return da - xla.einsum("kyx->kxy", da)
-
-
-def _residual_red_alt_exact(e: EL2Algebra) -> np.ndarray:
-    # <da, x> - <x, da>, axes (a, x)
-    return xla.einsum("kmx,ma->kax", e.alt, e.complex.d) - xla.einsum("kxm,ma->kax", e.alt, e.complex.d)
-
-
-EL2_EQUATIONS: tuple[tuple[str, Callable[[EL2Algebra], np.ndarray]], ...] = (
-    ("chain.b01", chain_b01),
-    ("chain.b10", chain_b10),
-    ("chain.derived", chain_derived),
-    ("skew.00", _residual_skew00),
-    ("skew.10", _residual_skew10),
-    ("skew.01", _residual_skew01),
-    ("jacobi.000", _residual_jacobi000),
-    ("jacobi.100", _residual_jacobi100),
-    ("jacobi.010", _residual_jacobi010),
-    ("jacobi.001", _residual_jacobi001),
-    ("coh.bracket-jacobiator", _residual_bracket_jacobiator),
-    ("coh.jacobiator-sym12", _residual_jacobiator_sym12),
-    ("coh.jacobiator-sym23", _residual_jacobiator_sym23),
-    ("coh.alternator-bracket", _residual_alternator_bracket),
-)
-
-EL2_REDUNDANT_EQUATIONS: tuple[tuple[str, Callable[[EL2Algebra], np.ndarray]], ...] = (
-    ("red.alternator-left", _residual_red_alt_left),
-    ("red.alternator-right", _residual_red_alt_right),
-    ("red.d-alternator", _residual_red_d_alt),
-    ("red.alternator-exact", _residual_red_alt_exact),
-)
-
-# On the integer copy, where d and alt carry den, the brackets den**2 and jac
-# den**3, each residual is den to this power times the residual of the input.
-RESIDUAL_POWERS: dict[str, int] = {
-    "chain.b01": 3, "chain.b10": 3, "chain.derived": 3,
-    "skew.00": 2, "skew.10": 2, "skew.01": 2,
-    "jacobi.000": 4, "jacobi.100": 4, "jacobi.010": 4, "jacobi.001": 4,
-    "coh.bracket-jacobiator": 5, "coh.jacobiator-sym12": 3, "coh.jacobiator-sym23": 3,
-    "coh.alternator-bracket": 3,
-    "red.alternator-left": 3, "red.alternator-right": 3, "red.d-alternator": 2, "red.alternator-exact": 2,
+    "coh.jacobiator-sym23": (("+kxyz +kxzy", "kxyz->kxyz", "jac"), ("-kxyz", "kxm,myz->kxyz", "b01", "alt"),
+                             ("+kxyz", "kmz,mxy->kxyz", "alt", "b00"), ("+kxyz", "kym,mxz->kxyz", "alt", "b00")),
+    # <x,[y,z]> - <[y,z],x>
+    "coh.alternator-bracket": (("+kxyz", "kxm,myz->kxyz", "alt", "b00"),
+                               ("-kxyz", "kmx,myz->kxyz", "alt", "b00")),
+    # implied: [<x,y>,z], [x,<y,z>], d<x,y> and <da,x> are symmetric
+    "red.alternator-left": (("+kxyz -kyxz", "kmz,mxy->kxyz", "b10", "alt"),),
+    "red.alternator-right": (("+kxyz -kxzy", "kxm,myz->kxyz", "b01", "alt"),),
+    "red.d-alternator": (("+kxy -kyx", "km,mxy->kxy", "d", "alt"),),
+    "red.alternator-exact": (("+kax", "kmx,ma->kax", "alt", "d"), ("-kax", "kxm,ma->kax", "alt", "d")),
 }
 
+_ROWS = {name: xla.SignedSum(groups, TENSOR_PATHS) for name, groups in IDENTITIES.items()}
+
+EL2_EQUATIONS = tuple((name, row) for name, row in _ROWS.items() if not name.startswith("red."))
+EL2_REDUNDANT_EQUATIONS = tuple((name, row) for name, row in _ROWS.items() if name.startswith("red."))
 
 # The rank and the terms of each identity, as in CATEGORICAL_DIAGRAMS: the
-# residual has rank basis slots and is a signed sum of the terms, each an
-# entry of one tensor or a contraction over one index of entries of two,
-# named as in _heights (d, then AXES), in the order the formula adds them.
+# residual has rank basis slots, its output axes but the first, and is a
+# signed sum of the terms, one per placement, each an entry of one tensor
+# or a contraction over one index of entries of two, named as in _heights.
 RESIDUAL_TERMS: dict[str, tuple[int, tuple[tuple[str, ...], ...]]] = {
-    "chain.b01": (2, (("d", "b01"), ("b00", "d"))),
-    "chain.b10": (2, (("d", "b10"), ("b00", "d"))),
-    "chain.derived": (2, (("b01", "d"), ("b10", "d"))),
-    "skew.00": (2, (("b00",), ("b00",), ("d", "alt"))),
-    "skew.10": (2, (("b10",), ("b01",), ("alt", "d"))),
-    "skew.01": (2, (("b01",), ("b10",), ("alt", "d"))),
-    "jacobi.000": (3, (("b00", "b00"),) * 3 + (("d", "jac"),)),
-    "jacobi.100": (3, (("b10", "b00"), ("b10", "b10"), ("b01", "b10"), ("jac", "d"))),
-    "jacobi.010": (3, (("b01", "b10"), ("b10", "b01"), ("b10", "b00"), ("jac", "d"))),
-    "jacobi.001": (3, (("b01", "b01"), ("b01", "b00"), ("b01", "b01"), ("jac", "d"))),
-    "coh.bracket-jacobiator": (4, (("b10", "jac"), ("jac", "b00")) + (("b01", "jac"),) * 3
-                               + (("jac", "b00"),) * 5),
-    "coh.jacobiator-sym12": (3, (("jac",), ("jac",), ("b10", "alt"))),
-    "coh.jacobiator-sym23": (3, (("jac",), ("jac",), ("b01", "alt"), ("alt", "b00"), ("alt", "b00"))),
-    "coh.alternator-bracket": (3, (("alt", "b00"),) * 2),
-    "red.alternator-left": (3, (("b10", "alt"),) * 2),
-    "red.alternator-right": (3, (("b01", "alt"),) * 2),
-    "red.d-alternator": (2, (("d", "alt"),) * 2),
-    "red.alternator-exact": (2, (("alt", "d"),) * 2),
-}
+    name: (len(row.axes) - 1, row.terms) for name, row in _ROWS.items()}
+
+# On the integer copy, where d and alt carry den, the brackets den**2 and jac
+# den**3 (_POWERS), each residual is den to this power times the residual of
+# the input.
+RESIDUAL_POWERS: dict[str, int] = {
+    name: row.power(dict(zip(("d", *AXES), _POWERS))) for name, row in _ROWS.items()}
 
 
 def check_el2(e: EL2Algebra, *, stop_after: Optional[int] = None) -> CheckReport:

@@ -50,10 +50,11 @@ zero modulo each of them is zero, by the Chinese remainder theorem, since
 its absolute value is below their product; only one that is nonzero
 modulo some prime is evaluated again, once, on Python ints, for its exact
 residual.  ``el2`` holds the one plan that makes this choice for both
-axiom checkers.  The tensor checker's formulas are written with
-:func:`einsum`, which lets leading axes pass through every operand, so one
-formula evaluates Python ints, Fractions, int64 tensors and stacked
-residues.
+axiom checkers.  The tensor checker's identities are one table of data,
+each a signed sum of named-axis contractions that :class:`SignedSum`
+compiles once and evaluates like :func:`einsum`, which lets leading axes
+pass through every operand: one row evaluates Python ints, Fractions,
+int64 tensors and stacked residues.
 
 Row reduction is fraction-free for the same reason: :func:`rref` clears
 denominators row by row, eliminates on Python ints (Bareiss) and divides once
@@ -63,11 +64,11 @@ quotient representatives) are the ones Fraction elimination gives.  The
 kernels take arrays of any dtype: one that is not object goes through
 :func:`as_exact`, and :func:`rref` refuses an object entry that is not
 rational, a boolean included, while it clears denominators.  The
-contraction helpers, :func:`einsum` among them, and :func:`alternate` take
-object and integer arrays and refuse float, complex and boolean dtypes
-from the dtype alone.  Bases
-independent by construction (the identity, kernel and image bases) skip the
-rank check the public :class:`Subspace` constructor makes.
+contraction helpers, :func:`einsum` and :class:`SignedSum` among them, and
+:func:`alternate` take object and integer arrays and refuse float, complex
+and boolean dtypes from the dtype alone.  Bases independent by
+construction (the identity, kernel and image bases) skip the rank check
+the public :class:`Subspace` constructor makes.
 
 Every convention and subspace question has one helper here: the sign of a
 permutation, with an optional Koszul sign (:func:`perm_sign`); the product
@@ -92,6 +93,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -701,15 +703,71 @@ def _operand(a) -> np.ndarray:
     return a
 
 
+def _leading(subscripts: str) -> str:
+    """``subscripts`` with ``...`` prepended to every operand and the output."""
+    inputs, output = subscripts.split("->")
+    return ",".join("..." + s for s in inputs.split(",")) + "->..." + output
+
+
 def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     """``np.einsum(subscripts, *operands)`` with ``...`` prepended to every
     operand and to the output: leading axes broadcast and pass through, so
     a formula written for plain tensors also evaluates stacked residue
     images (:func:`residue_stack`) one image per leading index.  Every
     axis is named, so no leading axis is mistaken for a tensor axis."""
-    inputs, output = subscripts.split("->")
-    spec = ",".join("..." + s for s in inputs.split(",")) + "->..." + output
-    return np.einsum(spec, *map(_operand, operands))
+    return np.einsum(_leading(subscripts), *map(_operand, operands))
+
+
+class SignedSum:
+    """A residual as data: ``groups`` of ``(placements, subscripts, *names)``,
+    each a contraction of the tensors at the attribute paths ``paths.get(name,
+    name)`` of the argument, whose subscripts name every axis and output the
+    row's axes.
+    Each placement, a sign and a permutation of those axes, adds the
+    contraction once with its axes relabelled (``-kyx`` in a row on ``kxy``
+    subtracts ``einsum("kyx->kxy", t)``) and is one entry of :attr:`terms`.
+    The ``...``-prefixed subscripts are built once; a call adds every term
+    into one array that shares no memory with the inputs, never written."""
+
+    def __init__(self, groups: Sequence[tuple[str, ...]], paths: Optional[dict[str, str]] = None):
+        self.axes = axes = groups[0][1].split("->")[1]
+        self.terms, self._plan = (), []
+        for placements, subscripts, *names in groups:
+            signed = [(p[0], p[1:]) for p in placements.split()]
+            if not subscripts.endswith("->" + axes) or any(s not in "+-" or sorted(p) != sorted(axes)
+                                                           for s, p in signed):
+                raise ShapeError(f"{subscripts!r} with {placements!r} does not place onto {axes!r}")
+            # a contraction that no other placement reads may hold the sum
+            owned = len(names) > 1 and signed == [("+", axes)]
+            steps = tuple((np.subtract if s == "-" else np.add, None if p == axes else _leading(f"{p}->{axes}"),
+                           owned) for s, p in signed)
+            spec = None if subscripts == f"{axes}->{axes}" else _leading(subscripts)
+            self._plan.append((spec, tuple(operator.attrgetter((paths or {}).get(n, n)) for n in names), steps))
+            self.terms += (tuple(names),) * len(signed)
+
+    def __call__(self, x) -> np.ndarray:
+        out, fresh = None, False
+        for spec, getters, steps in self._plan:
+            operands = [_operand(get(x)) for get in getters]
+            t = operands[0] if spec is None else np.einsum(spec, *operands)
+            for op, relabel, owned in steps:
+                term = t if relabel is None else np.einsum(relabel, t)
+                if out is None:
+                    out, fresh = (-term, True) if op is np.subtract else (term, owned)
+                elif fresh and out.shape == term.shape:     # not broadcast over more leading axes
+                    op(out, term, out=out)
+                else:
+                    out, fresh = op(out, term), True
+        return out if fresh else out.copy()
+
+    def power(self, scale: dict[str, int]) -> int:
+        """The power of den on the sum when each tensor t carries
+        den**scale[t]: the sum over a term's tensors, the same for every
+        term, or ValueError."""
+        found = {sum(scale[t] for t in factors) for factors in self.terms}
+        if len(found) != 1:
+            raise ValueError(f"terms of unequal powers {sorted(found)} in a row on {self.axes!r}")
+        return found.pop()
 
 
 def contract(t: np.ndarray, slot: int, arg: np.ndarray) -> np.ndarray:

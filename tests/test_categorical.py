@@ -78,16 +78,16 @@ def test_independent_of_tensor_checker(monkeypatch, el2_corpus):
     bad = perturb(dict(el2_corpus)["string:sl2/killing"], "jac", 5)
     inputs = [e for _, e in el2_corpus] + [bad, wide(bad)]
     before = [el2.categorical_coherence_check(e).render(10**6) for e in inputs]
-    # the tensor checker's formulas, the einsum helper they are written
-    # with, its rows and their term counts: only the plan is shared
+    # the tensor checker's table of identities, their compiled rows, the
+    # evaluator and the einsum helper they run on, its rows and their term
+    # counts: only the plan is shared
     monkeypatch.setattr(el2, "RESIDUAL_TERMS", None)
-    for name in dir(el2):
-        if name.startswith("_residual_") or name in ("_leibniz_defect", "_identity_rows"):
-            monkeypatch.setattr(el2, name, refuse)
+    monkeypatch.setattr(el2, "_identity_rows", refuse)
     monkeypatch.setattr(xla, "einsum", refuse)
-    for module in (dkcore, el2):
-        for name in ("chain_b01", "chain_b10", "chain_derived"):
-            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(xla.SignedSum, "__call__", refuse)
+    for module, names in ((dkcore, ("CHAIN_IDENTITIES", "_CHAIN_ROWS")), (el2, ("IDENTITIES", "_ROWS"))):
+        for name in names:
+            monkeypatch.setattr(module, name, None)
     for table in ("EL2_EQUATIONS", "EL2_REDUNDANT_EQUATIONS"):
         monkeypatch.setattr(el2, table, tuple((name, refuse) for name, _ in getattr(el2, table)))
     with pytest.raises(TensorCheckerUsed):

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -566,6 +567,27 @@ def test_cli_mc_large_dimensions_without_brackets(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "graded_l3", "payload": {"dims": {"1": 400000, "2": 400000}}}))
     assert cli.main(["mc", str(path)]) == 0
     assert capsys.readouterr().out == "maurer-cartan residual: zero\n"
+
+
+@pytest.mark.parametrize("command", ["mc", "inner-sym"])
+def test_cli_huge_graded_degree_is_input_error(tmp_path, capsys, command):
+    # a 70-byte document declaring 10**9 in degree 1: mc would build gamma
+    # of dim(1) entries and inner-sym arrays of dim(1) * dim(0)
+    huge = 10**9
+    graded = {"dims": {"1": huge, "0": 1, "-1": 1, "-2": 1}}
+    problem = {"graded": graded, "gamma": {"shape": [0], "entries": []}}
+    path = tmp_path / "huge.json"
+    for doc, where in (({"kind": "graded_l3", "payload": graded}, "$.payload"),
+                       ({"kind": "mc_problem", "payload": problem}, "$.payload.graded")):
+        path.write_text(json.dumps(doc, separators=(",", ":")))
+        start = time.perf_counter()
+        assert cli.main([command, str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert (f"input error: {where}.dims.1: dimension {huge} exceeds {documents.MAX_GRADED_DIM}"
+                in capsys.readouterr().err)
+    # the cap itself is accepted
+    path.write_text(json.dumps({"kind": "graded_l3", "payload": {"dims": {"1": documents.MAX_GRADED_DIM}}}))
+    assert cli.main(["mc", str(path)]) == 0
 
 
 def test_cli_inner_sym(tmp_path, capsys):

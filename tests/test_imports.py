@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import lie2alg
-from lie2alg import cohom, dkcore, el2, morph
+from lie2alg import cohom, dkcore, el2, exactla as xla, morph
 
 PACKAGE = Path(lie2alg.__file__).parent
 
@@ -181,12 +181,27 @@ def test_positional_axis_uses_detected():
 
 
 def test_residual_formulas_name_every_axis():
-    """The tensor checker's formulas evaluate stacked residue images, and
+    """The tensor checker's identities evaluate stacked residue images, and
     morph's formulas and cohom's cocycle equations take a leading batch of
-    cochains, so they use no operation that reads an axis by position."""
-    formulas = [fn for _, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS]
-    formulas += [dkcore.chain_b01, dkcore.chain_b10, dkcore.chain_derived]
+    cochains, so they use no operation that reads an axis by position.  The
+    identities are data, rows of ``exactla.SignedSum``: every subscript
+    gives its output and names every axis, each placement is a permutation
+    of the row's axes, and each group outputs them."""
+    rows = [fn for _, fn in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS] + list(dkcore._CHAIN_ROWS.values())
+    assert all(type(row) is xla.SignedSum for row in rows)
+    formulas = [xla.SignedSum.__call__]
     formulas += [morph._morphism_identities, morph._morphism_jacobiator, morph._2morphism_identities]
     formulas += [cohom._skeletal_view, cohom._coherence_residuals, cohom._coboundary_jacobiator]
-    assert {fn.__module__ for fn in formulas} == {"lie2alg.el2", "lie2alg.dkcore", "lie2alg.morph", "lie2alg.cohom"}
+    assert {fn.__module__ for fn in formulas} == {"lie2alg.exactla", "lie2alg.morph", "lie2alg.cohom"}
     assert [use for fn in formulas for use in positional_axis_uses(fn)] == []
+    assert el2.IDENTITIES.items() >= dkcore.CHAIN_IDENTITIES.items()
+    assert [name for name, _ in el2.EL2_EQUATIONS + el2.EL2_REDUNDANT_EQUATIONS] == list(el2.IDENTITIES)
+    for name, groups in el2.IDENTITIES.items():
+        axes = groups[0][1].split("->")[1]
+        assert len(set(axes)) == len(axes), name
+        for placements, subscripts, *names in groups:
+            assert "..." not in subscripts and subscripts.count("->") == 1, name
+            inputs, output = subscripts.split("->")
+            assert output == axes and len(inputs.split(",")) == len(names), name
+            for placement in placements.split(" "):
+                assert placement[0] in "+-" and sorted(placement[1:]) == sorted(axes), name
